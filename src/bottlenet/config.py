@@ -105,7 +105,14 @@ def _require(doc: dict, key: str, source: str) -> Any:
     return doc[key]
 
 
-def _int_field(doc: dict, key: str, source: str, minimum: int = 0) -> int:
+_REQUIRED = object()
+
+
+def _int_field(doc: dict, key: str, source: str, minimum: int = 0,
+               default: Any = _REQUIRED) -> Any:
+    """doc[key] as an integer >= minimum; default when absent, if one is given."""
+    if key not in doc and default is not _REQUIRED:
+        return default
     value = _require(doc, key, source)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{source}: field '{key}': expected integer >= {minimum}, got {value!r}")
@@ -134,11 +141,10 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     protocol = doc.get("protocol", {})
     if not isinstance(protocol, dict):
         raise ConfigError(f"{source}: field 'protocol': expected an object")
-    for key, value in protocol.items():
+    for key in protocol:
         if key not in ProtocolConfig.__dataclass_fields__:
             raise ConfigError(f"{source}: field 'protocol.{key}': unknown parameter")
-        if not isinstance(value, int) or value < 0:
-            raise ConfigError(f"{source}: field 'protocol.{key}': expected non-negative integer")
+        _int_field(protocol, key, f"{source}: field 'protocol'")
 
     requests = []
     for i, req in enumerate(doc.get("requests", [])):
@@ -149,7 +155,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             at=_int_field(req, "at", where),
             src=_int_field(req, "src", where),
             dest=_int_field(req, "dest", where),
-            payload_len=req.get("payload_len", 0),
+            payload_len=_int_field(req, "payload_len", where, default=0),
         ))
 
     random_requests = None
@@ -160,8 +166,8 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             raise ConfigError(f"{where}: expected an object")
         random_requests = RandomRequests(
             count=_int_field(rr, "count", where, minimum=1),
-            first_at=rr.get("first_at", 1),
-            spacing=rr.get("spacing"),
+            first_at=_int_field(rr, "first_at", where, default=1),
+            spacing=_int_field(rr, "spacing", where, minimum=1, default=None),
         )
 
     faults = []

@@ -23,8 +23,17 @@ from .domain import (
     NodeState,
     serialize_bottle,
 )
-from .errors import ConfigError, UnknownEdge, UnknownNode
-from .network import Topology, fail_link, fail_node, hello_tick, load_topology, restore_link, restore_node
+from .errors import ConfigError
+from .network import (
+    Topology,
+    edge_key,
+    fail_link,
+    fail_node,
+    hello_tick,
+    load_topology,
+    restore_link,
+    restore_node,
+)
 
 
 class EventKind(Enum):
@@ -218,17 +227,15 @@ class Engine:
         hello_tick(self.topology, self.nodes[nid])
 
     def _on_fault(self, op: str, target: tuple) -> None:
-        try:
-            if op == "fail_node":
-                fail_node(self.topology, target[0])
-            elif op == "restore_node":
-                restore_node(self.topology, target[0])
-            elif op == "fail_link":
-                fail_link(self.topology, target[0], target[1])
-            elif op == "restore_link":
-                restore_link(self.topology, target[0], target[1])
-        except (UnknownNode, UnknownEdge) as exc:
-            raise ConfigError(f"fault injection: {exc}") from exc
+        # run() has checked every target against the topology
+        if op == "fail_node":
+            fail_node(self.topology, target[0])
+        elif op == "restore_node":
+            restore_node(self.topology, target[0])
+        elif op == "fail_link":
+            fail_link(self.topology, target[0], target[1])
+        elif op == "restore_link":
+            restore_link(self.topology, target[0], target[1])
 
     # -- node servicing ----------------------------------------------------
 
@@ -364,8 +371,14 @@ def run(scenario: ScenarioConfig) -> Trace:
 
     for at, src, dest, payload_len in requests:
         engine.schedule(at, EventKind.APP_REQUEST, (src, dest, payload_len))
-    for fault in scenario.faults:
-        target = (fault.node,) if fault.node is not None else fault.link
+    for i, fault in enumerate(scenario.faults):
+        if fault.node is not None:
+            target, known = (fault.node,), fault.node in topology.nodes
+        else:
+            target, known = fault.link, edge_key(*fault.link) in topology.edges
+        if not known:
+            raise ConfigError(f"field 'faults[{i}]': {fault.op} target "
+                              f"{list(target)} not in topology")
         engine.schedule(fault.at, EventKind.FAULT_INJECTION, (fault.op, target))
     if scenario.faults:
         # Beacons only matter when the topology can change under the nodes;

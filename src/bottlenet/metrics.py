@@ -13,9 +13,9 @@ from typing import Iterable
 
 from .domain import BottleId
 from .engine import Trace, TraceEvent
-from .errors import BottlenetError
+from .errors import BottlenetError, UnknownNode
 from .network import Topology
-from .oracle import bfs_distance
+from .oracle import bfs_distance, distances_from
 
 
 class IncompleteTrace(BottlenetError):
@@ -118,9 +118,14 @@ def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
     """Fraction of entries whose hop count equals the oracle distance."""
     total = optimal = 0
     for node, entries in tables.items():
+        if not entries:
+            continue
+        dist = distances_from(t, node)
         for dest, (_, hops) in entries.items():
+            if dest not in t.nodes:
+                raise UnknownNode(f"node {dest} not in topology")
             total += 1
-            if hops == bfs_distance(t, node, dest):
+            if hops == dist.get(dest):
                 optimal += 1
     return None if total == 0 else optimal / total
 

@@ -21,10 +21,24 @@ def edge_key(a: NodeId, b: NodeId) -> Edge:
 
 @dataclass
 class Topology:
+    """Nodes, undirected edges, and the nodes and edges currently down.
+
+    Pass edges to the constructor or add them with add_edge: both keep the
+    adjacency index in step with edges; writing to edges directly does not.
+    """
+
     nodes: set[NodeId] = field(default_factory=set)
     edges: set[Edge] = field(default_factory=set)
     down_nodes: set[NodeId] = field(default_factory=set)
     down_edges: set[Edge] = field(default_factory=set)
+    # node -> every node it shares an edge with, live or not
+    _adj: dict[NodeId, set[NodeId]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._adj = {n: set() for n in self.nodes}
+        for a, b in self.edges:
+            self._adj.setdefault(a, set()).add(b)
+            self._adj.setdefault(b, set()).add(a)
 
     def add_edge(self, a: NodeId, b: NodeId) -> None:
         if a == b:
@@ -32,6 +46,8 @@ class Topology:
         self.nodes.add(a)
         self.nodes.add(b)
         self.edges.add(edge_key(a, b))
+        self._adj.setdefault(a, set()).add(b)
+        self._adj.setdefault(b, set()).add(a)
 
     def link_live(self, a: NodeId, b: NodeId) -> bool:
         key = edge_key(a, b)
@@ -39,16 +55,15 @@ class Topology:
                 and a not in self.down_nodes and b not in self.down_nodes)
 
     def live_neighbors(self, n: NodeId) -> set[NodeId]:
-        return {b if a == n else a
-                for a, b in self.edges
-                if n in (a, b) and self.link_live(a, b)}
-
-
-def neighbors(t: Topology, n: NodeId) -> set[NodeId]:
-    """Current live neighbor set of n; empty when n itself is down."""
-    if n not in t.nodes:
-        raise UnknownNode(f"node {n} not in topology")
-    return t.live_neighbors(n)
+        """Current live neighbor set of n, as a fresh set; empty when n is down."""
+        if n not in self.nodes:
+            raise UnknownNode(f"node {n} not in topology")
+        if n in self.down_nodes:
+            return set()
+        if not self.down_nodes and not self.down_edges:  # every edge is live
+            return set(self._adj.get(n, ()))
+        return {m for m in self._adj.get(n, ())
+                if m not in self.down_nodes and edge_key(n, m) not in self.down_edges}
 
 
 def hello_tick(t: Topology, node: NodeState) -> NodeState:
@@ -58,7 +73,7 @@ def hello_tick(t: Topology, node: NodeState) -> NodeState:
     neighbors install nothing until someone actually routes (lazy
     reconnection).
     """
-    fresh = neighbors(t, node.nid)
+    fresh = t.live_neighbors(node.nid)
     vanished = node.nbors - fresh
     if vanished:
         node.rtab = {dest: entry for dest, entry in node.rtab.items()
@@ -104,7 +119,6 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
     for key in ("nodes", "edges"):
         if key not in doc:
             raise ConfigError(f"{source}: missing field '{key}'")
-    t = Topology()
     seen_nodes: set[NodeId] = set()
     for n in doc["nodes"]:
         if not isinstance(n, int) or not 0 <= n <= MAX_NODE_ID:
@@ -112,7 +126,7 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
         if n in seen_nodes:
             raise ConfigError(f"{source}: field 'nodes': duplicate id {n}")
         seen_nodes.add(n)
-    t.nodes = seen_nodes
+    t = Topology(nodes=seen_nodes)
     for pair in doc["edges"]:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(x, int) for x in pair)):
@@ -122,10 +136,9 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
             raise ConfigError(f"{source}: field 'edges': self-loop at {a}")
         if a not in t.nodes or b not in t.nodes:
             raise ConfigError(f"{source}: field 'edges': unknown endpoint in {pair!r}")
-        key = edge_key(a, b)
-        if key in t.edges:
+        if edge_key(a, b) in t.edges:
             raise ConfigError(f"{source}: field 'edges': duplicate edge {pair!r}")
-        t.edges.add(key)
+        t.add_edge(a, b)
     return t
 
 

@@ -1,12 +1,18 @@
 """Ground-truth shortest paths and connectivity, recomputed from scratch.
 
 Used only by tests and metrics as an independent check on what the
-protocol discovers; deliberately shares nothing with the FSM.
+protocol discovers; deliberately shares nothing with the FSM. Every query
+is one breadth-first search from a source over the topology's adjacency
+index, O(V + E). ``distances_from`` keeps the whole per-source distance
+map, so a caller with many destinations per source (``table_optimality``)
+searches once per source rather than once per pair; ``bfs_distance``
+stops at its one destination.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
 from .errors import UnknownNode
 from .network import Topology
@@ -14,24 +20,41 @@ from .network import Topology
 Unreachable = None
 
 
-def bfs_distance(t: Topology, a: int, b: int) -> int | None:
-    """Hop count of a shortest live path from a to b; None when disconnected."""
-    for n in (a, b):
-        if n not in t.nodes:
-            raise UnknownNode(f"node {n} not in topology")
-    if a == b:
-        return 0
+def _bfs(t: Topology, a: int) -> Iterator[tuple[int, int]]:
+    """(node, hops) for a and every node it reaches over live links, nearest first.
+
+    The oracle's one breadth-first search. It is lazy, so a caller after
+    one destination stops as soon as it is found.
+    """
+    if a not in t.nodes:
+        raise UnknownNode(f"node {a} not in topology")
     seen = {a}
     frontier = deque([(a, 0)])
+    yield a, 0
     while frontier:
-        node, dist = frontier.popleft()
+        node, hops = frontier.popleft()
+        hops += 1
         for m in t.live_neighbors(node):
-            if m == b:
-                return dist + 1
             if m not in seen:
                 seen.add(m)
-                frontier.append((m, dist + 1))
-    return Unreachable
+                frontier.append((m, hops))
+                yield m, hops
+
+
+def distances_from(t: Topology, a: int) -> dict[int, int]:
+    """Hop count of a shortest live path from a to every node it reaches.
+
+    a itself is at 0 and unreachable nodes are absent, so the keys are a's
+    live component.
+    """
+    return dict(_bfs(t, a))
+
+
+def bfs_distance(t: Topology, a: int, b: int) -> int | None:
+    """Hop count of a shortest live path from a to b; None when disconnected."""
+    if b not in t.nodes:
+        raise UnknownNode(f"node {b} not in topology")
+    return next((hops for node, hops in _bfs(t, a) if node == b), Unreachable)
 
 
 def connected(t: Topology, a: int, b: int) -> bool:
@@ -40,17 +63,7 @@ def connected(t: Topology, a: int, b: int) -> bool:
 
 def component(t: Topology, a: int) -> set[int]:
     """All nodes reachable from a over live links (includes a itself)."""
-    if a not in t.nodes:
-        raise UnknownNode(f"node {a} not in topology")
-    seen = {a}
-    frontier = deque([a])
-    while frontier:
-        node = frontier.popleft()
-        for m in t.live_neighbors(node):
-            if m not in seen:
-                seen.add(m)
-                frontier.append(m)
-    return seen
+    return {node for node, _ in _bfs(t, a)}
 
 
 def components(t: Topology) -> list[set[int]]:

@@ -65,3 +65,24 @@ class TestScenarioParsing:
         doc = {"seed": 1, "topology": {"generator": {"kind": "dense", "nodes": 20, "seed": 2}}}
         sc = scenario_from_dict(doc)
         assert sc.generator == {"kind": "dense", "nodes": 20, "seed": 2}
+
+    def test_protocol_boolean_rejected(self):
+        doc = self.base() | {"protocol": {"retry_limit": True}}
+        with pytest.raises(ConfigError, match="retry_limit"):
+            scenario_from_dict(doc)
+
+    def test_payload_len_checked(self):
+        doc = self.base() | {"requests": [{"at": 1, "src": 0, "dest": 1, "payload_len": "x"}]}
+        with pytest.raises(ConfigError, match=r"requests\[0\].*'payload_len'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("spacing", ["5", 0])
+    def test_random_spacing_checked(self, spacing):
+        doc = self.base() | {"random_requests": {"count": 3, "spacing": spacing}}
+        with pytest.raises(ConfigError, match=r"random_requests.*'spacing'"):
+            scenario_from_dict(doc)
+
+    def test_random_first_at_checked(self):
+        doc = self.base() | {"random_requests": {"count": 3, "first_at": -4}}
+        with pytest.raises(ConfigError, match=r"random_requests.*'first_at'"):
+            scenario_from_dict(doc)

@@ -93,6 +93,21 @@ class TestRun:
         with pytest.raises(ConfigError, match="dest"):
             run(sc)
 
+    @pytest.mark.parametrize("fault", [
+        FaultSpec(at=5, op="fail_node", node=9),
+        FaultSpec(at=500, op="restore_node", node=9),
+        FaultSpec(at=5, op="fail_link", link=(0, 2)),
+        FaultSpec(at=500, op="restore_link", link=(1, 9)),
+    ])
+    def test_unknown_fault_target_rejected_before_running(self, tmp_path, fault):
+        t = make_topology((0, 1), (1, 2))
+        topo_path = tmp_path / "p3.json"
+        save_topology(t, str(topo_path))
+        sc = ScenarioConfig(seed=1, topology_file=str(topo_path), horizon=100,
+                            faults=[FaultSpec(at=1, op="fail_link", link=(1, 0)), fault])
+        with pytest.raises(ConfigError, match=r"faults\[1\]"):
+            run(sc)
+
 
 def terminal_marks(trace):
     """Per bottle id: eliminations plus found-route returns to the source."""

@@ -1,0 +1,29 @@
+"""Golden trace corpus: scenarios whose traces must stay byte-identical.
+
+Each case in data/golden_corpus.json holds a scenario document, the
+record count and sha256 of its JSONL trace, and its live summary. The
+cases cover link and node faults, concurrent requests, a partitioned
+sparse graph, a dense graph and a beacon period above one. A change that
+alters the trace format on purpose re-pins the values and says why in
+CHANGES.md; any other change must leave them as they are.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from bottlenet.config import scenario_from_dict
+from bottlenet.engine import run
+from bottlenet.metrics import summarize
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+def test_trace_matches_pinned_hash(case):
+    trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
+    digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+    assert (len(trace.events), digest) == (case["records"], case["sha256"])
+    assert summarize(trace).to_dict() == case["summary"]

@@ -11,7 +11,6 @@ from bottlenet.network import (
     fail_node,
     hello_tick,
     load_topology,
-    neighbors,
     restore_link,
     restore_node,
     save_topology,
@@ -22,24 +21,24 @@ from conftest import make_node, make_topology
 
 class TestNeighbors:
     def test_path_middle(self, path3):
-        assert neighbors(path3, 1) == {0, 2}
+        assert path3.live_neighbors(1) == {0, 2}
 
     def test_down_node_invisible(self, path3):
         fail_node(path3, 2)
-        assert neighbors(path3, 1) == {0}
+        assert path3.live_neighbors(1) == {0}
 
     def test_complete_graph(self):
         k5 = make_topology(*[(a, b) for a in range(5) for b in range(a + 1, 5)])
         for n in range(5):
-            assert neighbors(k5, n) == set(range(5)) - {n}
+            assert k5.live_neighbors(n) == set(range(5)) - {n}
 
     def test_unknown_node(self, path3):
         with pytest.raises(UnknownNode):
-            neighbors(path3, 99)
+            path3.live_neighbors(99)
 
     def test_down_node_sees_nothing(self, path3):
         fail_node(path3, 1)
-        assert neighbors(path3, 1) == set()
+        assert path3.live_neighbors(1) == set()
 
 
 class TestHelloTick:
@@ -67,26 +66,26 @@ class TestHelloTick:
 
 class TestFaults:
     def test_fail_restore_node_round_trip(self, path3):
-        before = neighbors(path3, 1)
+        before = path3.live_neighbors(1)
         restore_node(fail_node(path3, 2), 2)
-        assert neighbors(path3, 1) == before
+        assert path3.live_neighbors(1) == before
         assert not path3.down_nodes
 
     def test_fail_restore_link_round_trip(self, path3):
-        before = neighbors(path3, 0)
+        before = path3.live_neighbors(0)
         restore_link(fail_link(path3, 0, 1), 0, 1)
-        assert neighbors(path3, 0) == before
+        assert path3.live_neighbors(0) == before
 
     def test_fail_link_is_directionless(self, path3):
         fail_link(path3, 1, 0)
-        assert neighbors(path3, 0) == set()
-        assert neighbors(path3, 1) == {2}
+        assert path3.live_neighbors(0) == set()
+        assert path3.live_neighbors(1) == {2}
 
     def test_failed_node_kills_all_incident_links(self):
         star = make_topology((0, 1), (0, 2), (0, 3))
         fail_node(star, 0)
         for n in (1, 2, 3):
-            assert neighbors(star, n) == set()
+            assert star.live_neighbors(n) == set()
 
     def test_unknown_targets(self, path3):
         with pytest.raises(UnknownNode):
@@ -102,8 +101,8 @@ def test_neighbor_symmetry(pairs):
         if a != b:
             t.add_edge(a, b)
     for n in t.nodes:
-        for m in neighbors(t, n):
-            assert n in neighbors(t, m)
+        for m in t.live_neighbors(n):
+            assert n in t.live_neighbors(m)
 
 
 class TestTopologyFile:

@@ -1,11 +1,19 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
 from bottlenet.errors import UnknownNode
-from bottlenet.network import Topology, fail_node
-from bottlenet.oracle import Unreachable, bfs_distance, component, components, connected
+from bottlenet.network import Topology, fail_link, fail_node
+from bottlenet.oracle import (
+    Unreachable,
+    bfs_distance,
+    component,
+    components,
+    connected,
+    distances_from,
+)
 from conftest import make_topology
 
 
@@ -105,3 +113,27 @@ def test_distance_symmetry_and_triangle_inequality(pairs):
                       bfs_distance(t, a, c))
         if ab is not Unreachable and bc is not Unreachable:
             assert ac is not Unreachable and ac <= ab + bc
+
+
+@given(graph_strategy, st.sets(st.integers(0, 9), max_size=3), st.data())
+def test_oracle_agrees_with_networkx(pairs, down, data):
+    """networkx on the live subgraph is a second oracle, independent of ours."""
+    t = Topology()
+    for a, b in pairs:
+        t.add_edge(a, b)
+    for n in down & t.nodes:
+        fail_node(t, n)
+    for a, b in data.draw(st.sets(st.sampled_from(sorted(t.edges)), max_size=4)
+                          if t.edges else st.just(set())):
+        fail_link(t, a, b)
+    g = nx.Graph()
+    g.add_nodes_from(n for n in t.nodes if n not in t.down_nodes)
+    g.add_edges_from(e for e in t.edges if t.link_live(*e))
+    for a in t.nodes:
+        want = nx.single_source_shortest_path_length(g, a) if a in g else {a: 0}
+        assert distances_from(t, a) == want
+        for b in t.nodes:
+            assert bfs_distance(t, a, b) == want.get(b, Unreachable)
+    got = components(t)
+    assert sorted(map(sorted, got)) == sorted(map(sorted, nx.connected_components(g)))
+    assert [len(c) for c in got] == sorted((len(c) for c in got), reverse=True)
