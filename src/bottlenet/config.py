@@ -13,11 +13,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
+from .topogen import KINDS
 
 DEFAULT_RETRY_LIMIT = 3
 DEFAULT_PER_HOP_LATENCY = 1
 DEFAULT_QUEUE_CAP = 16
 DEFAULT_HORIZON = 10_000
+
+# smallest value each ProtocolConfig field accepts
+_PROTOCOL_MINIMUMS = {"hop_limit": 1, "timeout": 1, "retry_limit": 0,
+                      "queue_cap": 1, "per_hop_latency": 1, "beacon_period": 1}
 
 
 @dataclass(frozen=True)
@@ -36,9 +41,7 @@ class ProtocolConfig:
     beacon_period: int = DEFAULT_PER_HOP_LATENCY
 
     def __post_init__(self) -> None:
-        for name, minimum in (("hop_limit", 1), ("timeout", 1), ("retry_limit", 0),
-                              ("queue_cap", 1), ("per_hop_latency", 1),
-                              ("beacon_period", 1)):
+        for name, minimum in _PROTOCOL_MINIMUMS.items():
             if getattr(self, name) < minimum:
                 raise ConfigError(f"protocol.{name} must be >= {minimum}")
 
@@ -108,14 +111,17 @@ def _require(doc: dict, key: str, source: str) -> Any:
 _REQUIRED = object()
 
 
-def _int_field(doc: dict, key: str, source: str, minimum: int = 0,
+def _int_field(doc: dict, key: str, source: str, minimum: int | None = 0,
                default: Any = _REQUIRED) -> Any:
-    """doc[key] as an integer >= minimum; default when absent, if one is given."""
+    """doc[key] as an integer >= minimum (any integer when minimum is None);
+    default when absent, if one is given."""
     if key not in doc and default is not _REQUIRED:
         return default
     value = _require(doc, key, source)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{source}: field '{key}': expected integer >= {minimum}, got {value!r}")
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        expected = "integer" if minimum is None else f"integer >= {minimum}"
+        raise ConfigError(f"{source}: field '{key}': expected {expected}, got {value!r}")
     return value
 
 
@@ -131,9 +137,17 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         topology_file = topo["file"]
     elif isinstance(topo, dict) and "generator" in topo:
         gen = topo["generator"]
+        where = f"{source}: field 'topology.generator'"
+        if not isinstance(gen, dict):
+            raise ConfigError(f"{where}: expected an object")
         for key in ("kind", "nodes", "seed"):
             if key not in gen:
                 raise ConfigError(f"{source}: field 'topology.generator.{key}' is required")
+        if gen["kind"] not in KINDS:
+            raise ConfigError(f"{where}: field 'kind': unknown kind {gen['kind']!r}; "
+                              f"expected one of {KINDS}")
+        _int_field(gen, "nodes", where, minimum=2)
+        _int_field(gen, "seed", where, minimum=None)
         generator = gen
     else:
         raise ConfigError(f"{source}: field 'topology': need 'file' or 'generator'")
@@ -142,9 +156,10 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     if not isinstance(protocol, dict):
         raise ConfigError(f"{source}: field 'protocol': expected an object")
     for key in protocol:
-        if key not in ProtocolConfig.__dataclass_fields__:
+        if key not in _PROTOCOL_MINIMUMS:
             raise ConfigError(f"{source}: field 'protocol.{key}': unknown parameter")
-        _int_field(protocol, key, f"{source}: field 'protocol'")
+        _int_field(protocol, key, f"{source}: field 'protocol'",
+                   minimum=_PROTOCOL_MINIMUMS[key])
 
     requests = []
     for i, req in enumerate(doc.get("requests", [])):

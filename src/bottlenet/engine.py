@@ -3,12 +3,44 @@
 All randomness flows from the scenario seed through per-node streams, and
 events with equal timestamps are processed in scheduling order, so a given
 (scenario, seed) pair always produces a byte-identical trace.
+
+Neighbour refresh. A node's view of its live neighbours (hello beacons in
+the protocol) can go stale only when a fault touches it: fsm discards a
+neighbour only when the link to it is down at that instant. So a fault
+marks the nodes whose live neighbour set it may change (a link's two
+endpoints; a node and every node it shares an edge with), and each marked
+node is refreshed once, at its next beacon instant: the first instant
+s >= now with s = nid (mod beacon_period). A beacon at any other instant
+would change nothing, so none is scheduled, and a run without faults
+schedules no refresh at all.
+
+A refresh sorts where the beacon of a node that beaconed every period
+would sort. With P the beacon period, that beacon for s is sent at
+s - P, while the beacon for s - P is processed. So it sorts after the
+events sent at s - P by events that sort before that beacon, and before
+the events sent by events that sort after it. The heap key is
+(at, born, tie, seq):
+
+- born is the instant an event was scheduled, -inf for the requests and
+  faults queued before the loop;
+- tie is 0 when the event that scheduled it sorts before the beacon of
+  its instant (key below (now, now - P, 1)), 2 when it sorts after;
+- a refresh at s has born = s - P and tie = 1;
+- seq counts schedule calls, so it is monotone in born.
+
+Every other event therefore keeps its scheduling order, and a refresh
+sorts after the faults at its instant. For s < P it sorts after the
+queued requests and faults and before every event born in the loop. The
+tie matters only when one event delay equals P and another is shorter
+than P (say per_hop_latency = P > timeout); otherwise every event born at
+s - P that lands at s sorts before the beacon.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,17 +72,9 @@ class EventKind(Enum):
     BOTTLE_ARRIVAL = "bottle_arrival"
     DATA_ARRIVAL = "data_arrival"
     TIMER_FIRE = "timer_fire"
-    BEACON_TICK = "beacon_tick"
+    NEIGHBOR_REFRESH = "neighbor_refresh"
     FAULT_INJECTION = "fault_injection"
     APP_REQUEST = "app_request"
-
-
-@dataclass(frozen=True)
-class Event:
-    at: int
-    kind: EventKind
-    payload: tuple
-    seq: int
 
 
 @dataclass(frozen=True)
@@ -116,8 +140,20 @@ class Engine:
                       for nid in sorted(topology.nodes)}
         self._rngs = {nid: random.Random(f"{seed}:{nid}")
                       for nid in self.nodes}
-        self._queue: list[tuple[int, int, Event]] = []
+        # (at, born, tie, seq, kind, payload); see the module docstring
+        self._queue: list[tuple[int, float, int, int, EventKind, tuple]] = []
         self._event_seq = 0
+        self._born: float = -math.inf  # the instant being processed
+        self._tie = 0                  # see the module docstring
+        self._refresh_due: set[int] = set()
+        self._handlers = {
+            EventKind.APP_REQUEST: self._on_app_request,
+            EventKind.BOTTLE_ARRIVAL: self._on_bottle_arrival,
+            EventKind.DATA_ARRIVAL: self._on_data_arrival,
+            EventKind.TIMER_FIRE: self._on_timer_fire,
+            EventKind.NEIGHBOR_REFRESH: self._on_neighbor_refresh,
+            EventKind.FAULT_INJECTION: self._on_fault,
+        }
         self._trace_seq = 0
         self._xfer = 0
         self.trace: list[TraceEvent] = []
@@ -129,9 +165,21 @@ class Engine:
     def schedule(self, at: int, kind: EventKind, payload: tuple) -> None:
         if at < self.now:
             raise ConfigError(f"cannot schedule event at {at}, now is {self.now}")
-        ev = Event(at=at, kind=kind, payload=payload, seq=self._event_seq)
+        self._push(at, self._born, self._tie, kind, payload)
+
+    def _push(self, at: int, born: float, tie: int, kind: EventKind,
+              payload: tuple) -> None:
+        heapq.heappush(self._queue, (at, born, tie, self._event_seq, kind, payload))
         self._event_seq += 1
-        heapq.heappush(self._queue, (at, ev.seq, ev))
+
+    def _refresh_at_next_beacon(self, nid: int) -> None:
+        if nid in self._refresh_due:
+            return
+        period = self.cfg.beacon_period
+        at = self.now + (nid - self.now) % period
+        if at <= self.horizon:
+            self._refresh_due.add(nid)
+            self._push(at, at - period, 1, EventKind.NEIGHBOR_REFRESH, (nid,))
 
     # -- trace -------------------------------------------------------------
 
@@ -143,22 +191,14 @@ class Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
-        while self._queue and self._queue[0][0] <= self.horizon:
-            _, _, ev = heapq.heappop(self._queue)
-            self.now = ev.at
+        queue, handlers = self._queue, self._handlers
+        period = self.cfg.beacon_period
+        while queue and queue[0][0] <= self.horizon:
+            at, born, tie, _, kind, payload = heapq.heappop(queue)
+            self.now = self._born = at
+            self._tie = 0 if (born, tie) < (at - period, 1) else 2
             self.events_processed += 1
-            self._dispatch(ev)
-
-    def _dispatch(self, ev: Event) -> None:
-        handler = {
-            EventKind.APP_REQUEST: self._on_app_request,
-            EventKind.BOTTLE_ARRIVAL: self._on_bottle_arrival,
-            EventKind.DATA_ARRIVAL: self._on_data_arrival,
-            EventKind.TIMER_FIRE: self._on_timer_fire,
-            EventKind.BEACON_TICK: self._on_beacon_tick,
-            EventKind.FAULT_INJECTION: self._on_fault,
-        }[ev.kind]
-        handler(*ev.payload)
+            handlers[kind](*payload)
 
     # -- event handlers ----------------------------------------------------
 
@@ -218,10 +258,8 @@ class Engine:
                                  self._rngs[nid])
         self._apply(nid, actions)
 
-    def _on_beacon_tick(self, nid: int) -> None:
-        nxt = self.now + self.cfg.beacon_period
-        if nxt <= self.horizon:
-            self.schedule(nxt, EventKind.BEACON_TICK, (nid,))
+    def _on_neighbor_refresh(self, nid: int) -> None:
+        self._refresh_due.discard(nid)
         if nid in self.topology.down_nodes:
             return
         hello_tick(self.topology, self.nodes[nid])
@@ -236,6 +274,13 @@ class Engine:
             fail_link(self.topology, target[0], target[1])
         elif op == "restore_link":
             restore_link(self.topology, target[0], target[1])
+        # the nodes whose live neighbour set the fault may have changed
+        if op.endswith("_link"):
+            touched = target
+        else:
+            touched = (target[0], *self.topology._adj[target[0]])
+        for nid in touched:
+            self._refresh_at_next_beacon(nid)
 
     # -- node servicing ----------------------------------------------------
 
@@ -380,11 +425,6 @@ def run(scenario: ScenarioConfig) -> Trace:
             raise ConfigError(f"field 'faults[{i}]': {fault.op} target "
                               f"{list(target)} not in topology")
         engine.schedule(fault.at, EventKind.FAULT_INJECTION, (fault.op, target))
-    if scenario.faults:
-        # Beacons only matter when the topology can change under the nodes;
-        # on a static topology they are a no-op and would just burn events.
-        for nid in engine.nodes:
-            engine.schedule(nid % cfg.beacon_period, EventKind.BEACON_TICK, (nid,))
 
     engine.run()
 

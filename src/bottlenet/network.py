@@ -1,4 +1,4 @@
-"""Undirected topology with link/node fault injection and hello beacons.
+"""Undirected topology with link/node fault injection and neighbour refresh.
 
 Links are bidirectional by construction and a failed node is modeled as
 all of its incident links being down while its own state freezes.
@@ -67,11 +67,13 @@ class Topology:
 
 
 def hello_tick(t: Topology, node: NodeState) -> NodeState:
-    """Refresh a node's neighbor view from periodic hello beacons.
+    """Refresh a node's neighbor view from the live topology.
 
-    Vanished neighbors take their routing entries with them; newly seen
-    neighbors install nothing until someone actually routes (lazy
-    reconnection).
+    The engine calls this at a node's next beacon instant after a fault
+    that may have changed its live neighbors; at any other instant the
+    view is already current. Vanished neighbors take their routing
+    entries with them; newly seen neighbors install nothing until someone
+    actually routes (lazy reconnection).
     """
     fresh = t.live_neighbors(node.nid)
     vanished = node.nbors - fresh

@@ -86,3 +86,27 @@ class TestScenarioParsing:
         doc = self.base() | {"random_requests": {"count": 3, "first_at": -4}}
         with pytest.raises(ConfigError, match=r"random_requests.*'first_at'"):
             scenario_from_dict(doc)
+
+    def generator_doc(self, **fields):
+        gen = {"kind": "generic", "nodes": 5, "seed": 0} | fields
+        return {"seed": 1, "topology": {"generator": gen}}
+
+    @pytest.mark.parametrize("nodes", ["5", 1])
+    def test_generator_nodes_checked(self, nodes):
+        with pytest.raises(ConfigError, match=r"topology\.generator.*'nodes'"):
+            scenario_from_dict(self.generator_doc(nodes=nodes))
+
+    def test_generator_seed_checked(self):
+        with pytest.raises(ConfigError, match=r"topology\.generator.*'seed'"):
+            scenario_from_dict(self.generator_doc(seed=True))
+
+    def test_generator_kind_checked(self):
+        with pytest.raises(ConfigError, match=r"topology\.generator.*'kind'"):
+            scenario_from_dict(self.generator_doc(kind="ring"))
+
+    @pytest.mark.parametrize("key", ["hop_limit", "timeout", "queue_cap",
+                                     "per_hop_latency", "beacon_period"])
+    def test_protocol_below_minimum_rejected(self, key):
+        doc = self.base() | {"protocol": {key: 0}}
+        with pytest.raises(ConfigError, match=rf"protocol.*'{key}'.*>= 1"):
+            scenario_from_dict(doc)

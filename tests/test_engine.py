@@ -7,6 +7,7 @@ from bottlenet.config import (
     ProtocolConfig,
     RequestSpec,
     ScenarioConfig,
+    scenario_from_dict,
 )
 from bottlenet.engine import Engine, EventKind, load_trace, run
 from bottlenet.errors import ConfigError
@@ -209,3 +210,81 @@ class TestFaultHandling:
                             horizon=2000)
         trace = run(sc)
         assert trace.records("RouteFound")
+
+
+@pytest.fixture
+def refreshes(monkeypatch):
+    """(now, nid, down, rtab before) for every neighbour refresh dispatched."""
+    seen = []
+    original = Engine._on_neighbor_refresh
+
+    def recording(self, nid):
+        seen.append((self.now, nid, nid in self.topology.down_nodes,
+                     dict(self.nodes[nid].rtab)))
+        original(self, nid)
+
+    monkeypatch.setattr(Engine, "_on_neighbor_refresh", recording)
+    return seen
+
+
+def file_scenario(tmp_path, t, **fields):
+    topo_path = tmp_path / "topo.json"
+    save_topology(t, str(topo_path))
+    return ScenarioConfig(topology_file=str(topo_path), **fields)
+
+
+class TestNeighborRefresh:
+    def test_fault_free_run_schedules_none(self, tmp_path, refreshes):
+        _, sc = generic_scenario(tmp_path, 1, [RequestSpec(at=1, src=0, dest=8)],
+                                 protocol={"beacon_period": 3})
+        trace = run(sc)
+        assert trace.records("RouteFound") and refreshes == []
+
+    def test_link_fault_refreshes_its_endpoints_at_their_beacons(self, tmp_path,
+                                                                 refreshes):
+        t = make_topology((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4))
+        sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
+                           faults=[FaultSpec(at=8, op="fail_link", link=(4, 1))],
+                           horizon=50)
+        trace = run(sc)
+        # node 4 is in phase 0 (the fault's own instant), node 1 in phase 1
+        assert [(at, nid) for at, nid, *_ in refreshes] == [(8, 4), (9, 1)]
+        assert trace.nodes[1].nbors == {0, 2} and trace.nodes[4].nbors == {3, 5}
+
+    def test_down_node_skipped_then_purged_on_restore(self, tmp_path, refreshes):
+        t = make_topology((0, 1), (1, 2), (2, 3))
+        sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
+                           requests=[RequestSpec(at=1, src=3, dest=0)],
+                           faults=[FaultSpec(at=20, op="fail_node", node=2),
+                                   FaultSpec(at=21, op="fail_link", link=(1, 2)),
+                                   FaultSpec(at=31, op="restore_node", node=2)],
+                           horizon=60)
+        trace = run(sc)
+        node2 = [(at, down, rtab) for at, nid, down, rtab in refreshes if nid == 2]
+        assert [(at, down) for at, down, _ in node2] == [(22, True), (34, False)]
+        assert node2[1][2][0].next_hop == 1  # the route to 0 learned at t=1
+        assert trace.nodes[2].nbors == {3}
+        assert trace.nodes[2].rtab.keys() == {3}
+
+    def test_refresh_sorts_after_queued_events_at_its_instant(self, tmp_path,
+                                                            refreshes):
+        # Before the loop, the request at t=1 was queued ahead of node 1's
+        # first beacon, so node 1 still sees the link the fault at t=0 broke.
+        t = make_topology((0, 1), (0, 2))
+        sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 5},
+                           requests=[RequestSpec(at=1, src=1, dest=2)],
+                           faults=[FaultSpec(at=0, op="fail_link", link=(0, 1))],
+                           horizon=50)
+        trace = run(sc)
+        first = trace.events[0]
+        assert (first.at, first.node, first.kind, first.data["to"]) == (1, 1, "Sent", 0)
+        assert (1, 1) in [(at, nid) for at, nid, *_ in refreshes]
+
+    def test_one_node_fault_costs_few_events(self):
+        doc = {"seed": 4, "topology": {"generator": {"kind": "generic", "nodes": 100,
+                                                     "seed": 0}},
+               "random_requests": {"count": 5},
+               "faults": [{"at": 100, "op": "fail_node", "node": 7}]}
+        trace = run(scenario_from_dict(doc))
+        # a beacon per node per period would process over 1.6 million
+        assert trace.meta["events_processed"] < 1000

@@ -3,9 +3,14 @@
 Each case in data/golden_corpus.json holds a scenario document, the
 record count and sha256 of its JSONL trace, and its live summary. The
 cases cover link and node faults, concurrent requests, a partitioned
-sparse graph, a dense graph and a beacon period above one. A change that
-alters the trace format on purpose re-pins the values and says why in
-CHANGES.md; any other change must leave them as they are.
+sparse graph, a dense graph and a beacon period above one; five more
+(beacon period and latency 2, beacon period 5 with a node down across
+several of its beacon instants, timeout equal to the beacon period,
+latency equal to the beacon period with a shorter timeout, and a churn
+run shaped like the benchmark's) pin where neighbour refreshes fall among
+events at the same instant. A change that alters the trace format
+on purpose re-pins the values and says why in CHANGES.md; any other
+change must leave them as they are.
 """
 
 import hashlib
