@@ -135,6 +135,9 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     generator = None
     if isinstance(topo, dict) and "file" in topo:
         topology_file = topo["file"]
+        if not isinstance(topology_file, str):
+            raise ConfigError(f"{source}: field 'topology.file': expected a path, "
+                              f"got {topology_file!r}")
     elif isinstance(topo, dict) and "generator" in topo:
         gen = topo["generator"]
         where = f"{source}: field 'topology.generator'"
@@ -204,8 +207,8 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             faults.append(FaultSpec(at=at, op=op, link=(link[0], link[1])))
 
     horizon = doc.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or horizon <= 0):
-        raise ConfigError(f"{source}: field 'horizon': expected positive integer")
+    if horizon is not None:
+        horizon = _int_field(doc, "horizon", source, minimum=1)
 
     return ScenarioConfig(
         seed=seed,

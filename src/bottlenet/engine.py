@@ -55,7 +55,7 @@ from .domain import (
     NodeState,
     serialize_bottle,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MalformedTrace
 from .network import (
     Topology,
     edge_key,
@@ -77,7 +77,11 @@ class EventKind(Enum):
     APP_REQUEST = "app_request"
 
 
-@dataclass(frozen=True)
+# One encoder for every record: json.dumps would build a new one per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+@dataclass(slots=True)
 class TraceEvent:
     at: int
     seq: int
@@ -86,14 +90,20 @@ class TraceEvent:
     data: dict[str, Any]
 
     def to_json(self) -> str:
-        doc = {"at": self.at, "seq": self.seq, "node": self.node,
-               "kind": self.kind, "data": self.data}
-        return json.dumps(doc, separators=(",", ":"))
+        return _encode({"at": self.at, "seq": self.seq, "node": self.node,
+                        "kind": self.kind, "data": self.data})
 
 
 @dataclass
 class Trace:
-    """Everything a finished run produced, trace records first among equals."""
+    """Everything a finished run produced, trace records first among equals.
+
+    The JSONL form (``to_jsonl``, ``write``) holds one record per line: a
+    compact JSON object (no spaces, ASCII only) with the keys ``at``,
+    ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
+    always gives the same bytes. ``load_trace`` reads it back and rejects
+    anything other than exactly one such object per non-blank line.
+    """
 
     events: list[TraceEvent] = field(default_factory=list)
     meta: dict[str, Any] = field(default_factory=dict)
@@ -105,7 +115,7 @@ class Trace:
         return [ev for ev in self.events if ev.kind == kind]
 
     def to_jsonl(self) -> str:
-        return "".join(ev.to_json() + "\n" for ev in self.events)
+        return "".join([ev.to_json() + "\n" for ev in self.events])
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -113,17 +123,55 @@ class Trace:
 
 
 def load_trace(path: str) -> Trace:
-    events = []
+    """Read a JSONL trace written by ``Trace.write``.
+
+    The non-blank lines are decoded in one call, each line wrapped in a
+    list of its own: a record split over two lines then leaves fewer lists
+    than lines, and a line holding two records a list of two. Only when
+    that decode fails are the lines decoded one by one, to name the first
+    bad one in a ``MalformedTrace``.
+    """
+    doc, count = _one_document(path)
+    try:
+        rows = json.loads(doc)
+        if len(rows) == count:
+            return Trace(events=[
+                TraceEvent(rec["at"], rec["seq"], rec["node"], rec["kind"],
+                           rec["data"])
+                for (rec,) in rows])
+    except (ValueError, TypeError, KeyError):
+        pass
+    raise _malformed(path)
+
+
+def _one_document(path: str) -> tuple[str, int]:
+    """One JSON array holding each non-blank line of a file in an array of
+    its own, and the number of those lines. The lines are freed on return,
+    before the decode."""
     with open(path) as fh:
-        for line in fh:
+        lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
+    return ("[[" + "],[".join(lines) + "]]" if lines else "[]"), len(lines)
+
+
+def _malformed(path: str) -> MalformedTrace:
+    """The error for the first line of a file that is not one record."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            events.append(TraceEvent(at=doc["at"], seq=doc["seq"],
-                                     node=doc["node"], kind=doc["kind"],
-                                     data=doc["data"]))
-    return Trace(events=events)
+            where = f"{path}: line {lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                return MalformedTrace(f"{where}: not one JSON record: {exc}")
+            if not isinstance(rec, dict):
+                return MalformedTrace(f"{where}: expected a JSON object, "
+                                      f"got {type(rec).__name__}")
+            for key in ("at", "seq", "node", "kind", "data"):
+                if key not in rec:
+                    return MalformedTrace(f"{where}: missing field '{key}'")
+    return MalformedTrace(f"{path}: not a JSONL trace")
 
 
 class Engine:
@@ -184,8 +232,8 @@ class Engine:
     # -- trace -------------------------------------------------------------
 
     def _record(self, node: int, kind: str, data: dict[str, Any]) -> None:
-        self.trace.append(TraceEvent(at=self.now, seq=self._trace_seq,
-                                     node=node, kind=kind, data=data))
+        self.trace.append(TraceEvent(self.now, self._trace_seq, node, kind,
+                                     data))
         self._trace_seq += 1
 
     # -- main loop ---------------------------------------------------------

@@ -39,3 +39,7 @@ class InvalidCount(BottlenetError):
 
 class ConfigError(BottlenetError):
     """Scenario or topology file is malformed; message names file and field."""
+
+
+class MalformedTrace(BottlenetError):
+    """A JSONL trace line is not exactly one record; message names file and line."""

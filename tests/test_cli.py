@@ -123,3 +123,12 @@ class TestSummarize:
         out = capsys.readouterr().out
         assert "total_bottle_bytes" in out
         assert json.loads(json_out.read_text())["discoveries_succeeded"] == 1
+
+    def test_malformed_trace_is_a_clean_error(self, tmp_path, generated_topology,
+                                               capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"at":1}\n')
+        assert main(["summarize", "--trace", str(trace),
+                     "--topology", generated_topology]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing field 'seq'" in err

@@ -61,6 +61,15 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="horizon"):
             scenario_from_dict(self.base() | {"horizon": -5})
 
+    def test_boolean_horizon_rejected(self):
+        # a bool is an int: true would load as a horizon of 1
+        with pytest.raises(ConfigError, match="'horizon'"):
+            scenario_from_dict(self.base() | {"horizon": True})
+
+    def test_topology_file_must_be_a_path(self):
+        with pytest.raises(ConfigError, match=r"'topology\.file'"):
+            scenario_from_dict({"seed": 1, "topology": {"file": 5}})
+
     def test_generator_spec(self):
         doc = {"seed": 1, "topology": {"generator": {"kind": "dense", "nodes": 20, "seed": 2}}}
         sc = scenario_from_dict(doc)

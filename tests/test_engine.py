@@ -9,8 +9,8 @@ from bottlenet.config import (
     ScenarioConfig,
     scenario_from_dict,
 )
-from bottlenet.engine import Engine, EventKind, load_trace, run
-from bottlenet.errors import ConfigError
+from bottlenet.engine import Engine, EventKind, TraceEvent, load_trace, run
+from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.network import save_topology
 from bottlenet.topogen import generate_topology
 from conftest import make_topology
@@ -83,6 +83,12 @@ class TestRun:
         trace = run(two_node_scenario(tmp_path))
         out = tmp_path / "trace.jsonl"
         trace.write(str(out))
+        assert load_trace(str(out)).events == trace.events
+
+    def test_trace_file_skips_blank_lines(self, tmp_path):
+        trace = run(two_node_scenario(tmp_path))
+        out = tmp_path / "trace.jsonl"
+        out.write_text("\n" + trace.to_jsonl().replace("\n", "\n \n"))
         assert load_trace(str(out)).events == trace.events
 
     def test_unknown_request_node_rejected(self, tmp_path):
@@ -288,3 +294,58 @@ class TestNeighborRefresh:
         trace = run(scenario_from_dict(doc))
         # a beacon per node per period would process over 1.6 million
         assert trace.meta["events_processed"] < 1000
+
+
+def record_line(seq):
+    return TraceEvent(1, seq, 0, "RouteFound",
+                      {"src": 0, "dest": 2, "path": [0, 1, 2]}).to_json()
+
+
+def split_record(inside):
+    """record_line(0) cut in two inside its path list or its kind string."""
+    line = record_line(0)
+    if inside == "list":  # drop the comma a comma join would put back
+        head, tail = line.split(",2]")
+        return [head, "2]" + tail]
+    cut = line.index("Found")
+    return [line[:cut], line[cut:]]
+
+
+class TestMalformedTrace:
+    """load_trace accepts exactly one record per non-blank line."""
+
+    def load(self, tmp_path, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return load_trace(str(path))
+
+    def test_invalid_json(self, tmp_path):
+        with pytest.raises(MalformedTrace, match=r"bad\.jsonl: line 3:"):
+            self.load(tmp_path, [record_line(0), "", '{"at": 1, "seq": oops}'])
+
+    def test_two_records_on_one_line(self, tmp_path):
+        # joined with commas into one array, this line would decode as two
+        with pytest.raises(MalformedTrace, match="line 2:"):
+            self.load(tmp_path, [record_line(0),
+                                 record_line(1) + "," + record_line(2)])
+
+    @pytest.mark.parametrize("inside", ["list", "string"])
+    def test_record_split_over_two_lines(self, tmp_path, inside):
+        # joined into one document, the halves would decode as one record
+        with pytest.raises(MalformedTrace, match="line 1:"):
+            self.load(tmp_path, split_record(inside) + [record_line(1)])
+
+    def test_split_record_and_two_on_a_line_do_not_cancel(self, tmp_path):
+        # three lines, three records: a count check alone would pass
+        with pytest.raises(MalformedTrace, match="line 1:"):
+            self.load(tmp_path, split_record("list")
+                      + [record_line(1) + "," + record_line(2)])
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"Sent"', "null"])
+    def test_line_not_an_object(self, tmp_path, line):
+        with pytest.raises(MalformedTrace, match="line 2: expected a JSON object"):
+            self.load(tmp_path, [record_line(0), line])
+
+    def test_missing_key(self, tmp_path):
+        with pytest.raises(MalformedTrace, match="line 1: missing field 'seq'"):
+            self.load(tmp_path, ['{"at": 1}'])

@@ -10,7 +10,9 @@ latency equal to the beacon period with a shorter timeout, and a churn
 run shaped like the benchmark's) pin where neighbour refreshes fall among
 events at the same instant. A change that alters the trace format
 on purpose re-pins the values and says why in CHANGES.md; any other
-change must leave them as they are.
+change must leave them as they are. Each case also goes through the
+trace file: the bytes written, the records loaded back and their encoding
+must match the live run and the pinned hash.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from bottlenet.config import scenario_from_dict
-from bottlenet.engine import run
+from bottlenet.engine import load_trace, run
 from bottlenet.metrics import summarize
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
@@ -32,3 +34,15 @@ def test_trace_matches_pinned_hash(case):
     digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
     assert (len(trace.events), digest) == (case["records"], case["sha256"])
     assert summarize(trace).to_dict() == case["summary"]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+def test_trace_file_round_trip(case, tmp_path):
+    trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
+    path = tmp_path / "trace.jsonl"
+    trace.write(str(path))
+    assert path.read_bytes() == trace.to_jsonl().encode()
+    loaded = load_trace(str(path))
+    assert loaded.events == trace.events
+    digest = hashlib.sha256(loaded.to_jsonl().encode()).hexdigest()
+    assert digest == case["sha256"]
