@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
+from .network import FAULT_OPS
 from .topogen import KINDS
 
 DEFAULT_RETRY_LIMIT = 3
@@ -97,9 +98,6 @@ class ScenarioConfig:
 
     def protocol_for(self, n_nodes: int) -> ProtocolConfig:
         return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
-
-
-_FAULT_OPS = {"fail_node", "restore_node", "fail_link", "restore_link"}
 
 
 def _require(doc: dict, key: str, source: str) -> Any:
@@ -194,7 +192,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         if not isinstance(fault, dict):
             raise ConfigError(f"{where}: expected an object")
         op = _require(fault, "op", where)
-        if op not in _FAULT_OPS:
+        if op not in FAULT_OPS:
             raise ConfigError(f"{where}: field 'op': unknown operation {op!r}")
         at = _int_field(fault, "at", where)
         if op.endswith("_node"):

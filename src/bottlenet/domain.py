@@ -163,7 +163,3 @@ def deserialize_bottle(data: bytes) -> Bottle:
     return Bottle(src=src, dest=dest, btl_id=BottleId(origin, seq),
                   rf=bool(flags & _FLAG_RF), history=history,
                   failure=bool(flags & _FLAG_FAILURE))
-
-
-def serialized_size(history_len: int) -> int:
-    return HEADER_BYTES + 2 * history_len

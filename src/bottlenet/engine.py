@@ -56,16 +56,7 @@ from .domain import (
     serialize_bottle,
 )
 from .errors import ConfigError, MalformedTrace
-from .network import (
-    Topology,
-    edge_key,
-    fail_link,
-    fail_node,
-    hello_tick,
-    load_topology,
-    restore_link,
-    restore_node,
-)
+from .network import FAULT_OPS, Topology, edge_key, hello_tick, load_topology
 
 
 class EventKind(Enum):
@@ -76,6 +67,25 @@ class EventKind(Enum):
     FAULT_INJECTION = "fault_injection"
     APP_REQUEST = "app_request"
 
+
+# (kind, msg) -> the data fields every such record carries. Sent, Received
+# and DeliveryFailed records name a bottle or a data packet in "msg"; other
+# kinds have no msg. An Eliminated record at the bottle's origin adds "dest".
+RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
+    key: frozenset(fields.split()) for key, fields in {
+        ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
+        ("Sent", "data"): "msg to src dest xfer",
+        ("Received", "bottle"): "msg from btl_id src dest rf failure history_len xfer",
+        ("Received", "data"): "msg from src dest path xfer",
+        ("DeliveryFailed", "bottle"): "msg to xfer",
+        ("DeliveryFailed", "data"): "msg xfer",
+        ("Eliminated", None): "btl_id reason",
+        ("RouteFound", None): "src dest path",
+        ("Inaccessible", None): "src dest",
+        ("TableUpdated", None): "dest next_hop hops",
+        ("RouteRemoved", None): "dest reason",
+        ("TopologyChanged", None): "op target",
+    }.items()}
 
 # One encoder for every record: json.dumps would build a new one per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -102,7 +112,8 @@ class Trace:
     compact JSON object (no spaces, ASCII only) with the keys ``at``,
     ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
     always gives the same bytes. ``load_trace`` reads it back and rejects
-    anything other than exactly one such object per non-blank line.
+    anything other than exactly one such object per non-blank line, and
+    any record whose data lacks a field ``RECORD_FIELDS`` requires.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -128,18 +139,25 @@ def load_trace(path: str) -> Trace:
     The non-blank lines are decoded in one call, each line wrapped in a
     list of its own: a record split over two lines then leaves fewer lists
     than lines, and a line holding two records a list of two. Only when
-    that decode fails are the lines decoded one by one, to name the first
-    bad one in a ``MalformedTrace``.
+    that decode fails, or a record does not conform to ``RECORD_FIELDS``,
+    are the lines decoded one by one, to name the first bad one in a
+    ``MalformedTrace``.
     """
     doc, count = _one_document(path)
     try:
         rows = json.loads(doc)
         if len(rows) == count:
-            return Trace(events=[
-                TraceEvent(rec["at"], rec["seq"], rec["node"], rec["kind"],
-                           rec["data"])
-                for (rec,) in rows])
-    except (ValueError, TypeError, KeyError):
+            events = [TraceEvent(rec["at"], rec["seq"], rec["node"],
+                                 rec["kind"], rec["data"])
+                      for (rec,) in rows]
+            required = RECORD_FIELDS.get
+            for ev in events:
+                fields = required((ev.kind, ev.data.get("msg")))
+                if fields is None or not ev.data.keys() >= fields:
+                    break
+            else:
+                return Trace(events=events)
+    except (ValueError, TypeError, KeyError, AttributeError):
         pass
     raise _malformed(path)
 
@@ -171,6 +189,19 @@ def _malformed(path: str) -> MalformedTrace:
             for key in ("at", "seq", "node", "kind", "data"):
                 if key not in rec:
                     return MalformedTrace(f"{where}: missing field '{key}'")
+            kind, data = rec["kind"], rec["data"]
+            if not isinstance(data, dict):
+                return MalformedTrace(f"{where}: field 'data' is not an object")
+            fields = RECORD_FIELDS.get((kind, data.get("msg")))
+            if fields is None:
+                if any(k == kind for k, _ in RECORD_FIELDS):
+                    return MalformedTrace(f"{where}: kind {kind!r}: missing "
+                                          "or unknown field 'msg'")
+                return MalformedTrace(f"{where}: unknown kind {kind!r}")
+            missing = sorted(fields - data.keys())
+            if missing:
+                return MalformedTrace(f"{where}: kind {kind!r}: "
+                                      f"missing field '{missing[0]}'")
     return MalformedTrace(f"{path}: not a JSONL trace")
 
 
@@ -310,18 +341,15 @@ class Engine:
         self._refresh_due.discard(nid)
         if nid in self.topology.down_nodes:
             return
-        hello_tick(self.topology, self.nodes[nid])
+        node = self.nodes[nid]
+        lost = hello_tick(self.topology, node)
+        self._apply(nid, fsm.purge_routes(node, lost, "neighbor_lost"))
 
     def _on_fault(self, op: str, target: tuple) -> None:
         # run() has checked every target against the topology
-        if op == "fail_node":
-            fail_node(self.topology, target[0])
-        elif op == "restore_node":
-            restore_node(self.topology, target[0])
-        elif op == "fail_link":
-            fail_link(self.topology, target[0], target[1])
-        elif op == "restore_link":
-            restore_link(self.topology, target[0], target[1])
+        self._record(target[0], "TopologyChanged",
+                     {"op": op, "target": list(target)})
+        FAULT_OPS[op](self.topology, *target)
         # the nodes whose live neighbour set the fault may have changed
         if op.endswith("_link"):
             touched = target
@@ -373,6 +401,9 @@ class Engine:
                     "dest": action.dest, "next_hop": action.entry.next_hop,
                     "hops": action.entry.hop_count,
                 })
+            elif isinstance(action, fsm.RouteRemoved):
+                self._record(nid, "RouteRemoved",
+                             {"dest": action.dest, "reason": action.reason})
 
     def _send_bottle(self, frm: int, bottle: Bottle, to: int) -> None:
         sent = bottle.clone()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Collection, Sequence, Union
 
 from .domain import (
     Bottle,
@@ -71,7 +71,14 @@ class TableUpdated:
     entry: RouteEntry
 
 
-Action = Union[Send, SendData, Eliminate, SetTimer, DeclareInaccessible, TableUpdated]
+@dataclass(frozen=True)
+class RouteRemoved:
+    dest: NodeId
+    reason: str  # delivery_failure | route_failure | neighbor_lost
+
+
+Action = Union[Send, SendData, Eliminate, SetTimer, DeclareInaccessible,
+               TableUpdated, RouteRemoved]
 
 
 def next_state(current: NodePhase, pkt_queue_empty: bool,
@@ -130,6 +137,17 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
         for j in range(i + 1, len(history)):
             consider(history[j], history[i + 1], j - i)
     return table, updates
+
+
+def purge_routes(node: NodeState, lost: Collection[NodeId], reason: str,
+                 dest: NodeId | None = None) -> list[Action]:
+    """Drop every route through a lost neighbor, and the route to dest when
+    one is given; one RouteRemoved per entry dropped."""
+    dropped = [d for d, entry in node.rtab.items()
+               if entry.next_hop in lost or d == dest]
+    for d in dropped:
+        del node.rtab[d]
+    return [RouteRemoved(d, reason) for d in dropped]
 
 
 def _start_discovery(node: NodeState, dest: NodeId, now: int,
@@ -287,10 +305,10 @@ def _handle_route_failure(node: NodeState, b: Bottle, now: int,
                           cfg: ProtocolConfig, rng: random.Random,
                           ) -> list[Action]:
     """Route-failure bottle reached the packet's source: purge and retry."""
-    node.rtab.pop(b.dest, None)
-    if _pending_for_dest(node, b.dest) is not None:
-        return []
-    return _start_discovery(node, b.dest, now, cfg, rng, queued=[])
+    actions = purge_routes(node, (), "route_failure", dest=b.dest)
+    if _pending_for_dest(node, b.dest) is None:
+        actions.extend(_start_discovery(node, b.dest, now, cfg, rng, queued=[]))
+    return actions
 
 
 def on_timeout(node: NodeState, btl_id: BottleId, now: int,
@@ -322,11 +340,10 @@ def on_delivery_failure(node: NodeState, item: Bottle | DataPacket,
     Bottles are simply lost, the source timer recovers.
     """
     node.nbors.discard(failed_neighbor)
-    node.rtab = {dest: entry for dest, entry in node.rtab.items()
-                 if entry.next_hop != failed_neighbor}
+    actions = purge_routes(node, {failed_neighbor}, "delivery_failure")
     if not isinstance(item, DataPacket):
-        return []
+        return actions
     if item.src == node.nid:
         item.path = [node.nid]
-        return handle_route_request(node, item, now, cfg, rng)
-    return _failure_report(node, item)
+        return actions + handle_route_request(node, item, now, cfg, rng)
+    return actions + _failure_report(node, item)

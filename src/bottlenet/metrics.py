@@ -1,20 +1,23 @@
 """Post-hoc trace analysis: discovery outcomes, latency, stretch, overhead.
 
-Everything here is recomputed from trace records alone (plus the topology
-for oracle distances), so the numbers double as an independent audit of
-the engine's own counters.
+Everything here is recomputed from trace records alone (plus the nodes and
+edges of the topology for oracle distances), so the numbers double as an
+independent audit of the engine's own counters. One fold over the records
+serves every function, so a live trace and its file summarize alike.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import takewhile
 from statistics import fmean
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .domain import BottleId
 from .engine import Trace, TraceEvent
 from .errors import BottlenetError, UnknownNode
-from .network import Topology
+from .network import FAULT_OPS, Topology
 from .oracle import bfs_distance, distances_from
 
 
@@ -47,70 +50,91 @@ class Episode:
         return None if self.end_at is None else self.end_at - self.start_at
 
 
-def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:
-    """Group trace records into discovery episodes, ordered by start time.
+class _Fold(NamedTuple):
+    """What one pass over the records leaves (see _fold)."""
 
-    An episode opens at the first bottle a source creates for a
-    destination and closes at the matching RouteFound or Inaccessible
-    record; retry bottles belong to the episode that spawned them.
+    episodes: list[Episode]
+    tables: dict[int, dict[int, tuple[int, int]]]
+    topology: Topology | None
+    bottles_sent: int
+    bottle_bytes: int
+    eliminated: dict[str, int]  # reason -> count
+
+
+def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
+          up_to: int | None = None) -> _Fold:
+    """One pass over the records, up to and including instant up_to.
+
+    An episode opens at the first bottle a source creates for a destination
+    and closes at the matching RouteFound or Inaccessible record; retry
+    bottles belong to the episode that spawned them. Tables (per node,
+    dest -> (next_hop, hops)) follow TableUpdated and RouteRemoved. The
+    topology starts from t's nodes and edges with nothing down and applies
+    each TopologyChanged in record order; t itself is left as it is.
     """
-    events = trace.events if isinstance(trace, Trace) else list(trace)
+    events = trace.events if isinstance(trace, Trace) else trace
+    topo = None if t is None else Topology(set(t.nodes), set(t.edges))
     open_eps: dict[tuple[int, int], Episode] = {}
     done: list[Episode] = []
+    tables: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
+    eliminated: dict[str, int] = {}
+    sent = nbytes = 0
 
     def origin_bottle(ev: TraceEvent, btl_id: str, dest: int) -> None:
-        key = (ev.node, dest)
-        ep = open_eps.get(key)
+        ep = open_eps.get((ev.node, dest))
         if ep is None:
-            ep = Episode(src=ev.node, dest=dest, start_at=ev.at)
-            open_eps[key] = ep
+            ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at)
         ep.btl_ids.add(btl_id)
 
+    if up_to is not None:
+        events = takewhile(lambda ev: ev.at <= up_to, events)
     for ev in events:
-        if ev.kind == "Sent" and ev.data.get("msg") == "bottle":
-            if (ev.data["history_len"] == 1
-                    and BottleId.parse(ev.data["btl_id"]).origin == ev.node
-                    and ev.data["src"] == ev.node):
-                origin_bottle(ev, ev.data["btl_id"], ev.data["dest"])
-        elif ev.kind == "Eliminated" and "dest" in ev.data:
-            # Origin-side elimination: a bottle that never launched.
-            origin_bottle(ev, ev.data["btl_id"], ev.data["dest"])
-        elif ev.kind == "RouteFound":
-            ep = open_eps.pop((ev.data["src"], ev.data["dest"]), None)
+        kind, data = ev.kind, ev.data
+        if kind == "Received":  # a third of the records; nothing here reads them
+            continue
+        if kind == "Sent":
+            if data["msg"] == "bottle":
+                sent += 1
+                nbytes += data["bytes"]
+                if (data["history_len"] == 1 and data["src"] == ev.node
+                        and BottleId.parse(data["btl_id"]).origin == ev.node):
+                    origin_bottle(ev, data["btl_id"], data["dest"])
+        elif kind == "TableUpdated":
+            tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
+        elif kind == "RouteRemoved":
+            tables[ev.node].pop(data["dest"], None)
+        elif kind == "Eliminated":
+            eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
+            if "dest" in data:  # origin-side: a bottle that never launched
+                origin_bottle(ev, data["btl_id"], data["dest"])
+        elif kind == "RouteFound" or kind == "Inaccessible":
+            ep = open_eps.pop((data["src"], data["dest"]), None)
             if ep is not None:
                 ep.end_at = ev.at
-                ep.outcome = "success"
-                ep.path = list(ev.data["path"])
+                if kind == "RouteFound":
+                    ep.outcome, ep.path = "success", list(data["path"])
+                else:
+                    ep.outcome = "inaccessible"
                 done.append(ep)
-        elif ev.kind == "Inaccessible":
-            ep = open_eps.pop((ev.data["src"], ev.data["dest"]), None)
-            if ep is not None:
-                ep.end_at = ev.at
-                ep.outcome = "inaccessible"
-                done.append(ep)
+        elif kind == "TopologyChanged" and topo is not None:
+            FAULT_OPS[data["op"]](topo, *data["target"])
 
     done.extend(open_eps.values())
-    return sorted(done, key=lambda ep: ep.start_at)
+    done.sort(key=lambda ep: ep.start_at)
+    return _Fold(done, dict(tables), topo, sent, nbytes, eliminated)
+
+
+def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:
+    """Discovery episodes, ordered by start time (see _fold)."""
+    return _fold(trace).episodes
 
 
 def reconstruct_tables(trace: Trace | Iterable[TraceEvent],
                        up_to: int | None = None,
                        ) -> dict[int, dict[int, tuple[int, int]]]:
-    """Routing tables implied by TableUpdated records: dest -> (next_hop, hops).
-
-    Exact for fault-free runs; entry removals are not traced, so prefer
-    the live node states of a finished run when faults were injected.
-    """
-    events = trace.events if isinstance(trace, Trace) else trace
-    tables: dict[int, dict[int, tuple[int, int]]] = {}
-    for ev in events:
-        if ev.kind != "TableUpdated":
-            continue
-        if up_to is not None and ev.at > up_to:
-            break
-        tables.setdefault(ev.node, {})[ev.data["dest"]] = (
-            ev.data["next_hop"], ev.data["hops"])
-    return tables
+    """Routing tables at instant up_to (the end by default), per node:
+    dest -> (next_hop, hops), from TableUpdated and RouteRemoved records."""
+    return _fold(trace, up_to=up_to).tables
 
 
 def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
@@ -128,19 +152,6 @@ def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
             if hops == dist.get(dest):
                 optimal += 1
     return None if total == 0 else optimal / total
-
-
-def delivered_paths(trace: Trace | Iterable[TraceEvent],
-                    ) -> list[tuple[int, int, int, int]]:
-    """(at, src, dest, hops) for every data packet that reached its dest."""
-    events = trace.events if isinstance(trace, Trace) else trace
-    out = []
-    for ev in events:
-        if (ev.kind == "Received" and ev.data.get("msg") == "data"
-                and ev.node == ev.data["dest"]):
-            out.append((ev.at, ev.data["src"], ev.data["dest"],
-                        len(ev.data["path"]) - 1))
-    return out
 
 
 @dataclass
@@ -163,53 +174,40 @@ class RunSummary:
 
 def summarize(trace: Trace | Iterable[TraceEvent],
               t: Topology | None = None) -> RunSummary:
-    if isinstance(trace, Trace):
-        events = trace.events
-        if t is None:
-            t = trace.topology
-    else:
-        events = list(trace)
+    """The run's metrics from its records and the nodes and edges of t
+    (by default the trace's own topology), in one pass over the records.
+
+    Stretch and table optimality are measured against the topology the
+    records leave, every fault applied, so a live trace and the same trace
+    loaded from its file give the same summary.
+    """
+    if t is None and isinstance(trace, Trace):
+        t = trace.topology
     if t is None:
         raise IncompleteTrace("no topology to compute oracle distances against")
-
-    eps = episodes(events)
+    fold = _fold(trace, t)
+    eps, final = fold.episodes, fold.topology
     succeeded = [ep for ep in eps if ep.outcome == "success"]
-    failed = [ep for ep in eps if ep.outcome == "inaccessible"]
 
     stretches = []
     for ep in succeeded:
-        dist = bfs_distance(t, ep.src, ep.dest)
+        dist = bfs_distance(final, ep.src, ep.dest)
         if dist:
             stretches.append(ep.found_hops / dist)
-
-    bottle_sends = [ev for ev in events
-                    if ev.kind == "Sent" and ev.data.get("msg") == "bottle"]
-    total_bytes = sum(ev.data["bytes"] for ev in bottle_sends)
-
-    if isinstance(trace, Trace) and trace.nodes:
-        tables = {nid: {d: (e.next_hop, e.hop_count)
-                        for d, e in node.rtab.items()}
-                  for nid, node in trace.nodes.items()}
-    else:
-        tables = reconstruct_tables(events)
-
-    eliminated = [ev for ev in events if ev.kind == "Eliminated"]
 
     return RunSummary(
         discoveries_attempted=len(eps),
         discoveries_succeeded=len(succeeded),
-        discoveries_failed=len(failed),
+        discoveries_failed=sum(ep.outcome == "inaccessible" for ep in eps),
         mean_discovery_latency=(fmean(ep.latency for ep in succeeded)
                                 if succeeded else None),
         mean_stretch=fmean(stretches) if stretches else None,
-        total_bottle_bytes=total_bytes,
-        table_optimality=table_optimality(tables, t),
-        bottles_sent=len(bottle_sends),
+        total_bottle_bytes=fold.bottle_bytes,
+        table_optimality=table_optimality(fold.tables, final),
+        bottles_sent=fold.bottles_sent,
         retries=sum(max(0, ep.bottles - 1) for ep in eps),
-        eliminated_hop_limit=sum(1 for ev in eliminated
-                                 if ev.data["reason"] == "hop_limit"),
-        eliminated_dead_end=sum(1 for ev in eliminated
-                                if ev.data["reason"] == "dead_end"),
+        eliminated_hop_limit=fold.eliminated.get("hop_limit", 0),
+        eliminated_dead_end=fold.eliminated.get("dead_end", 0),
     )
 
 

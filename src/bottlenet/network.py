@@ -1,7 +1,9 @@
 """Undirected topology with link/node fault injection and neighbour refresh.
 
 Links are bidirectional by construction and a failed node is modeled as
-all of its incident links being down while its own state freezes.
+all of its incident links being down while its own state freezes. This
+module keeps no routing state: what a lost neighbour means for a routing
+table is decided in fsm.
 """
 
 from __future__ import annotations
@@ -66,22 +68,19 @@ class Topology:
                 if m not in self.down_nodes and edge_key(n, m) not in self.down_edges}
 
 
-def hello_tick(t: Topology, node: NodeState) -> NodeState:
-    """Refresh a node's neighbor view from the live topology.
+def hello_tick(t: Topology, node: NodeState) -> set[NodeId]:
+    """Refresh a node's neighbor view from the live topology and return the
+    neighbors that vanished from it.
 
     The engine calls this at a node's next beacon instant after a fault
     that may have changed its live neighbors; at any other instant the
-    view is already current. Vanished neighbors take their routing
-    entries with them; newly seen neighbors install nothing until someone
-    actually routes (lazy reconnection).
+    view is already current. Newly seen neighbors are only added to the
+    view: nothing is learned about them until someone routes.
     """
     fresh = t.live_neighbors(node.nid)
     vanished = node.nbors - fresh
-    if vanished:
-        node.rtab = {dest: entry for dest, entry in node.rtab.items()
-                     if entry.next_hop not in vanished}
     node.nbors = fresh
-    return node
+    return vanished
 
 
 def fail_node(t: Topology, n: NodeId) -> Topology:
@@ -112,6 +111,11 @@ def restore_link(t: Topology, a: NodeId, b: NodeId) -> Topology:
         raise UnknownEdge(f"edge {key} not in topology")
     t.down_edges.discard(key)
     return t
+
+
+# fault op -> the function applying it, called as FAULT_OPS[op](t, *target)
+FAULT_OPS = {"fail_node": fail_node, "restore_node": restore_node,
+             "fail_link": fail_link, "restore_link": restore_link}
 
 
 def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bottlenet.cli import main
 from bottlenet.engine import load_trace
 from bottlenet.network import load_topology
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -132,3 +136,17 @@ class TestSummarize:
                      "--topology", generated_topology]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing field 'seq'" in err
+
+    def test_record_missing_a_data_field_is_a_clean_error(self, tmp_path, capsys):
+        lines = (DATA / "golden_two_node.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["kind"] == "Sent" and first["data"]["msg"] == "bottle"
+        del first["data"]["btl_id"]
+        lines[0] = json.dumps(first)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["summarize", "--trace", str(trace),
+                     "--topology", str(DATA / "two_node_topology.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "line 1: kind 'Sent': missing field 'btl_id'" in err

@@ -10,7 +10,6 @@ from bottlenet.domain import (
     deserialize_bottle,
     make_bottle,
     serialize_bottle,
-    serialized_size,
 )
 from bottlenet.errors import InvalidRequest, MalformedBottle, WireOverflow
 
@@ -47,12 +46,12 @@ class TestBottleHops:
 class TestWireFormat:
     def test_single_entry_is_13_bytes(self):
         b = make_bottle(0, 8, 0)
-        assert len(serialize_bottle(b)) == 13 == serialized_size(1)
+        assert len(serialize_bottle(b)) == 13
 
     def test_fifteen_entries_is_41_bytes(self):
         walk = [3, 93, 49, 60, 88, 57, 32, 76, 27, 12, 61, 33, 80, 39, 19]
         b = Bottle(3, 19, BottleId(3, 0), history=walk)
-        assert len(serialize_bottle(b)) == 41 == serialized_size(15)
+        assert len(serialize_bottle(b)) == 41
 
     def test_exact_layout_big_endian(self):
         b = Bottle(src=1, dest=2, btl_id=BottleId(1, 3), rf=True,

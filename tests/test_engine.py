@@ -272,6 +272,24 @@ class TestNeighborRefresh:
         assert trace.nodes[2].nbors == {3}
         assert trace.nodes[2].rtab.keys() == {3}
 
+    def test_faults_and_purged_routes_are_recorded(self, tmp_path):
+        t = make_topology((0, 1), (1, 2), (2, 3))
+        sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
+                           requests=[RequestSpec(at=1, src=3, dest=0)],
+                           faults=[FaultSpec(at=20, op="fail_link", link=(2, 1)),
+                                   FaultSpec(at=25, op="fail_node", node=3)],
+                           horizon=60)
+        trace = run(sc)
+        assert [(ev.at, ev.node, ev.data) for ev in trace.records("TopologyChanged")] == [
+            (20, 2, {"op": "fail_link", "target": [2, 1]}),
+            (25, 3, {"op": "fail_node", "target": [3]})]
+        # node 2's routes to 1 and 0 went through 1, node 1's route to 3 through 2
+        removed = {(ev.node, ev.data["dest"], ev.data["reason"])
+                   for ev in trace.records("RouteRemoved")}
+        assert {(2, 1, "neighbor_lost"), (2, 0, "neighbor_lost"),
+                (1, 3, "neighbor_lost")} <= removed
+        assert 0 not in trace.nodes[2].rtab and 3 not in trace.nodes[1].rtab
+
     def test_refresh_sorts_after_queued_events_at_its_instant(self, tmp_path,
                                                             refreshes):
         # Before the loop, the request at t=1 was queued ahead of node 1's
@@ -282,7 +300,7 @@ class TestNeighborRefresh:
                            faults=[FaultSpec(at=0, op="fail_link", link=(0, 1))],
                            horizon=50)
         trace = run(sc)
-        first = trace.events[0]
+        first = next(ev for ev in trace.events if ev.kind != "TopologyChanged")
         assert (first.at, first.node, first.kind, first.data["to"]) == (1, 1, "Sent", 0)
         assert (1, 1) in [(at, nid) for at, nid, *_ in refreshes]
 
@@ -349,3 +367,26 @@ class TestMalformedTrace:
     def test_missing_key(self, tmp_path):
         with pytest.raises(MalformedTrace, match="line 1: missing field 'seq'"):
             self.load(tmp_path, ['{"at": 1}'])
+
+    def test_missing_data_field(self, tmp_path):
+        line = record_line(1).replace(',"path":[0,1,2]', "")
+        with pytest.raises(MalformedTrace,
+                           match="line 2: kind 'RouteFound': missing field 'path'"):
+            self.load(tmp_path, [record_line(0), line])
+
+    def test_unknown_kind(self, tmp_path):
+        line = record_line(1).replace("RouteFound", "RouteLost")
+        with pytest.raises(MalformedTrace, match="line 2: unknown kind 'RouteLost'"):
+            self.load(tmp_path, [record_line(0), line])
+
+    def test_message_record_without_msg(self, tmp_path):
+        line = ('{"at":1,"seq":0,"node":0,"kind":"Sent",'
+                '"data":{"to":1,"src":0,"dest":1,"xfer":0}}')
+        with pytest.raises(MalformedTrace,
+                           match="kind 'Sent': missing or unknown field 'msg'"):
+            self.load(tmp_path, [line])
+
+    def test_data_not_an_object(self, tmp_path):
+        line = record_line(0).replace('{"src":0,"dest":2,"path":[0,1,2]}', "[]")
+        with pytest.raises(MalformedTrace, match="field 'data' is not an object"):
+            self.load(tmp_path, [line])

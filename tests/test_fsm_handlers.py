@@ -7,6 +7,7 @@ from bottlenet.fsm import (
     DeclareInaccessible,
     ElimReason,
     Eliminate,
+    RouteRemoved,
     Send,
     SendData,
     SetTimer,
@@ -14,6 +15,7 @@ from bottlenet.fsm import (
     handle_route_request,
     on_delivery_failure,
     on_timeout,
+    purge_routes,
 )
 from conftest import make_node
 
@@ -153,6 +155,7 @@ class TestHandleBottle:
         b = Bottle(0, 8, BottleId(5, 0), failure=True, history=[0, 7, 5])
         actions = handle_bottle(node, b, 9, cfg, rng)
         assert 8 not in node.rtab
+        assert RouteRemoved(8, "route_failure") in actions
         (send,) = sends(actions)
         assert send.bottle.dest == 8 and send.bottle.history == [0]
         assert any(isinstance(a, SetTimer) for a in actions)
@@ -192,14 +195,35 @@ class TestOnTimeout:
         assert not node.pending
 
 
+class TestPurgeRoutes:
+    def test_vanished_neighbor_takes_its_routes(self):
+        node = make_node(1, {6}, rtab={9: RouteEntry(4, 5), 2: RouteEntry(6, 1)})
+        actions = purge_routes(node, {4}, "neighbor_lost")
+        assert node.rtab == {2: RouteEntry(6, 1)}
+        assert actions == [RouteRemoved(9, "neighbor_lost")]
+
+    def test_route_to_dest_dropped_whatever_its_next_hop(self):
+        node = make_node(1, {4, 6}, rtab={9: RouteEntry(4, 5), 2: RouteEntry(6, 1)})
+        actions = purge_routes(node, (), "route_failure", dest=2)
+        assert node.rtab == {9: RouteEntry(4, 5)}
+        assert actions == [RouteRemoved(2, "route_failure")]
+
+    def test_nothing_to_drop(self):
+        node = make_node(1, {4}, rtab={9: RouteEntry(4, 5)})
+        assert purge_routes(node, {6}, "neighbor_lost", dest=3) == []
+        assert node.rtab == {9: RouteEntry(4, 5)}
+
+
 class TestDeliveryFailure:
     def test_all_routes_through_dead_neighbor_purged(self, cfg, rng):
         node = make_node(1, {4, 6}, rtab={
             8: RouteEntry(4, 3), 9: RouteEntry(4, 5), 2: RouteEntry(6, 1)})
-        on_delivery_failure(node, Bottle(0, 8, BottleId(0, 0), history=[0, 1]),
-                            4, 9, cfg, rng)
+        actions = on_delivery_failure(
+            node, Bottle(0, 8, BottleId(0, 0), history=[0, 1]), 4, 9, cfg, rng)
         assert node.rtab == {2: RouteEntry(6, 1)}
         assert node.nbors == {6}
+        assert actions == [RouteRemoved(8, "delivery_failure"),
+                           RouteRemoved(9, "delivery_failure")]
 
     def test_forwarded_packet_triggers_failure_bottle(self, cfg, rng):
         node = make_node(5, {4, 9})

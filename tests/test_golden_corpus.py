@@ -12,17 +12,19 @@ events at the same instant. A change that alters the trace format
 on purpose re-pins the values and says why in CHANGES.md; any other
 change must leave them as they are. Each case also goes through the
 trace file: the bytes written, the records loaded back and their encoding
-must match the live run and the pinned hash.
+must match the live run and the pinned hash, and every record must carry
+the data fields engine.RECORD_FIELDS requires of its kind.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from bottlenet.config import scenario_from_dict
-from bottlenet.engine import load_trace, run
+from bottlenet.engine import RECORD_FIELDS, load_trace, run
 from bottlenet.metrics import summarize
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
@@ -46,3 +48,19 @@ def test_trace_file_round_trip(case, tmp_path):
     assert loaded.events == trace.events
     digest = hashlib.sha256(loaded.to_jsonl().encode()).hexdigest()
     assert digest == case["sha256"]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+def test_every_record_conforms_to_the_field_table(case):
+    trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
+    for ev in trace.events:
+        fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
+        assert fields is not None and ev.data.keys() >= fields, ev
+
+
+def test_readme_trace_format_lists_the_field_table():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Trace format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (?:`(\w+)`)? *\| `([\w ]+)`", section, re.M)
+    assert {(kind, msg or None): frozenset(fields.split())
+            for kind, msg, fields in rows} == RECORD_FIELDS

@@ -1,17 +1,20 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from bottlenet.config import RequestSpec, ScenarioConfig
-from bottlenet.engine import run
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
+from bottlenet.engine import load_trace, run
 from bottlenet.metrics import (
     IncompleteTrace,
-    delivered_paths,
     episodes,
     format_summary,
     reconstruct_tables,
     summarize,
     table_optimality,
 )
-from bottlenet.network import save_topology
+from bottlenet.network import load_topology, save_topology
 from bottlenet.oracle import bfs_distance
 from bottlenet.topogen import generate_topology
 from conftest import make_topology
@@ -97,15 +100,25 @@ class TestEpisodes:
                 assert s.mean_stretch >= 1.0
 
 
+def final_tables(trace):
+    return {nid: {d: (e.next_hop, e.hop_count) for d, e in node.rtab.items()}
+            for nid, node in trace.nodes.items()}
+
+
 class TestTables:
     def test_reconstruction_matches_final_state(self, tmp_path):
         t = generate_topology("generic", 15, 0)
-        trace = run_on(tmp_path, t, 5, [RequestSpec(at=1, src=0, dest=8),
-                                        RequestSpec(at=600, src=4, dest=11)])
-        rebuilt = reconstruct_tables(trace)
-        for nid, node in trace.nodes.items():
-            live = {d: (e.next_hop, e.hop_count) for d, e in node.rtab.items()}
-            assert rebuilt.get(nid, {}) == live
+        # node 14 and link 6-12 lie on the first route found
+        faults = [FaultSpec(at=30, op="fail_node", node=14),
+                  FaultSpec(at=250, op="fail_link", link=(6, 12)),
+                  FaultSpec(at=400, op="restore_node", node=14)]
+        for scenario_faults in ([], faults):
+            trace = run_on(tmp_path, t, 5, [RequestSpec(at=1, src=0, dest=8),
+                                            RequestSpec(at=600, src=4, dest=11)],
+                           faults=scenario_faults)
+            rebuilt = reconstruct_tables(trace)
+            for nid, live in final_tables(trace).items():
+                assert rebuilt.get(nid, {}) == live
 
     def test_optimality_on_forced_path(self, tmp_path):
         trace = run_on(tmp_path, make_topology((0, 1), (1, 2)), 3,
@@ -117,15 +130,6 @@ class TestTables:
         trace = run_on(tmp_path, make_topology((0, 1)), 3,
                        [RequestSpec(at=1, src=0, dest=1)])
         assert reconstruct_tables(trace, up_to=0) == {}
-
-
-class TestDeliveredPaths:
-    def test_delivery_recorded(self, tmp_path):
-        trace = run_on(tmp_path, make_topology((0, 1)), 7,
-                       [RequestSpec(at=1, src=0, dest=1)])
-        (delivery,) = delivered_paths(trace)
-        at, src, dest, hops = delivery
-        assert (src, dest, hops) == (0, 1, 1)
 
 
 def test_events_without_topology_rejected():
@@ -142,3 +146,53 @@ def test_format_summary_lists_every_field(tmp_path):
     for field in ("discoveries_attempted", "mean_stretch", "total_bottle_bytes",
                   "table_optimality"):
         assert field in text
+
+
+GRAPH = st.sampled_from(["generic", "dense", "sparse-partitioned"])
+
+
+@st.composite
+def fault_scenarios(draw):
+    """A generated graph of 4-25 nodes, concurrent random requests and up
+    to 12 link or node faults, as a scenario document."""
+    kind, n = draw(GRAPH), draw(st.integers(4, 25))
+    t = generate_topology(kind, n, draw(st.integers(0, 3)))
+    edges, nodes = sorted(t.edges), sorted(t.nodes)
+    faults = []
+    for _ in range(draw(st.integers(0, 12))):
+        at, op = draw(st.integers(0, 400)), draw(st.sampled_from(
+            ["fail_node", "restore_node", "fail_link", "restore_link"]))
+        if op.endswith("_node"):
+            faults.append({"at": at, "op": op, "node": draw(st.sampled_from(nodes))})
+        elif edges:
+            faults.append({"at": at, "op": op,
+                           "link": list(draw(st.sampled_from(edges)))})
+    return t, {"seed": draw(st.integers(0, 1000)),
+               "protocol": {"beacon_period": draw(st.integers(1, 5))},
+               "random_requests": {"count": draw(st.integers(1, 12)),
+                                   "spacing": draw(st.integers(1, 40))},
+               "faults": faults, "horizon": 1500}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+def test_trace_alone_gives_the_live_summary_and_tables(case):
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
+        save_topology(t, str(topo_path))
+        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+        trace.write(str(trace_path))
+        pristine = load_topology(str(topo_path))
+        replayed = summarize(load_trace(str(trace_path)), pristine)
+    live = summarize(trace)
+    assert live == replayed
+    assert not pristine.down_nodes and not pristine.down_edges
+    tables = final_tables(trace)
+    assert {nid: rows for nid, rows in reconstruct_tables(trace).items() if rows} \
+        == {nid: rows for nid, rows in tables.items() if rows}
+    # measured against the topology the faults left, as the run ended
+    assert live.table_optimality == table_optimality(tables, trace.topology)
+    for nid, rows in tables.items():
+        assert {hop for hop, _ in rows.values()} <= trace.nodes[nid].nbors

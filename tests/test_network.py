@@ -48,13 +48,15 @@ class TestHelloTick:
         assert node.nbors == {0, 2}
         assert node.rtab == {2: RouteEntry(2, 1)}
 
-    def test_vanished_neighbor_takes_its_routes(self):
+    def test_vanished_neighbor_is_returned_and_routes_kept(self):
+        # what a lost neighbor means for the table is fsm.purge_routes' call
         t = make_topology((1, 4), (1, 6))
-        node = make_node(1, {4, 6}, rtab={9: RouteEntry(4, 5), 2: RouteEntry(6, 1)})
+        rtab = {9: RouteEntry(4, 5), 2: RouteEntry(6, 1)}
+        node = make_node(1, {4, 6}, rtab=dict(rtab))
         fail_node(t, 4)
-        hello_tick(t, node)
+        assert hello_tick(t, node) == {4}
         assert node.nbors == {6}
-        assert node.rtab == {2: RouteEntry(6, 1)}
+        assert node.rtab == rtab
 
     def test_new_neighbor_installs_no_routes(self):
         t = make_topology((1, 4), (1, 11))
