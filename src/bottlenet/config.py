@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from .domain import MAX_NODE_ID, is_node_id
 from .errors import ConfigError
 from .network import FAULT_OPS
 from .topogen import KINDS
@@ -110,15 +111,18 @@ _REQUIRED = object()
 
 
 def _int_field(doc: dict, key: str, source: str, minimum: int | None = 0,
-               default: Any = _REQUIRED) -> Any:
-    """doc[key] as an integer >= minimum (any integer when minimum is None);
-    default when absent, if one is given."""
+               default: Any = _REQUIRED, maximum: int | None = None) -> Any:
+    """doc[key] as an integer >= minimum (any integer when minimum is None)
+    and <= maximum, if one is given; default when absent, if one is given."""
     if key not in doc and default is not _REQUIRED:
         return default
     value = _require(doc, key, source)
     if (not isinstance(value, int) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
         expected = "integer" if minimum is None else f"integer >= {minimum}"
+        if maximum is not None:
+            expected += f" and <= {maximum}"
         raise ConfigError(f"{source}: field '{key}': expected {expected}, got {value!r}")
     return value
 
@@ -147,7 +151,8 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         if gen["kind"] not in KINDS:
             raise ConfigError(f"{where}: field 'kind': unknown kind {gen['kind']!r}; "
                               f"expected one of {KINDS}")
-        _int_field(gen, "nodes", where, minimum=2)
+        # node ids are uint16
+        _int_field(gen, "nodes", where, minimum=2, maximum=MAX_NODE_ID + 1)
         _int_field(gen, "seed", where, minimum=None)
         generator = gen
     else:
@@ -200,7 +205,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         else:
             link = _require(fault, "link", where)
             if (not isinstance(link, (list, tuple)) or len(link) != 2
-                    or not all(isinstance(x, int) for x in link)):
+                    or not all(is_node_id(x) for x in link)):
                 raise ConfigError(f"{where}: field 'link': expected [a, b]")
             faults.append(FaultSpec(at=at, op=op, link=(link[0], link[1])))
 

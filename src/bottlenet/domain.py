@@ -26,6 +26,11 @@ _FLAG_RF = 0x01
 _FLAG_FAILURE = 0x02
 
 
+def is_node_id(x: object) -> bool:
+    """True for an int in the uint16 range; a bool is an int but not an id."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= MAX_NODE_ID
+
+
 class NodePhase(Enum):
     """The three per-node FSM states."""
 

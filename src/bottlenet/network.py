@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .domain import MAX_NODE_ID, NodeId, NodeState
+from .domain import NodeId, NodeState, is_node_id
 from .errors import ConfigError, UnknownEdge, UnknownNode
 
 Edge = tuple[NodeId, NodeId]
@@ -127,7 +127,7 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
             raise ConfigError(f"{source}: missing field '{key}'")
     seen_nodes: set[NodeId] = set()
     for n in doc["nodes"]:
-        if not isinstance(n, int) or not 0 <= n <= MAX_NODE_ID:
+        if not is_node_id(n):
             raise ConfigError(f"{source}: field 'nodes': bad node id {n!r}")
         if n in seen_nodes:
             raise ConfigError(f"{source}: field 'nodes': duplicate id {n}")
@@ -135,7 +135,7 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
     t = Topology(nodes=seen_nodes)
     for pair in doc["edges"]:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(is_node_id(x) for x in pair)):
             raise ConfigError(f"{source}: field 'edges': bad edge {pair!r}")
         a, b = pair
         if a == b:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bottlenet import topogen
 from bottlenet.cli import main
 from bottlenet.engine import load_trace
 from bottlenet.network import load_topology
@@ -38,6 +39,17 @@ class TestGen:
                   "--seed", "5", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_node_count_beyond_id_range_is_a_clean_error(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def no_draws(*args):
+            raise AssertionError("generation started")
+        monkeypatch.setattr(topogen.random, "Random", no_draws)
+        out = tmp_path / "topo.json"
+        assert main(["gen", "--kind", "generic", "--nodes", "70000",
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestRun:

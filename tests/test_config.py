@@ -57,6 +57,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="link"):
             scenario_from_dict(doc)
 
+    def test_fault_link_boolean_rejected(self):
+        doc = self.base() | {"faults": [{"at": 1, "op": "fail_link", "link": [True, 2]}]}
+        with pytest.raises(ConfigError, match=r"faults\[0\].*'link'"):
+            scenario_from_dict(doc)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigError, match="horizon"):
             scenario_from_dict(self.base() | {"horizon": -5})
@@ -100,7 +105,7 @@ class TestScenarioParsing:
         gen = {"kind": "generic", "nodes": 5, "seed": 0} | fields
         return {"seed": 1, "topology": {"generator": gen}}
 
-    @pytest.mark.parametrize("nodes", ["5", 1])
+    @pytest.mark.parametrize("nodes", ["5", 1, 70000])
     def test_generator_nodes_checked(self, nodes):
         with pytest.raises(ConfigError, match=r"topology\.generator.*'nodes'"):
             scenario_from_dict(self.generator_doc(nodes=nodes))

@@ -140,6 +140,13 @@ class TestTopologyFile:
         with pytest.raises(ConfigError, match="bad node id"):
             topology_from_dict({"nodes": [0, 70000], "edges": []})
 
+    def test_boolean_node_ids_rejected(self):
+        doc = {"nodes": [0, True, 2], "edges": [[0, True], [True, 2]]}
+        with pytest.raises(ConfigError, match="'nodes'.*True"):
+            topology_from_dict(doc)
+        with pytest.raises(ConfigError, match="'edges'.*True"):
+            topology_from_dict({"nodes": [0, 1], "edges": [[0, True]]})
+
     def test_invalid_json_reported_with_path(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
