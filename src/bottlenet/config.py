@@ -127,6 +127,14 @@ def _int_field(doc: dict, key: str, source: str, minimum: int | None = 0,
     return value
 
 
+def _list_field(doc: dict, key: str, source: str) -> list | tuple:
+    """doc[key] as an array, empty when absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{source}: field '{key}': expected an array, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: expected a JSON object")
@@ -168,7 +176,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
                    minimum=_PROTOCOL_MINIMUMS[key])
 
     requests = []
-    for i, req in enumerate(doc.get("requests", [])):
+    for i, req in enumerate(_list_field(doc, "requests", source)):
         where = f"{source}: field 'requests[{i}]'"
         if not isinstance(req, dict):
             raise ConfigError(f"{where}: expected an object")
@@ -192,12 +200,12 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         )
 
     faults = []
-    for i, fault in enumerate(doc.get("faults", [])):
+    for i, fault in enumerate(_list_field(doc, "faults", source)):
         where = f"{source}: field 'faults[{i}]'"
         if not isinstance(fault, dict):
             raise ConfigError(f"{where}: expected an object")
         op = _require(fault, "op", where)
-        if op not in FAULT_OPS:
+        if not isinstance(op, str) or op not in FAULT_OPS:
             raise ConfigError(f"{where}: field 'op': unknown operation {op!r}")
         at = _int_field(fault, "at", where)
         if op.endswith("_node"):

@@ -89,6 +89,35 @@ RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
 
 # One encoder for every record: json.dumps would build a new one per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+_BOOL = {True: "true", False: "false"}.__getitem__
+
+# Record shape -> (%-format, fix-ups); see TraceEvent.to_json. A shape is the
+# kind, the data keys and the types of kind, keys and every value. The types
+# are part of the key because 0, 0.0 and False compare and hash equal: keyed
+# on values alone, {False: 0} and then {0: 0} would share one format and
+# write "false" for the second. A bool never gets %d, which would write it
+# as 1. Bounded, so that traces with ever new keys cannot grow it forever.
+_FORMATS: dict[tuple, tuple[str, tuple[tuple[int, Any], ...]]] = {}
+_FORMATS_MAX = 1024
+
+
+def _line_format(kind: Any, data: dict, values: list) -> tuple[str, tuple]:
+    """The %-format of one record shape, with the constant text in place,
+    and its fix-ups: (index into values, converter to JSON text) for each
+    value that is not a plain int. values is [at, seq, node, *data.values()]."""
+    specs, fixups = [], []
+    for i, v in enumerate(values):
+        if type(v) is int:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            fixups.append((i, _BOOL if type(v) is bool else _encode))
+    fields = [_encode({name: 0})[1:-3].replace("%", "%%") + ":" + spec
+              for name, spec in zip(data, specs[3:])]
+    fmt = ('{"at":%s,"seq":%s,"node":%s,"kind":' % tuple(specs[:3])
+           + _encode(kind).replace("%", "%%")
+           + ',"data":{' + ",".join(fields) + "}}")
+    return fmt, tuple(fixups)
 
 
 @dataclass(slots=True)
@@ -100,8 +129,21 @@ class TraceEvent:
     data: dict[str, Any]
 
     def to_json(self) -> str:
-        return _encode({"at": self.at, "seq": self.seq, "node": self.node,
-                        "kind": self.kind, "data": self.data})
+        """The record as one line of compact JSON: byte for byte what
+        ``_encode`` writes for {at, seq, node, kind, data}, filled into the
+        cached format of the record's shape in one % call."""
+        kind, data = self.kind, self.data
+        values = [self.at, self.seq, self.node, *data.values()]
+        key = (kind, type(kind), *data, *map(type, data), *map(type, values))
+        try:
+            fmt, fixups = _FORMATS[key]
+        except KeyError:
+            if len(_FORMATS) >= _FORMATS_MAX:
+                _FORMATS.clear()
+            fmt, fixups = _FORMATS[key] = _line_format(kind, data, values)
+        for i, convert in fixups:
+            values[i] = convert(values[i])
+        return fmt % tuple(values)
 
 
 @dataclass
@@ -113,7 +155,8 @@ class Trace:
     ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
     always gives the same bytes. ``load_trace`` reads it back and rejects
     anything other than exactly one such object per non-blank line, and
-    any record whose data lacks a field ``RECORD_FIELDS`` requires.
+    any record whose data lacks a field ``RECORD_FIELDS`` requires or, for
+    TopologyChanged, names an unknown op or a target that does not fit it.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -139,9 +182,10 @@ def load_trace(path: str) -> Trace:
     The non-blank lines are decoded in one call, each line wrapped in a
     list of its own: a record split over two lines then leaves fewer lists
     than lines, and a line holding two records a list of two. Only when
-    that decode fails, or a record does not conform to ``RECORD_FIELDS``,
-    are the lines decoded one by one, to name the first bad one in a
-    ``MalformedTrace``.
+    that decode fails, a record does not conform to ``RECORD_FIELDS``, or
+    a TopologyChanged record names no fault op or a target that does not
+    fit it, are the lines decoded one by one, to name the first bad one in
+    a ``MalformedTrace``.
     """
     doc, count = _one_document(path)
     try:
@@ -155,11 +199,29 @@ def load_trace(path: str) -> Trace:
                 fields = required((ev.kind, ev.data.get("msg")))
                 if fields is None or not ev.data.keys() >= fields:
                     break
+                if fields is _FAULT_FIELDS and _fault_error(ev.data):
+                    break
             else:
                 return Trace(events=events)
     except (ValueError, TypeError, KeyError, AttributeError):
         pass
     raise _malformed(path)
+
+
+_FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
+
+
+def _fault_error(data: dict[str, Any]) -> str | None:
+    """What is wrong with a TopologyChanged record's op and target, if
+    anything: the op must be a FAULT_OPS key, and the target a node for a
+    node op, two nodes for a link op."""
+    op, target = data["op"], data["target"]
+    if not isinstance(op, str) or op not in FAULT_OPS:
+        return f"unknown op {op!r}"
+    arity = 1 if op.endswith("_node") else 2
+    if not isinstance(target, list) or len(target) != arity:
+        return f"op {op!r} needs a target of {arity} node(s), got {target!r}"
+    return None
 
 
 def _one_document(path: str) -> tuple[str, int]:
@@ -202,6 +264,9 @@ def _malformed(path: str) -> MalformedTrace:
             if missing:
                 return MalformedTrace(f"{where}: kind {kind!r}: "
                                       f"missing field '{missing[0]}'")
+            error = fields is _FAULT_FIELDS and _fault_error(data)
+            if error:
+                return MalformedTrace(f"{where}: kind {kind!r}: {error}")
     return MalformedTrace(f"{path}: not a JSONL trace")
 
 

@@ -125,6 +125,9 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
     for key in ("nodes", "edges"):
         if key not in doc:
             raise ConfigError(f"{source}: missing field '{key}'")
+        if not isinstance(doc[key], (list, tuple)):
+            raise ConfigError(f"{source}: field '{key}': expected an array, "
+                              f"got {doc[key]!r}")
     seen_nodes: set[NodeId] = set()
     for n in doc["nodes"]:
         if not is_node_id(n):

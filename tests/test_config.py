@@ -52,6 +52,17 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"requests\[0\].*'dest'"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["requests", "faults"])
+    @pytest.mark.parametrize("value", [5, None, {"a": 1}])
+    def test_list_field_must_be_an_array(self, field, value):
+        with pytest.raises(ConfigError, match=rf"field '{field}': expected an array"):
+            scenario_from_dict(self.base() | {field: value})
+
+    def test_unhashable_fault_op_named(self):
+        doc = self.base() | {"faults": [{"at": 1, "op": ["x"], "node": 1}]}
+        with pytest.raises(ConfigError, match=r"faults\[0\].*'op'"):
+            scenario_from_dict(doc)
+
     def test_fault_link_shape(self):
         doc = self.base() | {"faults": [{"at": 1, "op": "fail_link", "link": [1]}]}
         with pytest.raises(ConfigError, match="link"):

@@ -1,6 +1,9 @@
+import json
 from collections import Counter
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottlenet.config import (
     FaultSpec,
@@ -114,6 +117,65 @@ class TestRun:
                             faults=[FaultSpec(at=1, op="fail_link", link=(1, 0)), fault])
         with pytest.raises(ConfigError, match=r"faults\[1\]"):
             run(sc)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = -300
+
+
+def dumps(at, seq, node, kind, data):
+    """The reference text of one record: the compact JSON encoder."""
+    return json.dumps({"at": at, "seq": seq, "node": node, "kind": kind,
+                       "data": data}, separators=(",", ":"))
+
+
+# text that a %-format, a JSON string or ASCII escaping could get wrong
+awkward_text = st.text(alphabet='%"\\/ \n\té\u2603\U0001f600ab', max_size=6)
+scalars = (st.integers() | st.booleans() | st.none() | st.floats()
+           | st.text(max_size=6) | awkward_text | st.sampled_from(Level))
+values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3) | awkward_text, inner,
+                                     max_size=3)),
+    max_leaves=4)
+keys = (st.text(max_size=6) | awkward_text | st.integers() | st.booleans()
+        | st.none() | st.floats())
+kinds = st.sampled_from(["Sent", "Received", "TableUpdated"]) | awkward_text | (
+    st.integers() | st.booleans() | st.none() | st.floats())
+envelope_ints = st.integers() | st.booleans() | st.sampled_from(Level)
+
+
+class TestTraceWriter:
+    """TraceEvent.to_json writes exactly what the compact encoder writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(envelope_ints, envelope_ints, envelope_ints, kinds,
+           st.dictionaries(keys, values, max_size=5))
+    def test_same_text_as_the_compact_encoder(self, at, seq, node, kind, data):
+        expected = dumps(at, seq, node, kind, data)
+        ev = TraceEvent(at, seq, node, kind, data)
+        # the second call reads the format the first one cached
+        assert ev.to_json() == expected
+        assert ev.to_json() == expected
+
+    @pytest.mark.parametrize("datas", [
+        # 0, 0.0 and False compare and hash equal
+        [{False: 0}, {0: 0}, {0.0: 0}, {False: False}],
+        # a bool is an int, and "%d" % True is "1"
+        [{"rf": True}, {"rf": 1}, {"rf": False}, {"rf": 0}],
+        [{"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": 3},
+         {"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": None},
+         {"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": 4}],
+    ])
+    def test_shapes_that_compare_equal_keep_their_own_format(self, datas):
+        for seq, data in enumerate(datas):
+            assert TraceEvent(5, seq, 2, "K", data).to_json() == dumps(5, seq, 2, "K", data)
+
+    def test_percent_signs_in_kind_and_keys(self):
+        data = {"%d": "%s", "100%": 7, "%%": None}
+        assert TraceEvent(1, 2, 3, "50%", data).to_json() == dumps(1, 2, 3, "50%", data)
 
 
 def terminal_marks(trace):
@@ -385,6 +447,19 @@ class TestMalformedTrace:
         with pytest.raises(MalformedTrace,
                            match="kind 'Sent': missing or unknown field 'msg'"):
             self.load(tmp_path, [line])
+
+    @pytest.mark.parametrize("data, error", [
+        ('{"op":"explode","target":[1]}', "unknown op 'explode'"),
+        ('{"op":["fail_node"],"target":[1]}', r"unknown op \['fail_node'\]"),
+        ('{"op":"fail_link","target":[1]}', "op 'fail_link' needs a target of 2"),
+        ('{"op":"restore_node","target":[1,2]}', "op 'restore_node' needs a target of 1"),
+        ('{"op":"fail_node","target":1}', "op 'fail_node' needs a target of 1"),
+    ])
+    def test_bad_topology_change(self, tmp_path, data, error):
+        line = '{"at":5,"seq":1,"node":1,"kind":"TopologyChanged","data":%s}' % data
+        with pytest.raises(MalformedTrace,
+                           match=f"line 2: kind 'TopologyChanged': {error}"):
+            self.load(tmp_path, [record_line(0), line])
 
     def test_data_not_an_object(self, tmp_path):
         line = record_line(0).replace('{"src":0,"dest":2,"path":[0,1,2]}', "[]")

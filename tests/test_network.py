@@ -119,6 +119,15 @@ class TestTopologyFile:
         with pytest.raises(ConfigError, match="edges"):
             topology_from_dict({"nodes": [0, 1]})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"nodes": 5, "edges": []}, "nodes"),
+        ({"nodes": [0, 1], "edges": 5}, "edges"),
+        ({"nodes": None, "edges": []}, "nodes"),
+    ])
+    def test_fields_must_be_arrays(self, doc, field):
+        with pytest.raises(ConfigError, match=f"'{field}': expected an array"):
+            topology_from_dict(doc)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError, match="self-loop"):
             topology_from_dict({"nodes": [0], "edges": [[0, 0]]})
