@@ -57,17 +57,20 @@ class BottleId:
 
 @dataclass
 class Bottle:
+    """A route-request bottle in flight.
+
+    A bottle has one owner at a time: the node handling it, then the
+    engine while it is on the wire, then the node it arrives at. Sending
+    hands it over, so no one keeps or reads a bottle after sending it,
+    and a handler may extend ``history`` in place.
+    """
+
     src: NodeId
     dest: NodeId
     btl_id: BottleId
     rf: bool = False
     history: list[NodeId] = field(default_factory=list)
     failure: bool = False
-
-    def clone(self) -> "Bottle":
-        """Independent copy; bottles are passed by value between nodes."""
-        return Bottle(self.src, self.dest, self.btl_id, self.rf,
-                      list(self.history), self.failure)
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,18 @@ def check_bottle(b: Bottle) -> None:
         raise MalformedBottle(f"bottle {b.btl_id}: rf set but history does not end at dest")
 
 
+def wire_size(b: Bottle) -> int:
+    """Length of the wire image, without packing it: 11 header bytes plus
+    2 per history entry. WireOverflow past 65535 entries."""
+    n = len(b.history)
+    if n > 0xFFFF:
+        raise WireOverflow(f"history length {n} exceeds 65535")
+    return HEADER_BYTES + 2 * n
+
+
 def serialize_bottle(b: Bottle) -> bytes:
-    """Big-endian wire image; 11 header bytes plus 2 per history entry."""
-    if len(b.history) > 0xFFFF:
-        raise WireOverflow(f"history length {len(b.history)} exceeds 65535")
+    """Big-endian wire image, wire_size(b) bytes long."""
+    wire_size(b)  # raises WireOverflow before packing
     flags = (_FLAG_RF if b.rf else 0) | (_FLAG_FAILURE if b.failure else 0)
     head = _HEADER.pack(b.src, b.dest, b.btl_id.origin, b.btl_id.seq,
                         flags, len(b.history))

@@ -53,7 +53,8 @@ from .domain import (
     BottleId,
     DataPacket,
     NodeState,
-    serialize_bottle,
+    serialize_bottle,  # the wire format; bound here for perfbench/tracer.py
+    wire_size,
 )
 from .errors import ConfigError, MalformedTrace
 from .network import FAULT_OPS, Topology, edge_key, hello_tick, load_topology
@@ -298,6 +299,21 @@ class Engine:
             EventKind.NEIGHBOR_REFRESH: self._on_neighbor_refresh,
             EventKind.FAULT_INJECTION: self._on_fault,
         }
+        self._actions = {
+            fsm.Send: lambda nid, a: self._send_bottle(nid, a.bottle, a.to),
+            fsm.SendData: lambda nid, a: self._send_data(nid, a.packet, a.to),
+            fsm.Eliminate: self._on_eliminate,
+            fsm.SetTimer: lambda nid, a: self.schedule(
+                a.deadline, EventKind.TIMER_FIRE, (nid, a.btl_id)),
+            fsm.DeclareInaccessible: lambda nid, a: self._record(
+                nid, "Inaccessible", {"src": nid, "dest": a.dest}),
+            fsm.TableUpdated: lambda nid, a: self._record(
+                nid, "TableUpdated", {"dest": a.dest,
+                                      "next_hop": a.entry.next_hop,
+                                      "hops": a.entry.hop_count}),
+            fsm.RouteRemoved: lambda nid, a: self._record(
+                nid, "RouteRemoved", {"dest": a.dest, "reason": a.reason}),
+        }
         self._trace_seq = 0
         self._xfer = 0
         self.trace: list[TraceEvent] = []
@@ -443,50 +459,36 @@ class Engine:
             self._apply(nid, actions)
 
     def _apply(self, nid: int, actions: Sequence[fsm.Action]) -> None:
+        on_action = self._actions
         for action in actions:
-            if isinstance(action, fsm.Send):
-                self._send_bottle(nid, action.bottle, action.to)
-            elif isinstance(action, fsm.SendData):
-                self._send_data(nid, action.packet, action.to)
-            elif isinstance(action, fsm.Eliminate):
-                data: dict[str, Any] = {"btl_id": str(action.btl_id),
-                                        "reason": action.reason.value}
-                pending = self.nodes[nid].pending.get(action.btl_id)
-                if pending is not None:
-                    data["dest"] = pending.dest
-                self._record(nid, "Eliminated", data)
-            elif isinstance(action, fsm.SetTimer):
-                self.schedule(action.deadline, EventKind.TIMER_FIRE,
-                              (nid, action.btl_id))
-            elif isinstance(action, fsm.DeclareInaccessible):
-                self._record(nid, "Inaccessible",
-                             {"src": nid, "dest": action.dest})
-            elif isinstance(action, fsm.TableUpdated):
-                self._record(nid, "TableUpdated", {
-                    "dest": action.dest, "next_hop": action.entry.next_hop,
-                    "hops": action.entry.hop_count,
-                })
-            elif isinstance(action, fsm.RouteRemoved):
-                self._record(nid, "RouteRemoved",
-                             {"dest": action.dest, "reason": action.reason})
+            on_action[type(action)](nid, action)
+
+    def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
+        data: dict[str, Any] = {"btl_id": str(action.btl_id),
+                                "reason": action.reason.value}
+        pending = self.nodes[nid].pending.get(action.btl_id)
+        if pending is not None:
+            data["dest"] = pending.dest
+        self._record(nid, "Eliminated", data)
 
     def _send_bottle(self, frm: int, bottle: Bottle, to: int) -> None:
-        sent = bottle.clone()
-        size = len(serialize_bottle(sent))
+        # The bottle is handed over, not copied: the sender keeps no
+        # reference to it (see the fsm module docstring).
+        size = wire_size(bottle)
         self.bottle_bytes_sent += size
         xfer = self._xfer
         self._xfer += 1
         self._record(frm, "Sent", {
-            "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
-            "src": sent.src, "dest": sent.dest, "rf": sent.rf,
-            "failure": sent.failure, "history_len": len(sent.history),
+            "msg": "bottle", "to": to, "btl_id": str(bottle.btl_id),
+            "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
+            "failure": bottle.failure, "history_len": len(bottle.history),
             "bytes": size, "xfer": xfer,
         })
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
-                          EventKind.BOTTLE_ARRIVAL, (frm, to, sent, xfer))
+                          EventKind.BOTTLE_ARRIVAL, (frm, to, bottle, xfer))
         else:
-            self._fail_delivery(frm, to, sent, xfer, "bottle")
+            self._fail_delivery(frm, to, bottle, xfer, "bottle")
 
     def _send_data(self, frm: int, pkt: DataPacket, to: int) -> None:
         xfer = self._xfer

@@ -4,6 +4,11 @@ Every handler takes the node's state, mutates it in place, and returns the
 list of actions for the engine to carry out. Handlers never touch the
 topology or the clock beyond the arguments they are given, which keeps
 them testable without a running simulation.
+
+A bottle has one owner at a time. A handler owns the bottle it is given
+and may extend its history in place; a ``Send`` hands the bottle to the
+engine, and from then on neither the handler nor the node keeps or reads
+it. No bottle is copied on its way from node to node.
 """
 
 from __future__ import annotations
@@ -113,29 +118,32 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
     reachable through the previous hop and (on a return traversal) later
     entries through the next hop. An entry is installed only when the
     destination is new or the harvested hop count strictly improves on the
-    existing one; ties keep what is already there.
+    existing one; ties keep what is already there. rtab is never
+    modified: it comes back as it is when nothing improves, and a copy
+    with the updates otherwise.
     """
     try:
         i = history.index(self_id)
     except ValueError:
         raise PreconditionViolation(
             f"node {self_id} not on history {list(history)}") from None
-    table = dict(rtab)
+    table = rtab
     updates: list[TableUpdated] = []
-
-    def consider(dest: NodeId, via: NodeId, hops: int) -> None:
-        current = table.get(dest)
-        if current is None or hops < current.hop_count:
-            entry = RouteEntry(next_hop=via, hop_count=hops)
-            table[dest] = entry
-            updates.append(TableUpdated(dest, entry))
-
+    sides = []  # (via, destinations in history order, first hops, step)
     if i > 0 and history[i - 1] in nbors:
-        for j in range(i):
-            consider(history[j], history[i - 1], i - j)
+        sides.append((history[i - 1], history[:i], i, -1))
     if i + 1 < len(history) and history[i + 1] in nbors:
-        for j in range(i + 1, len(history)):
-            consider(history[j], history[i + 1], j - i)
+        sides.append((history[i + 1], history[i + 1:], 1, 1))
+    for via, dests, hops, step in sides:
+        for dest in dests:
+            current = table.get(dest)
+            if current is None or hops < current.hop_count:
+                if table is rtab:
+                    table = dict(rtab)
+                entry = RouteEntry(next_hop=via, hop_count=hops)
+                table[dest] = entry
+                updates.append(TableUpdated(dest, entry))
+            hops += step
     return table, updates
 
 
@@ -241,7 +249,6 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
 
     node.rtab, actions = update_table_from_history(
         node.rtab, b.history, node.nid, node.nbors)
-    actions = list(actions)
 
     if forward and bottle_hops(b) >= cfg.hop_limit:
         actions.append(Eliminate(b.btl_id, ElimReason.HOP_LIMIT))

@@ -10,6 +10,7 @@ from bottlenet.domain import (
     deserialize_bottle,
     make_bottle,
     serialize_bottle,
+    wire_size,
 )
 from bottlenet.errors import InvalidRequest, MalformedBottle, WireOverflow
 
@@ -88,6 +89,22 @@ def test_wire_round_trip(src, dest, origin, seq, rf, failure, history):
     b = Bottle(src=src, dest=dest, btl_id=BottleId(origin, seq),
                rf=rf, history=history, failure=failure)
     assert deserialize_bottle(serialize_bottle(b)) == b
+
+
+@given(rf=st.booleans(), failure=st.booleans(),
+       history=st.lists(uint16, max_size=80))
+def test_wire_size_is_the_serialized_length(rf, failure, history):
+    b = Bottle(0, 1, BottleId(0, 0), rf=rf, history=history, failure=failure)
+    assert wire_size(b) == len(serialize_bottle(b))
+
+
+def test_wire_size_and_serialize_overflow_at_65536_entries():
+    b = Bottle(0, 1, BottleId(0, 0), history=[0] * 0xFFFF)
+    assert wire_size(b) == len(serialize_bottle(b)) == 11 + 2 * 0xFFFF
+    b.history.append(0)
+    for size_or_pack in (wire_size, serialize_bottle):
+        with pytest.raises(WireOverflow):
+            size_or_pack(b)
 
 
 @given(origin=uint16, seq=uint16)

@@ -1,9 +1,12 @@
 import json
+import tempfile
 from collections import Counter
 from enum import IntEnum
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bottlenet.config import (
     FaultSpec,
@@ -12,11 +15,12 @@ from bottlenet.config import (
     ScenarioConfig,
     scenario_from_dict,
 )
+from bottlenet.domain import Bottle, serialize_bottle
 from bottlenet.engine import Engine, EventKind, TraceEvent, load_trace, run
 from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.network import save_topology
 from bottlenet.topogen import generate_topology
-from conftest import make_topology
+from conftest import fault_scenarios, make_topology
 
 
 def two_node_scenario(tmp_path, seed=7):
@@ -117,6 +121,44 @@ class TestRun:
                             faults=[FaultSpec(at=1, op="fail_link", link=(1, 0)), fault])
         with pytest.raises(ConfigError, match=r"faults\[1\]"):
             run(sc)
+
+
+def copying_send_bottle(self, frm, bottle, to):
+    """Engine._send_bottle as it was when bottles were passed by value: a
+    copy per send, sized by packing its wire image."""
+    sent = Bottle(bottle.src, bottle.dest, bottle.btl_id, bottle.rf,
+                  list(bottle.history), bottle.failure)
+    size = len(serialize_bottle(sent))
+    self.bottle_bytes_sent += size
+    xfer = self._xfer
+    self._xfer += 1
+    self._record(frm, "Sent", {
+        "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
+        "src": sent.src, "dest": sent.dest, "rf": sent.rf,
+        "failure": sent.failure, "history_len": len(sent.history),
+        "bytes": size, "xfer": xfer,
+    })
+    if self.topology.link_live(frm, to):
+        self.schedule(self.now + self.cfg.per_hop_latency,
+                      EventKind.BOTTLE_ARRIVAL, (frm, to, sent, xfer))
+    else:
+        self._fail_delivery(frm, to, sent, xfer, "bottle")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+def test_handed_over_bottles_give_the_copying_engines_bytes(case):
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path = Path(tmp, "topo.json")
+        save_topology(t, str(topo_path))
+        sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
+        trace = run(sc)
+        with mock.patch.object(Engine, "_send_bottle", copying_send_bottle):
+            reference = run(sc)
+    assert trace.to_jsonl() == reference.to_jsonl()
+    assert trace.meta == reference.meta
 
 
 class Level(IntEnum):

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from bottlenet.domain import NodePhase, RouteEntry
 from bottlenet.errors import PreconditionViolation
-from bottlenet.fsm import choose_next_hop, next_state, update_table_from_history
+from bottlenet.fsm import (
+    TableUpdated,
+    choose_next_hop,
+    next_state,
+    update_table_from_history,
+)
 
 IDLE, RREQ, BMAN = NodePhase.IDLE, NodePhase.ROUTE_REQ, NodePhase.BTL_MANAGE
 
@@ -145,3 +150,44 @@ def test_harvested_hops_match_history_positions(history, data):
         assert entry.hop_count == abs(i - j)
         assert entry.next_hop in nbors
     assert self_id not in table
+
+
+def reference_harvest(rtab, history, self_id, nbors):
+    """The harvest as first written: a copy of the whole table, one closure
+    call per history entry. update_table_from_history must agree with it."""
+    i = history.index(self_id)
+    table = dict(rtab)
+    updates = []
+
+    def consider(dest, via, hops):
+        current = table.get(dest)
+        if current is None or hops < current.hop_count:
+            entry = RouteEntry(next_hop=via, hop_count=hops)
+            table[dest] = entry
+            updates.append(TableUpdated(dest, entry))
+
+    if i > 0 and history[i - 1] in nbors:
+        for j in range(i):
+            consider(history[j], history[i - 1], i - j)
+    if i + 1 < len(history) and history[i + 1] in nbors:
+        for j in range(i + 1, len(history)):
+            consider(history[j], history[i + 1], j - i)
+    return table, updates
+
+
+node_ids = st.integers(0, 12)
+
+
+@given(rtab=st.dictionaries(node_ids, st.builds(RouteEntry, node_ids,
+                                                st.integers(1, 8)),
+                            max_size=10),
+       history=st.lists(node_ids, min_size=1, max_size=12),
+       nbors=st.sets(node_ids, max_size=6),
+       data=st.data())
+def test_harvest_matches_reference(rtab, history, nbors, data):
+    self_id = data.draw(st.sampled_from(history))
+    before = dict(rtab)
+    table, updates = update_table_from_history(rtab, history, self_id, nbors)
+    assert rtab == before
+    assert (table, updates) == reference_harvest(before, history, self_id, nbors)
+    assert (table is rtab) == (not updates)

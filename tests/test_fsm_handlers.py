@@ -148,7 +148,7 @@ class TestHandleBottle:
         node = make_node(5, {0})
         b = Bottle(0, 8, BottleId(0, 0), history=[0, 5])
         with pytest.raises(MalformedBottle):
-            handle_bottle(node, b.clone(), 3, cfg, rng)
+            handle_bottle(node, b, 3, cfg, rng)
 
     def test_failure_bottle_at_source_purges_and_retries(self, cfg, rng):
         node = make_node(0, {7, 3}, rtab={8: RouteEntry(7, 3)})

@@ -2,7 +2,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
 from bottlenet.engine import load_trace, run
@@ -17,7 +17,7 @@ from bottlenet.metrics import (
 from bottlenet.network import load_topology, save_topology
 from bottlenet.oracle import bfs_distance
 from bottlenet.topogen import generate_topology
-from conftest import make_topology
+from conftest import fault_scenarios, make_topology
 
 
 def run_on(tmp_path, t, seed, requests, **kwargs):
@@ -146,32 +146,6 @@ def test_format_summary_lists_every_field(tmp_path):
     for field in ("discoveries_attempted", "mean_stretch", "total_bottle_bytes",
                   "table_optimality"):
         assert field in text
-
-
-GRAPH = st.sampled_from(["generic", "dense", "sparse-partitioned"])
-
-
-@st.composite
-def fault_scenarios(draw):
-    """A generated graph of 4-25 nodes, concurrent random requests and up
-    to 12 link or node faults, as a scenario document."""
-    kind, n = draw(GRAPH), draw(st.integers(4, 25))
-    t = generate_topology(kind, n, draw(st.integers(0, 3)))
-    edges, nodes = sorted(t.edges), sorted(t.nodes)
-    faults = []
-    for _ in range(draw(st.integers(0, 12))):
-        at, op = draw(st.integers(0, 400)), draw(st.sampled_from(
-            ["fail_node", "restore_node", "fail_link", "restore_link"]))
-        if op.endswith("_node"):
-            faults.append({"at": at, "op": op, "node": draw(st.sampled_from(nodes))})
-        elif edges:
-            faults.append({"at": at, "op": op,
-                           "link": list(draw(st.sampled_from(edges)))})
-    return t, {"seed": draw(st.integers(0, 1000)),
-               "protocol": {"beacon_period": draw(st.integers(1, 5))},
-               "random_requests": {"count": draw(st.integers(1, 12)),
-                                   "spacing": draw(st.integers(1, 40))},
-               "faults": faults, "horizon": 1500}
 
 
 @settings(max_examples=60, deadline=None,
