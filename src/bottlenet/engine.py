@@ -431,6 +431,13 @@ class Engine:
         self._record(target[0], "TopologyChanged",
                      {"op": op, "target": list(target)})
         FAULT_OPS[op](self.topology, *target)
+        if op == "restore_node":
+            # A request timer that fired while the node was down did
+            # nothing; fire it again now, so that no request stays open.
+            nid = target[0]
+            for btl_id, req in self.nodes[nid].pending.items():
+                if req.deadline <= self.now:
+                    self.schedule(self.now, EventKind.TIMER_FIRE, (nid, btl_id))
         # the nodes whose live neighbour set the fault may have changed
         if op.endswith("_link"):
             touched = target

@@ -308,6 +308,24 @@ class TestFaultHandling:
         (inaccessible,) = trace.records("Inaccessible")
         assert inaccessible.data == {"src": 0, "dest": 1}
 
+    def test_timer_missed_while_down_fires_on_restore(self):
+        # Node 0's first request times out at t=241 while it is down. On
+        # restore at t=290 the timer fires again, so the request resolves
+        # and the second one, for the same destination, is not queued
+        # behind it for ever.
+        trace = run(scenario_from_dict({
+            "seed": 1, "horizon": 6000,
+            "topology": {"generator": {"kind": "generic", "nodes": 30, "seed": 0}},
+            "requests": [{"at": 1, "src": 0, "dest": 17},
+                         {"at": 2000, "src": 0, "dest": 17}],
+            "faults": [{"at": 2, "op": "fail_node", "node": 0},
+                       {"at": 290, "op": "restore_node", "node": 0}]}))
+        assert not trace.nodes[0].pending
+        assert any(ev.at == 290 and ev.kind == "Sent" and ev.node == 0
+                   for ev in trace.events)
+        assert any(ev.at >= 2000 and ev.kind == "Received" and ev.node == 17
+                   and ev.data["msg"] == "data" for ev in trace.events)
+
     def test_restored_link_allows_rediscovery(self, tmp_path):
         t = make_topology((0, 1))
         topo_path = tmp_path / "two.json"

@@ -170,3 +170,8 @@ def test_trace_alone_gives_the_live_summary_and_tables(case):
     assert live.table_optimality == table_optimality(tables, trace.topology)
     for nid, rows in tables.items():
         assert {hop for hop, _ in rows.values()} <= trace.nodes[nid].nbors
+    # a request timer due by the horizon has fired at every node that is up
+    for nid, node in trace.nodes.items():
+        if nid not in trace.topology.down_nodes:
+            assert all(req.deadline > trace.meta["horizon"]
+                       for req in node.pending.values()), nid
