@@ -18,7 +18,6 @@ from .domain import (
     deserialize_bottle,
     make_bottle,
     serialize_bottle,
-    wire_size,
 )
 from .engine import Trace, TraceEvent, run
 from .metrics import RunSummary, summarize
@@ -50,6 +49,5 @@ __all__ = [
     "save_topology",
     "serialize_bottle",
     "summarize",
-    "wire_size",
     "__version__",
 ]

@@ -479,7 +479,7 @@ class Engine:
         self._record(nid, "Eliminated", data)
 
     def _send_bottle(self, frm: int, bottle: Bottle, to: int) -> None:
-        # The bottle is handed over, not copied: the sender keeps no
+        # The bottle goes on the wire as it is: its sender keeps no
         # reference to it (see the fsm module docstring).
         size = wire_size(bottle)
         self.bottle_bytes_sent += size
