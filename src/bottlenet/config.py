@@ -180,12 +180,16 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         where = f"{source}: field 'requests[{i}]'"
         if not isinstance(req, dict):
             raise ConfigError(f"{where}: expected an object")
-        requests.append(RequestSpec(
+        spec = RequestSpec(
             at=_int_field(req, "at", where),
             src=_int_field(req, "src", where),
             dest=_int_field(req, "dest", where),
             payload_len=_int_field(req, "payload_len", where, default=0),
-        ))
+        )
+        if spec.src == spec.dest:
+            raise ConfigError(f"{where}: src and dest are both node {spec.src}; "
+                              "a request to self needs no route")
+        requests.append(spec)
 
     random_requests = None
     if "random_requests" in doc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidRequest, MalformedBottle, WireOverflow
 
@@ -73,8 +74,9 @@ class Bottle:
     failure: bool = False
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
+    """One route; immutable, so a table and its shallow copy may share it."""
+
     next_hop: NodeId
     hop_count: int
 

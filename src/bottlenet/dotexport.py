@@ -9,7 +9,12 @@ from .network import Topology, edge_key
 
 
 def export_dot(t: Topology, highlight: Sequence[int] | None = None) -> str:
-    """DOT text for the live topology; highlight edges are drawn bold red."""
+    """DOT text for the topology; highlight edges are drawn bold red, and
+    dotted too where the edge or one of its ends is down.
+
+    The highlight must be a simple path along edges of the topology, live
+    or not: a route found before a fault may use a link that fails later.
+    """
     marked: set[tuple[int, int]] = set()
     if highlight:
         for n in highlight:
@@ -18,8 +23,8 @@ def export_dot(t: Topology, highlight: Sequence[int] | None = None) -> str:
         if len(set(highlight)) != len(highlight):
             raise InvalidPath("highlight revisits a node")
         for a, b in zip(highlight, highlight[1:]):
-            if not t.link_live(a, b):
-                raise InvalidPath(f"highlight step {a}-{b} is not a live link")
+            if edge_key(a, b) not in t.edges:
+                raise InvalidPath(f"highlight step {a}-{b} is not an edge")
             marked.add(edge_key(a, b))
 
     lines = ["graph topology {", "  node [shape=circle];"]
@@ -33,7 +38,8 @@ def export_dot(t: Topology, highlight: Sequence[int] | None = None) -> str:
             lines.append(f"  {n};")
     for a, b in sorted(t.edges):
         if edge_key(a, b) in marked:
-            lines.append(f"  {a} -- {b} [color=red, penwidth=2];")
+            down = "" if t.link_live(a, b) else ", style=dotted"
+            lines.append(f"  {a} -- {b} [color=red, penwidth=2{down}];")
         elif edge_key(a, b) in t.down_edges:
             lines.append(f"  {a} -- {b} [style=dotted];")
         else:

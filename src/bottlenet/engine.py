@@ -307,10 +307,7 @@ class Engine:
                 a.deadline, EventKind.TIMER_FIRE, (nid, a.btl_id)),
             fsm.DeclareInaccessible: lambda nid, a: self._record(
                 nid, "Inaccessible", {"src": nid, "dest": a.dest}),
-            fsm.TableUpdated: lambda nid, a: self._record(
-                nid, "TableUpdated", {"dest": a.dest,
-                                      "next_hop": a.entry.next_hop,
-                                      "hops": a.entry.hop_count}),
+            fsm.TableUpdated: self._on_table_updated,
             fsm.RouteRemoved: lambda nid, a: self._record(
                 nid, "RouteRemoved", {"dest": a.dest, "reason": a.reason}),
         }
@@ -370,12 +367,13 @@ class Engine:
         self._drain(src)
 
     def _on_bottle_arrival(self, frm: int, to: int, bottle: Bottle,
-                           xfer: int) -> None:
+                           xfer: int, btl_id: str) -> None:
+        # btl_id is str(bottle.btl_id), formatted once by _send_bottle
         if not self.topology.link_live(frm, to):
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
             return
         self._record(to, "Received", {
-            "msg": "bottle", "from": frm, "btl_id": str(bottle.btl_id),
+            "msg": "bottle", "from": frm, "btl_id": btl_id,
             "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
             "failure": bottle.failure, "history_len": len(bottle.history),
             "xfer": xfer,
@@ -470,6 +468,11 @@ class Engine:
         for action in actions:
             on_action[type(action)](nid, action)
 
+    def _on_table_updated(self, nid: int, action: fsm.TableUpdated) -> None:
+        for dest, (next_hop, hops) in action.entries:
+            self._record(nid, "TableUpdated",
+                         {"dest": dest, "next_hop": next_hop, "hops": hops})
+
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
         data: dict[str, Any] = {"btl_id": str(action.btl_id),
                                 "reason": action.reason.value}
@@ -485,15 +488,16 @@ class Engine:
         self.bottle_bytes_sent += size
         xfer = self._xfer
         self._xfer += 1
+        btl_id = str(bottle.btl_id)
         self._record(frm, "Sent", {
-            "msg": "bottle", "to": to, "btl_id": str(bottle.btl_id),
+            "msg": "bottle", "to": to, "btl_id": btl_id,
             "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
             "failure": bottle.failure, "history_len": len(bottle.history),
             "bytes": size, "xfer": xfer,
         })
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
-                          EventKind.BOTTLE_ARRIVAL, (frm, to, bottle, xfer))
+                          EventKind.BOTTLE_ARRIVAL, (frm, to, bottle, xfer, btl_id))
         else:
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
 

@@ -9,6 +9,10 @@ A bottle has one owner at a time. A handler owns the bottle it is given
 and may extend its history in place; a ``Send`` hands the bottle to the
 engine, and from then on neither the handler nor the node keeps or reads
 it. No bottle is copied on its way from node to node.
+
+A harvest's routes leave in one ``TableUpdated`` action that carries every
+entry it installed, in harvest order; the engine still writes one
+TableUpdated trace record per entry.
 """
 
 from __future__ import annotations
@@ -72,8 +76,10 @@ class DeclareInaccessible:
 
 @dataclass(frozen=True)
 class TableUpdated:
-    dest: NodeId
-    entry: RouteEntry
+    """The routes one harvest installed, as (dest, entry) pairs in harvest
+    order; the trace gets one TableUpdated record per pair."""
+
+    entries: list[tuple[NodeId, RouteEntry]]
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ def next_state(current: NodePhase, pkt_queue_empty: bool,
 def choose_next_hop(nbors: set[NodeId], history: Sequence[NodeId],
                     rng: random.Random) -> NodeId | None:
     """Uniform pick among neighbors the bottle has not visited; None at a dead end."""
-    candidates = sorted(set(nbors) - set(history))
+    candidates = sorted(set(nbors).difference(history))
     if not candidates:
         return None
     return rng.choice(candidates)
@@ -111,7 +117,8 @@ def choose_next_hop(nbors: set[NodeId], history: Sequence[NodeId],
 
 def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
                               self_id: NodeId, nbors: set[NodeId],
-                              ) -> tuple[RoutingTable, list[TableUpdated]]:
+                              ) -> tuple[RoutingTable,
+                                         list[tuple[NodeId, RouteEntry]]]:
     """Harvest routes to every other node on a bottle's travel history.
 
     Looking from this node's position in the history, earlier entries are
@@ -119,8 +126,9 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
     entries through the next hop. An entry is installed only when the
     destination is new or the harvested hop count strictly improves on the
     existing one; ties keep what is already there. rtab is never
-    modified: it comes back as it is when nothing improves, and a copy
-    with the updates otherwise.
+    modified: it comes back as it is when nothing improves, and a shallow
+    copy with the updates otherwise. The second value lists each
+    (dest, entry) installed, in harvest order.
     """
     try:
         i = history.index(self_id)
@@ -128,7 +136,7 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
         raise PreconditionViolation(
             f"node {self_id} not on history {list(history)}") from None
     table = rtab
-    updates: list[TableUpdated] = []
+    learned: list[tuple[NodeId, RouteEntry]] = []
     sides = []  # (via, destinations in history order, first hops, step)
     if i > 0 and history[i - 1] in nbors:
         sides.append((history[i - 1], history[:i], i, -1))
@@ -140,11 +148,10 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
             if current is None or hops < current.hop_count:
                 if table is rtab:
                     table = dict(rtab)
-                entry = RouteEntry(next_hop=via, hop_count=hops)
-                table[dest] = entry
-                updates.append(TableUpdated(dest, entry))
+                entry = table[dest] = RouteEntry(via, hops)
+                learned.append((dest, entry))
             hops += step
-    return table, updates
+    return table, learned
 
 
 def purge_routes(node: NodeState, lost: Collection[NodeId], reason: str,
@@ -247,8 +254,9 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
         raise MalformedBottle(
             f"returning bottle {b.btl_id} at node {node.nid} off its history")
 
-    node.rtab, actions = update_table_from_history(
+    node.rtab, learned = update_table_from_history(
         node.rtab, b.history, node.nid, node.nbors)
+    actions: list[Action] = [TableUpdated(learned)] if learned else []
 
     if forward and bottle_hops(b) >= cfg.hop_limit:
         actions.append(Eliminate(b.btl_id, ElimReason.HOP_LIMIT))

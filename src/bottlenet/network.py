@@ -27,6 +27,7 @@ class Topology:
 
     Pass edges to the constructor or add them with add_edge: both keep the
     adjacency index in step with edges; writing to edges directly does not.
+    link_live and live_neighbors read the index, not edges.
     """
 
     nodes: set[NodeId] = field(default_factory=set)
@@ -52,9 +53,13 @@ class Topology:
         self._adj.setdefault(b, set()).add(a)
 
     def link_live(self, a: NodeId, b: NodeId) -> bool:
-        key = edge_key(a, b)
-        return (key in self.edges and key not in self.down_edges
-                and a not in self.down_nodes and b not in self.down_nodes)
+        """True when a and b share an edge and neither it nor either end is down."""
+        if b not in self._adj.get(a, ()):
+            return False
+        if not self.down_nodes and not self.down_edges:  # every edge is live
+            return True
+        return (a not in self.down_nodes and b not in self.down_nodes
+                and edge_key(a, b) not in self.down_edges)
 
     def live_neighbors(self, n: NodeId) -> set[NodeId]:
         """Current live neighbor set of n, as a fresh set; empty when n is down."""

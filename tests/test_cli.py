@@ -74,6 +74,25 @@ class TestRun:
         assert "penwidth=2" in dot_out.read_text()
         assert "discoveries_attempted" in capsys.readouterr().out
 
+    def test_dot_out_draws_a_found_route_whose_link_fails_later(self, tmp_path,
+                                                                 capsys):
+        # The first route found, 0 -> 7, runs over the link 0-11, which
+        # fails at t=3000; the run still writes the DOT file and the summary.
+        topo = tmp_path / "g20.json"
+        assert main(["gen", "--kind", "generic", "--nodes", "20",
+                     "--seed", "0", "--out", str(topo)]) == 0
+        config = write_scenario(tmp_path, {
+            "seed": 1,
+            "topology": {"file": str(topo)},
+            "horizon": 5000,
+            "requests": [{"at": 1, "src": 0, "dest": 7}],
+            "faults": [{"at": 3000, "op": "fail_link", "link": [0, 11]}],
+        })
+        dot_out = tmp_path / "net.dot"
+        assert main(["run", "--config", config, "--dot-out", str(dot_out)]) == 0
+        assert "discoveries_succeeded   1" in capsys.readouterr().out
+        assert "  0 -- 11 [color=red, penwidth=2, style=dotted];" in dot_out.read_text()
+
     def test_found_path_is_valid_simple_path(self, tmp_path, generated_topology):
         config = write_scenario(tmp_path, {
             "seed": 2,

@@ -52,6 +52,12 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"requests\[0\].*'dest'"):
             scenario_from_dict(doc)
 
+    def test_request_to_self_rejected(self):
+        doc = self.base() | {"requests": [{"at": 1, "src": 0, "dest": 1},
+                                          {"at": 2, "src": 3, "dest": 3}]}
+        with pytest.raises(ConfigError, match=r"requests\[1\].*node 3"):
+            scenario_from_dict(doc)
+
     @pytest.mark.parametrize("field", ["requests", "faults"])
     @pytest.mark.parametrize("value", [5, None, {"a": 1}])
     def test_list_field_must_be_an_array(self, field, value):

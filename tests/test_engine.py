@@ -128,19 +128,20 @@ def copying_send_bottle(self, frm, bottle, to):
     copy per send, sized by packing its wire image."""
     sent = Bottle(bottle.src, bottle.dest, bottle.btl_id, bottle.rf,
                   list(bottle.history), bottle.failure)
+    btl_id = str(sent.btl_id)
     size = len(serialize_bottle(sent))
     self.bottle_bytes_sent += size
     xfer = self._xfer
     self._xfer += 1
     self._record(frm, "Sent", {
-        "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
+        "msg": "bottle", "to": to, "btl_id": btl_id,
         "src": sent.src, "dest": sent.dest, "rf": sent.rf,
         "failure": sent.failure, "history_len": len(sent.history),
         "bytes": size, "xfer": xfer,
     })
     if self.topology.link_live(frm, to):
         self.schedule(self.now + self.cfg.per_hop_latency,
-                      EventKind.BOTTLE_ARRIVAL, (frm, to, sent, xfer))
+                      EventKind.BOTTLE_ARRIVAL, (frm, to, sent, xfer, btl_id))
     else:
         self._fail_delivery(frm, to, sent, xfer, "bottle")
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from bottlenet.domain import NodePhase, RouteEntry
 from bottlenet.errors import PreconditionViolation
 from bottlenet.fsm import (
-    TableUpdated,
     choose_next_hop,
     next_state,
     update_table_from_history,
@@ -76,53 +75,71 @@ class TestChooseNextHop:
         assert choose_next_hop(set(), [0], rng) is None
 
 
+def harvest(rtab, history, self_id, nbors):
+    """update_table_from_history, checked against reference_harvest: the
+    same table and the same learned pairs in the same order."""
+    table, learned = update_table_from_history(rtab, history, self_id, nbors)
+    assert (table, learned) == reference_harvest(rtab, history, self_id, nbors)
+    assert all(type(entry) is RouteEntry for _, entry in learned)
+    return table, learned
+
+
 class TestTableHarvest:
     def test_empty_table_learns_whole_path(self):
-        table, updates = update_table_from_history(
-            {}, ["A", "B", "C"], "C", {"B"})
+        table, learned = harvest({}, ["A", "B", "C"], "C", {"B"})
         assert table == {"A": RouteEntry("B", 2), "B": RouteEntry("B", 1)}
-        assert {(u.dest, u.entry.hop_count) for u in updates} == {("A", 2), ("B", 1)}
+        assert learned == [("A", RouteEntry("B", 2)), ("B", RouteEntry("B", 1))]
 
     def test_shorter_existing_route_kept(self):
         rtab = {"A": RouteEntry("X", 1)}
-        table, updates = update_table_from_history(
-            rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
         assert table["A"] == RouteEntry("X", 1)
-        assert all(u.dest != "A" for u in updates)
+        assert learned == [("B", RouteEntry("B", 1))]
 
     def test_longer_existing_route_improved(self):
         rtab = {"A": RouteEntry("X", 5)}
-        table, _ = update_table_from_history(
-            rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
         assert table["A"] == RouteEntry("B", 2)
+        assert learned == [("A", RouteEntry("B", 2)), ("B", RouteEntry("B", 1))]
 
     def test_tie_keeps_existing_entry(self):
         rtab = {"A": RouteEntry("X", 2)}
-        table, updates = update_table_from_history(
-            rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
         assert table["A"] == RouteEntry("X", 2)
-        assert all(u.dest != "A" for u in updates)
+        assert learned == [("B", RouteEntry("B", 1))]
 
     def test_return_traversal_harvests_both_directions(self):
         # Middle of the history on the way back: earlier nodes via B,
         # later ones via D.
-        table, _ = update_table_from_history(
-            {}, ["A", "B", "C", "D", "E"], "C", {"B", "D"})
+        table, learned = harvest({}, ["A", "B", "C", "D", "E"], "C", {"B", "D"})
         assert table == {
             "A": RouteEntry("B", 2), "B": RouteEntry("B", 1),
             "D": RouteEntry("D", 1), "E": RouteEntry("D", 2),
         }
+        assert [dest for dest, _ in learned] == ["A", "B", "D", "E"]
 
     def test_vanished_previous_hop_installs_nothing(self):
-        table, updates = update_table_from_history(
-            {}, ["A", "B", "C"], "C", {"Z"})
-        assert table == {} and updates == []
+        table, learned = harvest({}, ["A", "B", "C"], "C", {"Z"})
+        assert table == {} and learned == []
 
     def test_source_position_harvests_forward(self):
-        table, _ = update_table_from_history(
-            {}, [0, 7, 9, 8], 0, {7})
+        table, learned = harvest({}, [0, 7, 9, 8], 0, {7})
         assert table == {7: RouteEntry(7, 1), 9: RouteEntry(7, 2),
                          8: RouteEntry(7, 3)}
+        assert [dest for dest, _ in learned] == [7, 9, 8]
+
+    def test_copy_shares_the_entries_it_keeps(self):
+        rtab = {"A": RouteEntry("X", 1), "Q": RouteEntry("X", 4)}
+        table, _ = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
+        assert table is not rtab
+        assert table["A"] is rtab["A"] and table["Q"] is rtab["Q"]
+
+    @pytest.mark.parametrize("name", ["next_hop", "hop_count"])
+    def test_route_entries_are_immutable(self, name):
+        entry = RouteEntry("X", 1)
+        with pytest.raises(AttributeError):
+            setattr(entry, name, 2)
+        assert entry == RouteEntry("X", 1)
 
     def test_off_history_node_rejected(self):
         with pytest.raises(PreconditionViolation):
@@ -154,17 +171,18 @@ def test_harvested_hops_match_history_positions(history, data):
 
 def reference_harvest(rtab, history, self_id, nbors):
     """The harvest as first written: a copy of the whole table, one closure
-    call per history entry. update_table_from_history must agree with it."""
+    call per history entry. update_table_from_history must agree with it,
+    table and learned (dest, entry) pairs in order."""
     i = history.index(self_id)
     table = dict(rtab)
-    updates = []
+    learned = []
 
     def consider(dest, via, hops):
         current = table.get(dest)
         if current is None or hops < current.hop_count:
             entry = RouteEntry(next_hop=via, hop_count=hops)
             table[dest] = entry
-            updates.append(TableUpdated(dest, entry))
+            learned.append((dest, entry))
 
     if i > 0 and history[i - 1] in nbors:
         for j in range(i):
@@ -172,7 +190,7 @@ def reference_harvest(rtab, history, self_id, nbors):
     if i + 1 < len(history) and history[i + 1] in nbors:
         for j in range(i + 1, len(history)):
             consider(history[j], history[i + 1], j - i)
-    return table, updates
+    return table, learned
 
 
 node_ids = st.integers(0, 12)
@@ -187,7 +205,8 @@ node_ids = st.integers(0, 12)
 def test_harvest_matches_reference(rtab, history, nbors, data):
     self_id = data.draw(st.sampled_from(history))
     before = dict(rtab)
-    table, updates = update_table_from_history(rtab, history, self_id, nbors)
+    table, learned = update_table_from_history(rtab, history, self_id, nbors)
     assert rtab == before
-    assert (table, updates) == reference_harvest(before, history, self_id, nbors)
-    assert (table is rtab) == (not updates)
+    assert (table, learned) == reference_harvest(before, history, self_id, nbors)
+    assert all(type(entry) is RouteEntry for _, entry in learned)
+    assert (table is rtab) == (not learned)

@@ -11,6 +11,7 @@ from bottlenet.fsm import (
     Send,
     SendData,
     SetTimer,
+    TableUpdated,
     handle_bottle,
     handle_route_request,
     on_delivery_failure,
@@ -121,6 +122,18 @@ class TestHandleBottle:
         handle_bottle(node, b, 3, cfg, rng)
         assert node.rtab[8] == RouteEntry(2, 2)
         assert node.rtab[0] == RouteEntry(0, 1)
+
+    def test_one_table_update_action_per_harvest(self, cfg, rng):
+        node = make_node(5, {0, 2}, rtab={0: RouteEntry(0, 1)})
+        b = Bottle(0, 8, BottleId(0, 0), rf=True, history=[0, 5, 2, 8])
+        actions = handle_bottle(node, b, 3, cfg, rng)
+        updates = [a for a in actions if isinstance(a, TableUpdated)]
+        assert updates == [TableUpdated([(2, RouteEntry(2, 1)),
+                                         (8, RouteEntry(2, 2))])]
+        assert actions.index(updates[0]) == 0
+        b = Bottle(0, 8, BottleId(0, 1), rf=True, history=[0, 5, 2, 8])
+        assert not any(isinstance(a, TableUpdated)
+                       for a in handle_bottle(node, b, 4, cfg, rng))
 
     def test_found_route_installs_and_flushes_at_source(self, cfg, rng):
         walk = [0, 7, 9, 12, 14, 3, 13, 4, 2, 8]

@@ -1,4 +1,5 @@
-"""The adjacency index behind Topology.live_neighbors, against a full edge scan."""
+"""The adjacency index behind Topology.live_neighbors and Topology.link_live,
+against a full edge scan."""
 
 from hypothesis import given, strategies as st
 
@@ -6,9 +7,17 @@ from bottlenet import network
 from bottlenet.network import Topology, edge_key, topology_from_dict
 
 
+def scan_link_live(t: Topology, a: int, b: int) -> bool:
+    """Reference: a-b is an edge, neither it nor either end is down."""
+    key = (a, b) if a < b else (b, a)
+    return (key in t.edges and key not in t.down_edges
+            and a not in t.down_nodes and b not in t.down_nodes)
+
+
 def scan_live_neighbors(t: Topology, n: int) -> set[int]:
     """Reference: every live edge at n, found by scanning all edges."""
-    return {b if a == n else a for a, b in t.edges if n in (a, b) and t.link_live(a, b)}
+    return {b if a == n else a for a, b in t.edges
+            if n in (a, b) and scan_link_live(t, a, b)}
 
 
 node_ids = st.integers(0, 11)
@@ -43,3 +52,22 @@ def test_live_neighbors_match_edge_scan(pairs, isolated, ops, build):
         for n in t.nodes:
             t.live_neighbors(n).clear()  # callers may mutate what they get
             assert t.live_neighbors(n) == scan_live_neighbors(t, n)
+        # ids 0-11 are drawn; 12 and -1 are never in the topology
+        for a in range(-1, 13):
+            for b in range(-1, 13):
+                assert t.link_live(a, b) == scan_link_live(t, a, b)
+
+
+def test_link_live_reads_faults_and_unknown_ids():
+    t = Topology(nodes={0, 1, 2, 3, 9}, edges={(0, 1), (1, 2), (2, 3)})
+    assert t.link_live(0, 1) and t.link_live(1, 0)
+    assert not t.link_live(0, 2) and not t.link_live(0, 9)
+    assert not t.link_live(0, 77) and not t.link_live(77, 0)  # no KeyError
+    network.fail_link(t, 1, 0)
+    assert not t.link_live(0, 1) and not t.link_live(1, 0)
+    assert t.link_live(1, 2)
+    network.fail_node(t, 3)
+    assert not t.link_live(2, 3) and not t.link_live(3, 2)
+    network.restore_link(t, 0, 1)
+    network.restore_node(t, 3)
+    assert all(t.link_live(a, b) and t.link_live(b, a) for a, b in t.edges)
