@@ -41,17 +41,18 @@ def main() -> None:
                                 random_requests=RandomRequests(count=args.requests))
             trace = run(sc)
             spacing = (trace.cfg.retry_limit + 1) * trace.cfg.timeout + 2
+            truth = oracle.Distances(t)  # one snapshot serves every query below
 
             for w in range(n_windows):
                 cutoff = 1 + (w + 1) * WINDOW * spacing - 1
                 tables = reconstruct_tables(trace, up_to=cutoff)
-                optimality[w].append(table_optimality(tables, t) or 0.0)
+                optimality[w].append(table_optimality(tables, truth) or 0.0)
 
             for ep in episodes(trace):
                 if ep.outcome != "success":
                     continue
                 idx = (ep.start_at - 1) // spacing
-                dist = oracle.bfs_distance(t, ep.src, ep.dest)
+                dist = truth.between(ep.src, ep.dest)
                 if dist and idx < args.requests:
                     stretch[idx // WINDOW].append(ep.found_hops / dist)
 
@@ -59,7 +60,7 @@ def main() -> None:
                 if ev.data.get("msg") == "data" and ev.node == ev.data["dest"]:
                     idx = (ev.at - 1) // spacing
                     src, dest = ev.data["src"], ev.data["dest"]
-                    dist = oracle.bfs_distance(t, src, dest)
+                    dist = truth.between(src, dest)
                     if dist and idx < args.requests:
                         hops = len(ev.data["path"]) - 1
                         deliveries[idx // WINDOW].append(hops / dist)

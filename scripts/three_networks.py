@@ -37,11 +37,12 @@ def main() -> None:
         topo_path = out_dir / f"{kind}-{n}.json"
         save_topology(t, str(topo_path))
 
+        truth = oracle.Distances(t)
         pick = random.Random(f"{kind}:{args.seed}")
         nodes = sorted(t.nodes)
         while True:
             src, dest = pick.sample(nodes, 2)
-            if oracle.connected(t, src, dest):
+            if truth.between(src, dest) is not oracle.Unreachable:
                 break
 
         sc = ScenarioConfig(seed=args.seed, topology_file=str(topo_path),
@@ -57,7 +58,7 @@ def main() -> None:
         else:
             print(f"  route: {route}")
             print(f"  hops:  {len(route) - 1} "
-                  f"(shortest possible: {oracle.bfs_distance(t, src, dest)})")
+                  f"(shortest possible: {truth.between(src, dest)})")
         s = summarize(trace)
         print(f"  bottles sent: {s.bottles_sent}, "
               f"overhead: {s.total_bottle_bytes} bytes")

@@ -554,6 +554,8 @@ def request_schedule(scenario: ScenarioConfig, topology: Topology,
             raise ConfigError(f"request at t={at}: unknown src node {src}")
         if dest not in topology.nodes:
             raise ConfigError(f"request at t={at}: unknown dest node {dest}")
+        if src == dest:
+            raise ConfigError(f"request at t={at}: src and dest are both node {src}")
     return out
 
 

@@ -18,7 +18,8 @@ from .domain import BottleId
 from .engine import Trace, TraceEvent
 from .errors import BottlenetError, UnknownNode
 from .network import FAULT_OPS, Topology
-from .oracle import bfs_distance, distances_from
+from .oracle import Distances
+from .oracle import bfs_distance  # not called here; bound for perfbench/tracer.py
 
 
 class IncompleteTrace(BottlenetError):
@@ -138,19 +139,20 @@ def reconstruct_tables(trace: Trace | Iterable[TraceEvent],
 
 
 def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
-                     t: Topology) -> float | None:
+                     t: Topology | Distances) -> float | None:
     """Fraction of entries whose hop count equals the oracle distance."""
+    snapshot = t if isinstance(t, Distances) else Distances(t)
     total = optimal = 0
     for node, entries in tables.items():
         if not entries:
             continue
-        dist = distances_from(t, node)
+        dist = snapshot.from_source(node)
         for dest, (_, hops) in entries.items():
-            if dest not in t.nodes:
-                raise UnknownNode(f"node {dest} not in topology")
             total += 1
             if hops == dist.get(dest):
                 optimal += 1
+            elif dest not in snapshot:  # only a missed entry can name an unknown node
+                raise UnknownNode(f"node {dest} not in topology")
     return None if total == 0 else optimal / total
 
 
@@ -186,12 +188,12 @@ def summarize(trace: Trace | Iterable[TraceEvent],
     if t is None:
         raise IncompleteTrace("no topology to compute oracle distances against")
     fold = _fold(trace, t)
-    eps, final = fold.episodes, fold.topology
+    eps, final = fold.episodes, Distances(fold.topology)
     succeeded = [ep for ep in eps if ep.outcome == "success"]
 
     stretches = []
     for ep in succeeded:
-        dist = bfs_distance(final, ep.src, ep.dest)
+        dist = final.between(ep.src, ep.dest)
         if dist:
             stretches.append(ep.found_hops / dist)
 

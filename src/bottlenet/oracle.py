@@ -1,18 +1,16 @@
 """Ground-truth shortest paths and connectivity, recomputed from scratch.
 
 Used only by tests and metrics as an independent check on what the
-protocol discovers; deliberately shares nothing with the FSM. Every query
-is one breadth-first search from a source over the topology's adjacency
-index, O(V + E). ``distances_from`` keeps the whole per-source distance
-map, so a caller with many destinations per source (``table_optimality``)
-searches once per source rather than once per pair; ``bfs_distance``
-stops at its one destination.
+protocol discovers; deliberately shares nothing with the FSM. A
+``Distances`` snapshot costs O(V + E) to build: node i (in sorted order)
+gets an int bitmask of its live links. Each source then costs one cached
+bit-parallel BFS, each level the OR of the frontier's masks minus the nodes
+seen (Beamer, Asanovic & Patterson, SC 2012). Many-query callers keep one
+snapshot; the module functions build one per call. A snapshot does not
+follow faults applied after it is built.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Iterator
 
 from .errors import UnknownNode
 from .network import Topology
@@ -20,41 +18,70 @@ from .network import Topology
 Unreachable = None
 
 
-def _bfs(t: Topology, a: int) -> Iterator[tuple[int, int]]:
-    """(node, hops) for a and every node it reaches over live links, nearest first.
+class Distances:
+    """Shortest live-path hop counts over t as it stands when built."""
 
-    The oracle's one breadth-first search. It is lazy, so a caller after
-    one destination stops as soon as it is found.
-    """
-    if a not in t.nodes:
-        raise UnknownNode(f"node {a} not in topology")
-    seen = {a}
-    frontier = deque([(a, 0)])
-    yield a, 0
-    while frontier:
-        node, hops = frontier.popleft()
-        hops += 1
-        for m in t.live_neighbors(node):
-            if m not in seen:
-                seen.add(m)
-                frontier.append((m, hops))
-                yield m, hops
+    def __init__(self, t: Topology) -> None:
+        self._nodes = sorted(t.nodes)
+        self._index = {n: i for i, n in enumerate(self._nodes)}
+        self._masks = [sum(1 << self._index[m] for m in t.live_neighbors(n))
+                       for n in self._nodes]
+        self._live = [n for n in self._nodes if n not in t.down_nodes]
+        self._cache: dict[int, dict[int, int]] = {}
+
+    def __contains__(self, n: object) -> bool:
+        return n in self._index
+
+    def from_source(self, a: int) -> dict[int, int]:
+        """distances_from over the snapshot; cached, so callers must not mutate it."""
+        dist = self._cache.get(a)
+        if dist is not None:
+            return dist
+        if a not in self._index:
+            raise UnknownNode(f"node {a} not in topology")
+        dist = self._cache[a] = {}
+        nodes, masks = self._nodes, self._masks
+        seen = frontier = 1 << self._index[a]
+        hops = 0
+        while frontier:
+            reach = 0
+            while frontier:  # peel the frontier's bits, lowest first
+                low = frontier & -frontier
+                i = low.bit_length() - 1
+                dist[nodes[i]] = hops
+                reach |= masks[i]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+            hops += 1
+        return dist
+
+    def between(self, a: int, b: int) -> int | None:
+        """Hop count of a shortest live path from a to b; None when disconnected."""
+        if b not in self._index:
+            raise UnknownNode(f"node {b} not in topology")
+        return self.from_source(a).get(b, Unreachable)
+
+    def components(self) -> list[set[int]]:
+        """Components over live nodes, largest first, ties by smallest node."""
+        out, placed = [], set()
+        for n in self._live:
+            if n not in placed:
+                comp = set(self.from_source(n))
+                placed |= comp
+                out.append(comp)
+        return sorted(out, key=len, reverse=True)
 
 
 def distances_from(t: Topology, a: int) -> dict[int, int]:
-    """Hop count of a shortest live path from a to every node it reaches.
-
-    a itself is at 0 and unreachable nodes are absent, so the keys are a's
-    live component.
-    """
-    return dict(_bfs(t, a))
+    """Hop count of a shortest live path from a to every node it reaches; a
+    itself is at 0 and unreachable nodes are absent."""
+    return Distances(t).from_source(a)
 
 
 def bfs_distance(t: Topology, a: int, b: int) -> int | None:
     """Hop count of a shortest live path from a to b; None when disconnected."""
-    if b not in t.nodes:
-        raise UnknownNode(f"node {b} not in topology")
-    return next((hops for node, hops in _bfs(t, a) if node == b), Unreachable)
+    return Distances(t).between(a, b)
 
 
 def connected(t: Topology, a: int, b: int) -> bool:
@@ -63,16 +90,9 @@ def connected(t: Topology, a: int, b: int) -> bool:
 
 def component(t: Topology, a: int) -> set[int]:
     """All nodes reachable from a over live links (includes a itself)."""
-    return {node for node, _ in _bfs(t, a)}
+    return set(distances_from(t, a))
 
 
 def components(t: Topology) -> list[set[int]]:
     """Connected components over live nodes, largest first."""
-    remaining = {n for n in t.nodes if n not in t.down_nodes}
-    out = []
-    while remaining:
-        comp = component(t, next(iter(sorted(remaining))))
-        comp &= remaining
-        out.append(comp)
-        remaining -= comp
-    return sorted(out, key=len, reverse=True)
+    return Distances(t).components()

@@ -107,6 +107,12 @@ class TestRun:
         with pytest.raises(ConfigError, match="dest"):
             run(sc)
 
+    def test_request_to_self_rejected_in_code_built_scenario(self):
+        sc = ScenarioConfig(seed=1, generator={"kind": "generic", "nodes": 10, "seed": 0},
+                            requests=[RequestSpec(at=1, src=3, dest=3)], horizon=100)
+        with pytest.raises(ConfigError, match=r"t=1: .*node 3"):
+            run(sc)
+
     @pytest.mark.parametrize("fault", [
         FaultSpec(at=5, op="fail_node", node=9),
         FaultSpec(at=500, op="restore_node", node=9),

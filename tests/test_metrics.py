@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
 from bottlenet.engine import load_trace, run
+from bottlenet.errors import UnknownNode
 from bottlenet.metrics import (
     IncompleteTrace,
     episodes,
@@ -15,7 +16,7 @@ from bottlenet.metrics import (
     table_optimality,
 )
 from bottlenet.network import load_topology, save_topology
-from bottlenet.oracle import bfs_distance
+from bottlenet.oracle import Distances, bfs_distance
 from bottlenet.topogen import generate_topology
 from conftest import fault_scenarios, make_topology
 
@@ -125,6 +126,14 @@ class TestTables:
                        [RequestSpec(at=1, src=0, dest=2)])
         tables = reconstruct_tables(trace)
         assert table_optimality(tables, trace.topology) == 1.0
+
+    def test_optimality_takes_a_snapshot_and_rejects_unknown_nodes(self):
+        t = make_topology((0, 1), (1, 2))
+        tables = {0: {1: (1, 1), 2: (1, 3)}}
+        assert table_optimality(tables, t) == table_optimality(tables, Distances(t)) == 0.5
+        for bad in ({0: {9: (1, 1)}}, {9: {0: (1, 1)}}):
+            with pytest.raises(UnknownNode):
+                table_optimality(bad, t)
 
     def test_cutoff_limits_view(self, tmp_path):
         trace = run_on(tmp_path, make_topology((0, 1)), 3,

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bottlenet.errors import UnknownNode
 from bottlenet.network import Topology, fail_link, fail_node
 from bottlenet.oracle import (
+    Distances,
     Unreachable,
     bfs_distance,
     component,
@@ -14,6 +15,7 @@ from bottlenet.oracle import (
     connected,
     distances_from,
 )
+from bottlenet.topogen import generate_topology
 from conftest import make_topology
 
 
@@ -79,6 +81,34 @@ class TestComponents:
         t = make_topology((0, 1), (3, 4))
         assert component(t, 3) == {3, 4}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partitioned_graph_largest_first_ties_by_smallest_node(self, seed):
+        t = generate_topology("sparse-partitioned", 100, seed)
+        got = components(t)
+        g = nx.Graph()
+        g.add_nodes_from(t.nodes)
+        g.add_edges_from(t.edges)
+        assert got == sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
+        sizes = [len(c) for c in got]
+        assert len(set(sizes)) < len(sizes)  # equal sizes occur, so ties are exercised
+
+
+class TestDistancesSnapshot:
+    def test_unknown_nodes(self, path3):
+        truth = Distances(path3)
+        with pytest.raises(UnknownNode):
+            truth.between(0, 9)
+        with pytest.raises(UnknownNode):
+            truth.between(9, 0)
+        with pytest.raises(UnknownNode):
+            truth.from_source(9)
+
+    def test_later_faults_are_not_seen(self, path3):
+        truth = Distances(path3)
+        fail_node(path3, 1)
+        assert truth.between(0, 2) == 2
+        assert Distances(path3).between(0, 2) is Unreachable
+
 
 graph_strategy = st.sets(
     st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda p: p[0] != p[1]),
@@ -129,10 +159,13 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     g = nx.Graph()
     g.add_nodes_from(n for n in t.nodes if n not in t.down_nodes)
     g.add_edges_from(e for e in t.edges if t.link_live(*e))
+    truth = Distances(t)
     for a in t.nodes:
         want = nx.single_source_shortest_path_length(g, a) if a in g else {a: 0}
+        assert truth.from_source(a) == want
         assert distances_from(t, a) == want
         for b in t.nodes:
+            assert truth.between(a, b) == want.get(b, Unreachable)
             assert bfs_distance(t, a, b) == want.get(b, Unreachable)
     got = components(t)
     assert sorted(map(sorted, got)) == sorted(map(sorted, nx.connected_components(g)))
