@@ -46,9 +46,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    trace = engine.load_trace(args.trace)
-    topology = load_topology(args.topology)
-    summary = metrics.summarize(trace, topology)
+    summary = metrics.summarize(engine.iter_trace(args.trace),
+                                load_topology(args.topology))
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(summary.to_dict(), fh, indent=2)

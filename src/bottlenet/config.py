@@ -7,14 +7,13 @@ schedule, fault injections, and the simulation horizon.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
 
 from .domain import MAX_NODE_ID, is_node_id
 from .errors import ConfigError
-from .network import FAULT_OPS
+from .network import FAULT_OPS, load_json
 from .topogen import KINDS
 
 DEFAULT_RETRY_LIMIT = 3
@@ -238,14 +237,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    scenario = scenario_from_dict(doc, source=path)
+    scenario = scenario_from_dict(load_json(path), source=path)
     if scenario.topology_file is not None and not os.path.isabs(scenario.topology_file):
         scenario.topology_file = os.path.join(os.path.dirname(os.path.abspath(path)),
                                               scenario.topology_file)

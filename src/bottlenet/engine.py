@@ -44,7 +44,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Sequence
+from itertools import islice
+from typing import Any, Iterator, Sequence
 
 from . import fsm
 from .config import ProtocolConfig, ScenarioConfig
@@ -154,10 +155,11 @@ class Trace:
     The JSONL form (``to_jsonl``, ``write``) holds one record per line: a
     compact JSON object (no spaces, ASCII only) with the keys ``at``,
     ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
-    always gives the same bytes. ``load_trace`` reads it back and rejects
-    anything other than exactly one such object per non-blank line, and
-    any record whose data lacks a field ``RECORD_FIELDS`` requires or, for
-    TopologyChanged, names an unknown op or a target that does not fit it.
+    always gives the same bytes. ``write`` and ``iter_trace``, which streams
+    it back, each hold one chunk of text at a time; ``iter_trace`` rejects
+    all but exactly one such object per non-blank line, and any record whose
+    data lacks a field ``RECORD_FIELDS`` requires or, for TopologyChanged,
+    names an unknown op or a target that does not fit it.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -169,44 +171,61 @@ class Trace:
     def records(self, kind: str) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.kind == kind]
 
+    def _jsonl_chunks(self) -> Iterator[str]:
+        for i in range(0, len(self.events), _CHUNK_LINES):
+            yield "".join([ev.to_json() + "\n" for ev in self.events[i:i + _CHUNK_LINES]])
+
     def to_jsonl(self) -> str:
-        return "".join([ev.to_json() + "\n" for ev in self.events])
+        return "".join(self._jsonl_chunks())
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(self._jsonl_chunks())
+
+
+# Lines per json.loads in iter_trace and records per piece Trace.write encodes:
+# most of the speed of one call per file, with one chunk of text in flight.
+_CHUNK_LINES = 2048
+
+
+def iter_trace(path: str) -> Iterator[TraceEvent]:
+    """The records of a JSONL trace written by ``Trace.write``, in order.
+
+    Each ``_CHUNK_LINES`` lines are decoded in one call, each non-blank line
+    wrapped in a list of its own: a record split over two lines leaves fewer
+    lists than lines, and a line holding two records a list of two. Only a
+    chunk that fails to decode or to conform is checked line by line, to
+    name its first bad line in a ``MalformedTrace`` (see ``_record_error``).
+    """
+    with open(path) as fh:
+        first = 1  # the number of the chunk's first line
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            texts = [line for line in map(str.strip, lines) if line]
+            try:
+                rows = json.loads("[[" + "],[".join(texts) + "]]" if texts else "[]")
+                events = [TraceEvent(rec["at"], rec["seq"], rec["node"],
+                                     rec["kind"], rec["data"]) for (rec,) in rows]
+                for ev in events:
+                    fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
+                    if (fields is None or not ev.data.keys() >= fields
+                            or fields is _FAULT_FIELDS and _fault_error(ev.data)):
+                        events = None
+                        break
+            except (ValueError, TypeError, KeyError, AttributeError):
+                events = None
+            if events is None or len(events) != len(texts):
+                for n, line in enumerate(map(str.strip, lines), first):
+                    error = line and _record_error(line)
+                    if error:
+                        raise MalformedTrace(f"{path}: line {n}: {error}")
+                raise MalformedTrace(f"{path}: not a JSONL trace")
+            yield from events
+            first += len(lines)
 
 
 def load_trace(path: str) -> Trace:
-    """Read a JSONL trace written by ``Trace.write``.
-
-    The non-blank lines are decoded in one call, each line wrapped in a
-    list of its own: a record split over two lines then leaves fewer lists
-    than lines, and a line holding two records a list of two. Only when
-    that decode fails, a record does not conform to ``RECORD_FIELDS``, or
-    a TopologyChanged record names no fault op or a target that does not
-    fit it, are the lines decoded one by one, to name the first bad one in
-    a ``MalformedTrace``.
-    """
-    doc, count = _one_document(path)
-    try:
-        rows = json.loads(doc)
-        if len(rows) == count:
-            events = [TraceEvent(rec["at"], rec["seq"], rec["node"],
-                                 rec["kind"], rec["data"])
-                      for (rec,) in rows]
-            required = RECORD_FIELDS.get
-            for ev in events:
-                fields = required((ev.kind, ev.data.get("msg")))
-                if fields is None or not ev.data.keys() >= fields:
-                    break
-                if fields is _FAULT_FIELDS and _fault_error(ev.data):
-                    break
-            else:
-                return Trace(events=events)
-    except (ValueError, TypeError, KeyError, AttributeError):
-        pass
-    raise _malformed(path)
+    """Every record of a JSONL trace file, collected from ``iter_trace``."""
+    return Trace(events=list(iter_trace(path)))
 
 
 _FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
@@ -225,50 +244,32 @@ def _fault_error(data: dict[str, Any]) -> str | None:
     return None
 
 
-def _one_document(path: str) -> tuple[str, int]:
-    """One JSON array holding each non-blank line of a file in an array of
-    its own, and the number of those lines. The lines are freed on return,
-    before the decode."""
-    with open(path) as fh:
-        lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
-    return ("[[" + "],[".join(lines) + "]]" if lines else "[]"), len(lines)
-
-
-def _malformed(path: str) -> MalformedTrace:
-    """The error for the first line of a file that is not one record."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                return MalformedTrace(f"{where}: not one JSON record: {exc}")
-            if not isinstance(rec, dict):
-                return MalformedTrace(f"{where}: expected a JSON object, "
-                                      f"got {type(rec).__name__}")
-            for key in ("at", "seq", "node", "kind", "data"):
-                if key not in rec:
-                    return MalformedTrace(f"{where}: missing field '{key}'")
-            kind, data = rec["kind"], rec["data"]
-            if not isinstance(data, dict):
-                return MalformedTrace(f"{where}: field 'data' is not an object")
-            fields = RECORD_FIELDS.get((kind, data.get("msg")))
-            if fields is None:
-                if any(k == kind for k, _ in RECORD_FIELDS):
-                    return MalformedTrace(f"{where}: kind {kind!r}: missing "
-                                          "or unknown field 'msg'")
-                return MalformedTrace(f"{where}: unknown kind {kind!r}")
-            missing = sorted(fields - data.keys())
-            if missing:
-                return MalformedTrace(f"{where}: kind {kind!r}: "
-                                      f"missing field '{missing[0]}'")
-            error = fields is _FAULT_FIELDS and _fault_error(data)
-            if error:
-                return MalformedTrace(f"{where}: kind {kind!r}: {error}")
-    return MalformedTrace(f"{path}: not a JSONL trace")
+def _record_error(line: str) -> str | None:
+    """What keeps a non-blank trace line from being one valid record, if anything."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        return f"not one JSON record: {exc}"
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got {type(rec).__name__}"
+    missing = [key for key in ("at", "seq", "node", "kind", "data") if key not in rec]
+    if missing:
+        return f"missing field '{missing[0]}'"
+    kind, data = rec["kind"], rec["data"]
+    if not isinstance(data, dict):
+        return "field 'data' is not an object"
+    # compared, not hashed: kind or msg may be a list
+    key = (kind, data.get("msg"))
+    fields = next((f for k, f in RECORD_FIELDS.items() if k == key), None)
+    if fields is None:
+        if any(k == kind for k, _ in RECORD_FIELDS):
+            return f"kind {kind!r}: missing or unknown field 'msg'"
+        return f"unknown kind {kind!r}"
+    missing = sorted(fields - data.keys())
+    if missing:
+        return f"kind {kind!r}: missing field '{missing[0]}'"
+    error = fields is _FAULT_FIELDS and _fault_error(data)
+    return f"kind {kind!r}: {error}" if error else None
 
 
 class Engine:

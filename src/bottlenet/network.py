@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any
 
 from .domain import NodeId, NodeState, is_node_id
 from .errors import ConfigError, UnknownEdge, UnknownNode
@@ -25,9 +26,9 @@ def edge_key(a: NodeId, b: NodeId) -> Edge:
 class Topology:
     """Nodes, undirected edges, and the nodes and edges currently down.
 
-    Pass edges to the constructor or add them with add_edge: both keep the
-    adjacency index in step with edges; writing to edges directly does not.
-    link_live and live_neighbors read the index, not edges.
+    An edge passed to the constructor or to add_edge adds its endpoints to
+    nodes, may not be a self-loop, and enters the adjacency index, which
+    link_live and live_neighbors read; one written to edges directly does not.
     """
 
     nodes: set[NodeId] = field(default_factory=set)
@@ -40,8 +41,11 @@ class Topology:
     def __post_init__(self) -> None:
         self._adj = {n: set() for n in self.nodes}
         for a, b in self.edges:
+            if a == b:
+                raise ConfigError(f"self-loop at node {a}")
             self._adj.setdefault(a, set()).add(b)
             self._adj.setdefault(b, set()).add(a)
+        self.nodes.update(self._adj)
 
     def add_edge(self, a: NodeId, b: NodeId) -> None:
         if a == b:
@@ -156,15 +160,18 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
     return t
 
 
-def load_topology(path: str) -> Topology:
+def load_json(path: str) -> Any:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return topology_from_dict(doc, source=path)
+
+
+def load_topology(path: str) -> Topology:
+    return topology_from_dict(load_json(path), source=path)
 
 
 def save_topology(t: Topology, path: str) -> None:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bottlenet import topogen
+from bottlenet import engine, topogen
 from bottlenet.cli import main
 from bottlenet.engine import load_trace
 from bottlenet.network import load_topology
@@ -167,6 +167,27 @@ class TestSummarize:
                      "--topology", generated_topology]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing field 'seq'" in err
+
+    def test_bad_line_in_the_last_chunk_of_a_streamed_trace(self, tmp_path, monkeypatch,
+                                                             generated_topology, capsys):
+        monkeypatch.setattr(engine, "_CHUNK_LINES", 4)
+        config = write_scenario(tmp_path, {
+            "seed": 11,
+            "topology": {"file": generated_topology},
+            "requests": [{"at": 1, "src": 0, "dest": 8}],
+        })
+        trace = tmp_path / "trace.jsonl"
+        main(["run", "--config", config, "--trace-out", str(trace)])
+        capsys.readouterr()
+        lines = trace.read_text().splitlines()
+        assert len(lines) > 3 * 4
+        trace.write_text("\n".join(lines + ['{"at":1}']) + "\n")
+        assert main(["summarize", "--trace", str(trace),
+                     "--topology", generated_topology]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"line {len(lines) + 1}: missing field 'seq'" in err
 
     def test_record_missing_a_data_field_is_a_clean_error(self, tmp_path, capsys):
         lines = (DATA / "golden_two_node.jsonl").read_text().splitlines()

@@ -1,5 +1,7 @@
+import gc
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from enum import IntEnum
 from pathlib import Path
@@ -15,8 +17,17 @@ from bottlenet.config import (
     ScenarioConfig,
     scenario_from_dict,
 )
+from bottlenet import engine
 from bottlenet.domain import Bottle, serialize_bottle
-from bottlenet.engine import Engine, EventKind, TraceEvent, load_trace, run
+from bottlenet.engine import (
+    Engine,
+    EventKind,
+    Trace,
+    TraceEvent,
+    iter_trace,
+    load_trace,
+    run,
+)
 from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.network import save_topology
 from bottlenet.topogen import generate_topology
@@ -532,3 +543,112 @@ class TestMalformedTrace:
         line = record_line(0).replace('{"src":0,"dest":2,"path":[0,1,2]}', "[]")
         with pytest.raises(MalformedTrace, match="field 'data' is not an object"):
             self.load(tmp_path, [line])
+
+    @pytest.mark.parametrize("kind, data, error", [
+        ('["Sent"]', "{}", r"unknown kind \['Sent'\]"),
+        ('{"k":1}', "{}", r"unknown kind \{'k': 1\}"),
+        ('"Sent"', '{"msg":["bottle"]}', "kind 'Sent': missing or unknown field 'msg'"),
+    ])
+    def test_unhashable_kind_or_msg(self, tmp_path, kind, data, error):
+        # a dict lookup on these raises TypeError; the line is named instead
+        line = '{"at":1,"seq":1,"node":0,"kind":%s,"data":%s}' % (kind, data)
+        with pytest.raises(MalformedTrace, match=f"line 2: {error}"):
+            self.load(tmp_path, [record_line(0), line])
+
+
+class TestChunkedTrace:
+    """iter_trace and load_trace decode a chunk of lines per call, and name
+    a bad line by its number in the file, whatever chunk it falls in."""
+
+    @pytest.fixture(autouse=True)
+    def three_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK_LINES", 3)
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "chunked.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    def records(self, count, start=0):
+        return [record_line(seq) for seq in range(start, start + count)]
+
+    def test_record_split_across_a_chunk_boundary(self, tmp_path):
+        path = self.write(tmp_path, self.records(2) + split_record("list")
+                          + self.records(2, start=3))
+        with pytest.raises(MalformedTrace, match=r"chunked\.jsonl: line 3: not one JSON"):
+            load_trace(path)
+
+    def test_bad_record_in_the_third_chunk_is_named_by_its_line(self, tmp_path):
+        bad = record_line(7).replace("RouteFound", "RouteLost")
+        path = self.write(tmp_path, self.records(7) + [bad] + self.records(3, start=8))
+        with pytest.raises(MalformedTrace, match="line 8: unknown kind 'RouteLost'"):
+            load_trace(path)
+        # the two chunks before it stream out before the error
+        stream = iter_trace(path)
+        assert [next(stream).seq for _ in range(6)] == list(range(6))
+        with pytest.raises(MalformedTrace, match="line 8:"):
+            list(stream)
+
+    def test_chunk_of_blank_lines_only(self, tmp_path):
+        path = self.write(tmp_path, self.records(3) + ["", " ", "\t"]
+                          + self.records(2, start=3) + [""])
+        assert [ev.seq for ev in load_trace(path).events] == list(range(5))
+        bad = self.write(tmp_path, self.records(3) + ["", "", ""] + ['{"at": 1}'])
+        with pytest.raises(MalformedTrace, match="line 7: missing field 'seq'"):
+            load_trace(bad)
+
+    def test_empty_file(self, tmp_path):
+        path = self.write(tmp_path, [])
+        assert load_trace(path).events == [] and list(iter_trace(path)) == []
+
+    def test_file_of_exactly_one_chunk(self, tmp_path):
+        path = self.write(tmp_path, self.records(3))
+        assert [ev.seq for ev in iter_trace(path)] == [0, 1, 2]
+
+    def test_round_trip_over_many_chunks(self, tmp_path):
+        trace = run(generic_scenario(tmp_path, 3, [RequestSpec(at=1, src=0, dest=8)])[1])
+        assert len(trace.events) > 3 * 3
+        path = tmp_path / "trace.jsonl"
+        trace.write(str(path))
+        assert path.read_text() == trace.to_jsonl()
+        assert trace.to_jsonl() == "".join(ev.to_json() + "\n" for ev in trace.events)
+        assert load_trace(str(path)).events == trace.events
+        assert list(iter_trace(str(path))) == trace.events
+
+
+def transient(step):
+    """The bytes tracemalloc saw in use while step ran, beyond those still in
+    use when it returned, and its result. For Trace.write, which returns
+    nothing, what is still in use is interpreter free lists (of key tuples
+    in TraceEvent.to_json), which grow with the records written up to a
+    fixed cap and would otherwise blur a peak that does not."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = step()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - now, out
+
+
+def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypatch):
+    """The memory load_trace and Trace.write use beyond what they leave
+    behind stays about one chunk's worth: a trace four times as long costs
+    under 1.5 times as much. Whole-file text would cost about 4 times."""
+    chunk = 128
+    monkeypatch.setattr(engine, "_CHUNK_LINES", chunk)
+    doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 30, "seed": 0}},
+           "random_requests": {"count": 40, "spacing": 10}}
+    events = run(scenario_from_dict(doc)).events
+    assert len(events) >= 16 * chunk
+    loads, writes = {}, {}
+    for chunks in (4, 16):
+        trace = Trace(events=events[:chunks * chunk])
+        path = tmp_path / f"{chunks}.jsonl"
+        trace.write(str(path))  # fills the format cache outside the measurement
+        writes[chunks], _ = transient(lambda: trace.write(str(path)))
+        loads[chunks], loaded = transient(lambda: load_trace(str(path)))
+        assert loaded.events == trace.events
+    assert loads[16] < 1.5 * loads[4], loads
+    assert writes[16] < 1.5 * writes[4], writes

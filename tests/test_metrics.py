@@ -1,11 +1,13 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
-from bottlenet.engine import load_trace, run
+from bottlenet import engine
+from bottlenet.engine import iter_trace, load_trace, run
 from bottlenet.errors import UnknownNode
 from bottlenet.metrics import (
     IncompleteTrace,
@@ -162,15 +164,17 @@ def test_format_summary_lists_every_field(tmp_path):
 @given(fault_scenarios())
 def test_trace_alone_gives_the_live_summary_and_tables(case):
     t, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
+    # seven-line chunks, so that most traces span several
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(engine, "_CHUNK_LINES", 7):
         topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
         save_topology(t, str(topo_path))
         trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
         trace.write(str(trace_path))
         pristine = load_topology(str(topo_path))
         replayed = summarize(load_trace(str(trace_path)), pristine)
+        streamed = summarize(iter_trace(str(trace_path)), pristine)
     live = summarize(trace)
-    assert live == replayed
+    assert live == replayed == streamed
     assert not pristine.down_nodes and not pristine.down_edges
     tables = final_tables(trace)
     assert {nid: rows for nid, rows in reconstruct_tables(trace).items() if rows} \

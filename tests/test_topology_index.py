@@ -1,10 +1,13 @@
 """The adjacency index behind Topology.live_neighbors and Topology.link_live,
 against a full edge scan."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bottlenet import network
+from bottlenet.errors import ConfigError
 from bottlenet.network import Topology, edge_key, topology_from_dict
+from bottlenet.oracle import distances_from
 
 
 def scan_link_live(t: Topology, a: int, b: int) -> bool:
@@ -71,3 +74,15 @@ def test_link_live_reads_faults_and_unknown_ids():
     network.restore_link(t, 0, 1)
     network.restore_node(t, 3)
     assert all(t.link_live(a, b) and t.link_live(b, a) for a, b in t.edges)
+
+
+def test_constructor_adds_missing_endpoints_as_add_edge_does():
+    t = Topology(nodes={0}, edges={(0, 1)})
+    assert t.nodes == {0, 1}
+    assert t.live_neighbors(1) == {0}
+    assert distances_from(t, 0) == {0: 0, 1: 1}  # was a raw KeyError: 1
+
+
+def test_constructor_rejects_a_self_loop():
+    with pytest.raises(ConfigError, match="self-loop at node 0"):
+        Topology(nodes={0}, edges={(0, 0)})
