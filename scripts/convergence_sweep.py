@@ -40,7 +40,7 @@ def main() -> None:
             sc = ScenarioConfig(seed=seed, topology_file=str(topo_path),
                                 random_requests=RandomRequests(count=args.requests))
             trace = run(sc)
-            spacing = (trace.cfg.retry_limit + 1) * trace.cfg.timeout + 2
+            spacing = trace.meta["spacing"]
             truth = oracle.Distances(t)  # one snapshot serves every query below
 
             for w in range(n_windows):

@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BottlenetError as exc:
+    except (BottlenetError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,9 +16,7 @@ from .errors import ConfigError
 from .network import FAULT_OPS, load_json
 from .topogen import KINDS
 
-DEFAULT_RETRY_LIMIT = 3
 DEFAULT_PER_HOP_LATENCY = 1
-DEFAULT_QUEUE_CAP = 16
 DEFAULT_HORIZON = 10_000
 
 # smallest value each ProtocolConfig field accepts
@@ -36,8 +34,8 @@ class ProtocolConfig:
 
     hop_limit: int
     timeout: int
-    retry_limit: int = DEFAULT_RETRY_LIMIT
-    queue_cap: int = DEFAULT_QUEUE_CAP
+    retry_limit: int = 3
+    queue_cap: int = 16
     per_hop_latency: int = DEFAULT_PER_HOP_LATENCY
     beacon_period: int = DEFAULT_PER_HOP_LATENCY
 
@@ -50,16 +48,9 @@ class ProtocolConfig:
     def defaults_for(cls, n_nodes: int, **overrides: int) -> "ProtocolConfig":
         latency = overrides.get("per_hop_latency", DEFAULT_PER_HOP_LATENCY)
         hop_limit = overrides.get("hop_limit", 4 * n_nodes)
-        params = {
-            "hop_limit": hop_limit,
-            "timeout": 2 * hop_limit * latency,
-            "retry_limit": DEFAULT_RETRY_LIMIT,
-            "queue_cap": DEFAULT_QUEUE_CAP,
-            "per_hop_latency": latency,
-            "beacon_period": latency,
-        }
-        params.update(overrides)
-        return cls(**params)
+        params = {"hop_limit": hop_limit, "timeout": 2 * hop_limit * latency,
+                  "beacon_period": latency}
+        return cls(**(params | overrides))
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class RequestSpec:
     at: int
     src: int
     dest: int
-    payload_len: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,9 +70,8 @@ class RandomRequests:
 @dataclass(frozen=True)
 class FaultSpec:
     at: int
-    op: str              # fail_node | restore_node | fail_link | restore_link
-    node: int | None = None
-    link: tuple[int, int] | None = None
+    op: str                 # one of network.FAULT_OPS
+    target: tuple[int, ...]  # (node,) for a node op, (a, b) for a link op
 
 
 @dataclass
@@ -98,6 +87,12 @@ class ScenarioConfig:
 
     def protocol_for(self, n_nodes: int) -> ProtocolConfig:
         return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
+
+    def check(self, source: str = "<scenario>") -> None:
+        """The load-time checks of the topology and protocol fields, for a
+        scenario built in code: a ConfigError names the first bad field."""
+        _check_topology(self.topology_file, self.generator, source)
+        _check_protocol(self.protocol, source)
 
 
 def _require(doc: dict, key: str, source: str) -> Any:
@@ -134,38 +129,30 @@ def _list_field(doc: dict, key: str, source: str) -> list | tuple:
     return value
 
 
-def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: expected a JSON object")
-    seed = _int_field(doc, "seed", source)
-
-    topo = _require(doc, "topology", source)
-    topology_file = None
-    generator = None
-    if isinstance(topo, dict) and "file" in topo:
-        topology_file = topo["file"]
+def _check_topology(topology_file: Any, generator: Any, source: str) -> None:
+    """A file path, or else a generator spec."""
+    if topology_file is not None:
         if not isinstance(topology_file, str):
             raise ConfigError(f"{source}: field 'topology.file': expected a path, "
                               f"got {topology_file!r}")
-    elif isinstance(topo, dict) and "generator" in topo:
-        gen = topo["generator"]
-        where = f"{source}: field 'topology.generator'"
-        if not isinstance(gen, dict):
-            raise ConfigError(f"{where}: expected an object")
-        for key in ("kind", "nodes", "seed"):
-            if key not in gen:
-                raise ConfigError(f"{source}: field 'topology.generator.{key}' is required")
-        if gen["kind"] not in KINDS:
-            raise ConfigError(f"{where}: field 'kind': unknown kind {gen['kind']!r}; "
-                              f"expected one of {KINDS}")
-        # node ids are uint16
-        _int_field(gen, "nodes", where, minimum=2, maximum=MAX_NODE_ID + 1)
-        _int_field(gen, "seed", where, minimum=None)
-        generator = gen
-    else:
+        return
+    if generator is None:
         raise ConfigError(f"{source}: field 'topology': need 'file' or 'generator'")
+    where = f"{source}: field 'topology.generator'"
+    if not isinstance(generator, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in ("kind", "nodes", "seed"):
+        if key not in generator:
+            raise ConfigError(f"{source}: field 'topology.generator.{key}' is required")
+    if generator["kind"] not in KINDS:
+        raise ConfigError(f"{where}: field 'kind': unknown kind {generator['kind']!r}; "
+                          f"expected one of {KINDS}")
+    # node ids are uint16
+    _int_field(generator, "nodes", where, minimum=2, maximum=MAX_NODE_ID + 1)
+    _int_field(generator, "seed", where, minimum=None)
 
-    protocol = doc.get("protocol", {})
+
+def _check_protocol(protocol: Any, source: str) -> None:
     if not isinstance(protocol, dict):
         raise ConfigError(f"{source}: field 'protocol': expected an object")
     for key in protocol:
@@ -173,6 +160,22 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             raise ConfigError(f"{source}: field 'protocol.{key}': unknown parameter")
         _int_field(protocol, key, f"{source}: field 'protocol'",
                    minimum=_PROTOCOL_MINIMUMS[key])
+
+
+def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: expected a JSON object")
+    seed = _int_field(doc, "seed", source)
+
+    topo = _require(doc, "topology", source)
+    if not isinstance(topo, dict):
+        topo = {}
+    topology_file = topo.get("file")
+    generator = None if "file" in topo else topo.get("generator")
+    _check_topology(topology_file, generator, source)
+
+    protocol = doc.get("protocol", {})
+    _check_protocol(protocol, source)
 
     requests = []
     for i, req in enumerate(_list_field(doc, "requests", source)):
@@ -183,7 +186,6 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             at=_int_field(req, "at", where),
             src=_int_field(req, "src", where),
             dest=_int_field(req, "dest", where),
-            payload_len=_int_field(req, "payload_len", where, default=0),
         )
         if spec.src == spec.dest:
             raise ConfigError(f"{where}: src and dest are both node {spec.src}; "
@@ -212,13 +214,14 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
             raise ConfigError(f"{where}: field 'op': unknown operation {op!r}")
         at = _int_field(fault, "at", where)
         if op.endswith("_node"):
-            faults.append(FaultSpec(at=at, op=op, node=_int_field(fault, "node", where)))
+            target = (_int_field(fault, "node", where, maximum=MAX_NODE_ID),)
         else:
             link = _require(fault, "link", where)
             if (not isinstance(link, (list, tuple)) or len(link) != 2
                     or not all(is_node_id(x) for x in link)):
                 raise ConfigError(f"{where}: field 'link': expected [a, b]")
-            faults.append(FaultSpec(at=at, op=op, link=(link[0], link[1])))
+            target = tuple(link)
+        faults.append(FaultSpec(at=at, op=op, target=target))
 
     horizon = doc.get("horizon")
     if horizon is not None:

@@ -87,7 +87,7 @@ RoutingTable = dict[NodeId, RouteEntry]
 
 @dataclass
 class DataPacket:
-    """Application payload stand-in; only sizes and endpoints matter.
+    """Application payload stand-in; only its endpoints and path matter.
 
     ``path`` accumulates the nodes the packet actually traversed so a
     forwarding failure can be reported back along the recorded route.
@@ -95,7 +95,6 @@ class DataPacket:
 
     src: NodeId
     dest: NodeId
-    payload_len: int = 0
     path: list[NodeId] = field(default_factory=list)
 
 

@@ -48,7 +48,7 @@ from itertools import islice
 from typing import Any, Iterator, Sequence
 
 from . import fsm
-from .config import ProtocolConfig, ScenarioConfig
+from .config import DEFAULT_HORIZON, ProtocolConfig, ScenarioConfig
 from .domain import (
     Bottle,
     BottleId,
@@ -57,8 +57,8 @@ from .domain import (
     serialize_bottle,  # the wire format; bound here for perfbench/tracer.py
     wire_size,
 )
-from .errors import ConfigError, MalformedTrace
-from .network import FAULT_OPS, Topology, edge_key, hello_tick, load_topology
+from .errors import BottlenetError, ConfigError, MalformedTrace
+from .network import Topology, fault_error, hello_tick, load_topology
 
 
 class EventKind(Enum):
@@ -208,7 +208,8 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
                 for ev in events:
                     fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
                     if (fields is None or not ev.data.keys() >= fields
-                            or fields is _FAULT_FIELDS and _fault_error(ev.data)):
+                            or fields is _FAULT_FIELDS
+                            and fault_error(ev.data["op"], ev.data["target"])):
                         events = None
                         break
             except (ValueError, TypeError, KeyError, AttributeError):
@@ -229,19 +230,6 @@ def load_trace(path: str) -> Trace:
 
 
 _FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
-
-
-def _fault_error(data: dict[str, Any]) -> str | None:
-    """What is wrong with a TopologyChanged record's op and target, if
-    anything: the op must be a FAULT_OPS key, and the target a node for a
-    node op, two nodes for a link op."""
-    op, target = data["op"], data["target"]
-    if not isinstance(op, str) or op not in FAULT_OPS:
-        return f"unknown op {op!r}"
-    arity = 1 if op.endswith("_node") else 2
-    if not isinstance(target, list) or len(target) != arity:
-        return f"op {op!r} needs a target of {arity} node(s), got {target!r}"
-    return None
 
 
 def _record_error(line: str) -> str | None:
@@ -268,7 +256,7 @@ def _record_error(line: str) -> str | None:
     missing = sorted(fields - data.keys())
     if missing:
         return f"kind {kind!r}: missing field '{missing[0]}'"
-    error = fields is _FAULT_FIELDS and _fault_error(data)
+    error = fields is _FAULT_FIELDS and fault_error(data["op"], data["target"])
     return f"kind {kind!r}: {error}" if error else None
 
 
@@ -360,10 +348,10 @@ class Engine:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_app_request(self, src: int, dest: int, payload_len: int) -> None:
+    def _on_app_request(self, src: int, dest: int) -> None:
         if src in self.topology.down_nodes:
             return
-        pkt = DataPacket(src=src, dest=dest, payload_len=payload_len, path=[src])
+        pkt = DataPacket(src=src, dest=dest, path=[src])
         self.nodes[src].pkt_queue.append(pkt)
         self._drain(src)
 
@@ -426,10 +414,10 @@ class Engine:
         self._apply(nid, fsm.purge_routes(node, lost, "neighbor_lost"))
 
     def _on_fault(self, op: str, target: tuple) -> None:
-        # run() has checked every target against the topology
+        # run() has checked every fault against the topology
         self._record(target[0], "TopologyChanged",
                      {"op": op, "target": list(target)})
-        FAULT_OPS[op](self.topology, *target)
+        touched = self.topology.apply_fault(op, target)
         if op == "restore_node":
             # A request timer that fired while the node was down did
             # nothing; fire it again now, so that no request stays open.
@@ -437,11 +425,6 @@ class Engine:
             for btl_id, req in self.nodes[nid].pending.items():
                 if req.deadline <= self.now:
                     self.schedule(self.now, EventKind.TIMER_FIRE, (nid, btl_id))
-        # the nodes whose live neighbour set the fault may have changed
-        if op.endswith("_link"):
-            touched = target
-        else:
-            touched = (target[0], *self.topology._adj[target[0]])
         for nid in touched:
             self._refresh_at_next_beacon(nid)
 
@@ -535,10 +518,12 @@ def _resolve_topology(scenario: ScenarioConfig) -> Topology:
 
 
 def request_schedule(scenario: ScenarioConfig, topology: Topology,
-                     cfg: ProtocolConfig) -> list[tuple[int, int, int, int]]:
-    """All (at, src, dest, payload_len) requests, explicit then random."""
-    out = [(r.at, r.src, r.dest, r.payload_len) for r in scenario.requests]
+                     cfg: ProtocolConfig) -> tuple[list[tuple[int, int, int]], int | None]:
+    """All (at, src, dest) requests, explicit then random, and the spacing
+    of the random ones (None when there are none)."""
+    out = [(r.at, r.src, r.dest) for r in scenario.requests]
     rr = scenario.random_requests
+    spacing = None
     if rr is not None:
         rng = random.Random(f"{scenario.seed}:requests")
         pool = sorted(topology.nodes)
@@ -549,42 +534,42 @@ def request_schedule(scenario: ScenarioConfig, topology: Topology,
             spacing = (cfg.retry_limit + 1) * cfg.timeout + 2
         for i in range(rr.count):
             src, dest = rng.sample(pool, 2)
-            out.append((rr.first_at + i * spacing, src, dest, 0))
-    for at, src, dest, _ in out:
+            out.append((rr.first_at + i * spacing, src, dest))
+    for at, src, dest in out:
         if src not in topology.nodes:
             raise ConfigError(f"request at t={at}: unknown src node {src}")
         if dest not in topology.nodes:
             raise ConfigError(f"request at t={at}: unknown dest node {dest}")
         if src == dest:
             raise ConfigError(f"request at t={at}: src and dest are both node {src}")
-    return out
+    return out, spacing
 
 
 def run(scenario: ScenarioConfig) -> Trace:
     """Execute one scenario to completion and return its full trace."""
+    scenario.check()
     topology = _resolve_topology(scenario)
     cfg = scenario.protocol_for(len(topology.nodes))
-    requests = request_schedule(scenario, topology, cfg)
+    requests, spacing = request_schedule(scenario, topology, cfg)
 
     horizon = scenario.horizon
     if horizon is None:
         last_request = max((at for at, *_ in requests), default=0)
         settle = (cfg.retry_limit + 2) * cfg.timeout
-        horizon = max(10_000, last_request + settle)
+        horizon = max(DEFAULT_HORIZON, last_request + settle)
 
     engine = Engine(topology, cfg, scenario.seed, horizon)
 
-    for at, src, dest, payload_len in requests:
-        engine.schedule(at, EventKind.APP_REQUEST, (src, dest, payload_len))
+    for at, src, dest in requests:
+        engine.schedule(at, EventKind.APP_REQUEST, (src, dest))
+    # faults change only what is down, so one copy checks them all
+    probe = Topology(set(topology.nodes), set(topology.edges))
     for i, fault in enumerate(scenario.faults):
-        if fault.node is not None:
-            target, known = (fault.node,), fault.node in topology.nodes
-        else:
-            target, known = fault.link, edge_key(*fault.link) in topology.edges
-        if not known:
-            raise ConfigError(f"field 'faults[{i}]': {fault.op} target "
-                              f"{list(target)} not in topology")
-        engine.schedule(fault.at, EventKind.FAULT_INJECTION, (fault.op, target))
+        try:
+            probe.apply_fault(fault.op, fault.target)
+        except BottlenetError as exc:
+            raise ConfigError(f"field 'faults[{i}]': {exc}") from exc
+        engine.schedule(fault.at, EventKind.FAULT_INJECTION, (fault.op, fault.target))
 
     engine.run()
 
@@ -593,6 +578,7 @@ def run(scenario: ScenarioConfig) -> Trace:
         meta={
             "seed": scenario.seed,
             "horizon": horizon,
+            "spacing": spacing,
             "bottle_bytes_sent": engine.bottle_bytes_sent,
             "events_processed": engine.events_processed,
             "trace_records": len(engine.trace),

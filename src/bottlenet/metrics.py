@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 from .domain import BottleId
 from .engine import Trace, TraceEvent
 from .errors import BottlenetError, UnknownNode
-from .network import FAULT_OPS, Topology
+from .network import Topology
 from .oracle import Distances
 from .oracle import bfs_distance  # not called here; bound for perfbench/tracer.py
 
@@ -118,7 +118,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                     ep.outcome = "inaccessible"
                 done.append(ep)
         elif kind == "TopologyChanged" and topo is not None:
-            FAULT_OPS[data["op"]](topo, *data["target"])
+            topo.apply_fault(data["op"], data["target"])
 
     done.extend(open_eps.values())
     done.sort(key=lambda ep: ep.start_at)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .domain import NodeId, NodeState, is_node_id
-from .errors import ConfigError, UnknownEdge, UnknownNode
+from .errors import ConfigError, PreconditionViolation, UnknownEdge, UnknownNode
 
 Edge = tuple[NodeId, NodeId]
 
@@ -76,6 +76,27 @@ class Topology:
         return {m for m in self._adj.get(n, ())
                 if m not in self.down_nodes and edge_key(n, m) not in self.down_edges}
 
+    def apply_fault(self, op: str, target: Sequence[NodeId]) -> tuple[NodeId, ...]:
+        """Fail or restore the node or link that target names (see
+        fault_error) and return the nodes whose live neighbour set this may
+        have changed: the link's two ends, or the node and every node it
+        shares an edge with."""
+        error = fault_error(op, target)
+        if error:
+            raise PreconditionViolation(error)
+        if op.endswith("_node"):
+            key = target[0]
+            if key not in self.nodes:
+                raise UnknownNode(f"node {key} not in topology")
+            down, touched = self.down_nodes, (key, *self._adj.get(key, ()))
+        else:
+            key = edge_key(*target)
+            if key not in self.edges:
+                raise UnknownEdge(f"edge {key} not in topology")
+            down, touched = self.down_edges, tuple(target)
+        (down.add if op.startswith("fail_") else down.discard)(key)
+        return touched
+
 
 def hello_tick(t: Topology, node: NodeState) -> set[NodeId]:
     """Refresh a node's neighbor view from the live topology and return the
@@ -92,39 +113,21 @@ def hello_tick(t: Topology, node: NodeState) -> set[NodeId]:
     return vanished
 
 
-def fail_node(t: Topology, n: NodeId) -> Topology:
-    if n not in t.nodes:
-        raise UnknownNode(f"node {n} not in topology")
-    t.down_nodes.add(n)
-    return t
+# the fault ops; a node op targets one node, a link op the two ends of an edge
+FAULT_OPS = ("fail_node", "restore_node", "fail_link", "restore_link")
 
 
-def restore_node(t: Topology, n: NodeId) -> Topology:
-    if n not in t.nodes:
-        raise UnknownNode(f"node {n} not in topology")
-    t.down_nodes.discard(n)
-    return t
-
-
-def fail_link(t: Topology, a: NodeId, b: NodeId) -> Topology:
-    key = edge_key(a, b)
-    if key not in t.edges:
-        raise UnknownEdge(f"edge {key} not in topology")
-    t.down_edges.add(key)
-    return t
-
-
-def restore_link(t: Topology, a: NodeId, b: NodeId) -> Topology:
-    key = edge_key(a, b)
-    if key not in t.edges:
-        raise UnknownEdge(f"edge {key} not in topology")
-    t.down_edges.discard(key)
-    return t
-
-
-# fault op -> the function applying it, called as FAULT_OPS[op](t, *target)
-FAULT_OPS = {"fail_node": fail_node, "restore_node": restore_node,
-             "fail_link": fail_link, "restore_link": restore_link}
+def fault_error(op: Any, target: Any) -> str | None:
+    """What is wrong with a fault's op and target, if anything: the op must
+    be one of FAULT_OPS, and the target one node id for a node op, two for
+    a link op."""
+    if not isinstance(op, str) or op not in FAULT_OPS:
+        return f"unknown op {op!r}"
+    arity = 1 if op.endswith("_node") else 2
+    if (not isinstance(target, (list, tuple)) or len(target) != arity
+            or not all(map(is_node_id, target))):
+        return f"op {op!r} needs a target of {arity} node(s), got {target!r}"
+    return None
 
 
 def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:

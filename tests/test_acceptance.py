@@ -210,8 +210,7 @@ def test_criterion_5_convergence(tmp_path):
         sc = ScenarioConfig(seed=seed, topology_file=str(topo_path),
                             random_requests=RandomRequests(count=50))
         trace = run(sc)
-        cfg = trace.cfg
-        spacing = (cfg.retry_limit + 1) * cfg.timeout + 2
+        spacing = trace.meta["spacing"]
         cutoff10 = 1 + 10 * spacing - 1
         opt10s.append(table_optimality(reconstruct_tables(trace, up_to=cutoff10), t))
         opt50s.append(table_optimality(reconstruct_tables(trace), t))
@@ -271,9 +270,9 @@ def test_criterion_7_failure_handling(tmp_path):
     save_topology(t, str(topo_path))
     sc = ScenarioConfig(seed=0, topology_file=str(topo_path),
                         protocol={"beacon_period": 50},
-                        requests=[RequestSpec(at=1, src=0, dest=5, payload_len=10),
-                                  RequestSpec(at=102, src=0, dest=5, payload_len=10)],
-                        faults=[FaultSpec(at=102, op="fail_node", node=2)],
+                        requests=[RequestSpec(at=1, src=0, dest=5),
+                                  RequestSpec(at=102, src=0, dest=5)],
+                        faults=[FaultSpec(at=102, op="fail_node", target=(2,))],
                         horizon=3000)
     trace = run(sc)
 

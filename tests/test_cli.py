@@ -18,6 +18,17 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def assert_file_error(capsys, argv, path):
+    """main(argv) exits 1 with one error line naming path and prints nothing
+    on stdout."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def generated_topology(tmp_path):
     out = tmp_path / "topo.json"
@@ -50,6 +61,11 @@ class TestGen:
                      "--seed", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_out_into_a_missing_directory_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "topo.json"
+        assert_file_error(capsys, ["gen", "--kind", "generic", "--nodes", "15",
+                                   "--seed", "0", "--out", str(out)], out)
 
 
 class TestRun:
@@ -140,6 +156,17 @@ class TestRun:
         })
         assert main(["run", "--config", config]) == 2
 
+    def test_trace_out_into_a_missing_directory_is_a_clean_error(self, tmp_path, capsys,
+                                                                 generated_topology):
+        config = write_scenario(tmp_path, {
+            "seed": 11,
+            "topology": {"file": generated_topology},
+            "requests": [{"at": 1, "src": 0, "dest": 8}],
+        })
+        trace_out = tmp_path / "missing" / "trace.jsonl"
+        assert_file_error(capsys, ["run", "--config", config,
+                                   "--trace-out", str(trace_out)], trace_out)
+
 
 class TestSummarize:
     def test_recomputes_from_files(self, tmp_path, generated_topology, capsys):
@@ -167,6 +194,12 @@ class TestSummarize:
                      "--topology", generated_topology]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing field 'seq'" in err
+
+    def test_missing_trace_file_is_a_clean_error(self, tmp_path, generated_topology,
+                                                 capsys):
+        trace = tmp_path / "missing.jsonl"
+        assert_file_error(capsys, ["summarize", "--trace", str(trace),
+                                   "--topology", generated_topology], trace)
 
     def test_bad_line_in_the_last_chunk_of_a_streamed_trace(self, tmp_path, monkeypatch,
                                                              generated_topology, capsys):

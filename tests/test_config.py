@@ -74,6 +74,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="link"):
             scenario_from_dict(doc)
 
+    def test_fault_node_beyond_id_range_named(self):
+        doc = self.base() | {"faults": [{"at": 1, "op": "fail_node", "node": 70000}]}
+        with pytest.raises(ConfigError, match=r"faults\[0\].*'node'"):
+            scenario_from_dict(doc)
+
     def test_fault_link_boolean_rejected(self):
         doc = self.base() | {"faults": [{"at": 1, "op": "fail_link", "link": [True, 2]}]}
         with pytest.raises(ConfigError, match=r"faults\[0\].*'link'"):
@@ -100,11 +105,6 @@ class TestScenarioParsing:
     def test_protocol_boolean_rejected(self):
         doc = self.base() | {"protocol": {"retry_limit": True}}
         with pytest.raises(ConfigError, match="retry_limit"):
-            scenario_from_dict(doc)
-
-    def test_payload_len_checked(self):
-        doc = self.base() | {"requests": [{"at": 1, "src": 0, "dest": 1, "payload_len": "x"}]}
-        with pytest.raises(ConfigError, match=r"requests\[0\].*'payload_len'"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("spacing", ["5", 0])

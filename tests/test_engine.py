@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bottlenet.config import (
     FaultSpec,
     ProtocolConfig,
+    RandomRequests,
     RequestSpec,
     ScenarioConfig,
     scenario_from_dict,
@@ -29,9 +30,13 @@ from bottlenet.engine import (
     run,
 )
 from bottlenet.errors import ConfigError, MalformedTrace
-from bottlenet.network import save_topology
+from bottlenet.domain import MAX_NODE_ID
+from bottlenet.network import FAULT_OPS, save_topology
 from bottlenet.topogen import generate_topology
 from conftest import fault_scenarios, make_topology
+
+
+GENERIC10 = {"kind": "generic", "nodes": 10, "seed": 0}
 
 
 def two_node_scenario(tmp_path, seed=7):
@@ -39,7 +44,7 @@ def two_node_scenario(tmp_path, seed=7):
     topo_path = tmp_path / "two.json"
     save_topology(t, str(topo_path))
     return ScenarioConfig(seed=seed, topology_file=str(topo_path),
-                          requests=[RequestSpec(at=1, src=0, dest=1, payload_len=64)])
+                          requests=[RequestSpec(at=1, src=0, dest=1)])
 
 
 def generic_scenario(tmp_path, seed, requests, faults=(), protocol=None, horizon=None):
@@ -56,7 +61,7 @@ class TestScheduling:
         eng = Engine(make_topology((0, 1)), ProtocolConfig(8, 16), seed=0, horizon=10)
         eng.now = 5
         with pytest.raises(ConfigError):
-            eng.schedule(3, EventKind.APP_REQUEST, (0, 1, 0))
+            eng.schedule(3, EventKind.APP_REQUEST, (0, 1))
 
     def test_equal_time_events_keep_insertion_order(self, tmp_path):
         t = make_topology((0, 1), (1, 2))
@@ -125,19 +130,76 @@ class TestRun:
             run(sc)
 
     @pytest.mark.parametrize("fault", [
-        FaultSpec(at=5, op="fail_node", node=9),
-        FaultSpec(at=500, op="restore_node", node=9),
-        FaultSpec(at=5, op="fail_link", link=(0, 2)),
-        FaultSpec(at=500, op="restore_link", link=(1, 9)),
+        FaultSpec(at=5, op="fail_node", target=(9,)),
+        FaultSpec(at=500, op="restore_node", target=(9,)),
+        FaultSpec(at=5, op="fail_link", target=(0, 2)),
+        FaultSpec(at=500, op="restore_link", target=(1, 9)),
     ])
     def test_unknown_fault_target_rejected_before_running(self, tmp_path, fault):
         t = make_topology((0, 1), (1, 2))
         topo_path = tmp_path / "p3.json"
         save_topology(t, str(topo_path))
         sc = ScenarioConfig(seed=1, topology_file=str(topo_path), horizon=100,
-                            faults=[FaultSpec(at=1, op="fail_link", link=(1, 0)), fault])
+                            faults=[FaultSpec(at=1, op="fail_link", target=(1, 0)), fault])
         with pytest.raises(ConfigError, match=r"faults\[1\]"):
             run(sc)
+
+    @pytest.mark.parametrize("fault, error", [
+        (FaultSpec(at=5, op="explode", target=(1,)), "unknown op 'explode'"),
+        (FaultSpec(at=5, op="fail_link", target=(1,)), "op 'fail_link' needs a target of 2"),
+        (FaultSpec(at=5, op="fail_node", target=(0, 1)), "op 'fail_node' needs a target of 1"),
+    ])
+    def test_bad_fault_op_or_target_rejected_before_running(self, fault, error):
+        sc = ScenarioConfig(seed=1, generator=GENERIC10, faults=[fault], horizon=100)
+        with pytest.raises(ConfigError, match=rf"faults\[0\]': {error}"):
+            run(sc)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({}, r"'topology'"),
+        ({"generator": {"kind": "generic", "nodes": 10}}, r"'topology\.generator\.seed'"),
+        ({"generator": GENERIC10, "protocol": {"warp_speed": 9}}, r"'protocol\.warp_speed'"),
+    ])
+    def test_code_built_scenario_checked_before_running(self, fields, named):
+        with pytest.raises(ConfigError, match=named):
+            run(ScenarioConfig(seed=1, requests=[RequestSpec(at=1, src=0, dest=1)],
+                               **fields))
+
+    def test_meta_states_the_spacing_of_random_requests(self):
+        rr = RandomRequests(count=3, spacing=7)
+        trace = run(ScenarioConfig(seed=1, generator=GENERIC10, random_requests=rr))
+        assert trace.meta["spacing"] == 7
+        trace = run(ScenarioConfig(seed=1, generator=GENERIC10,
+                                   requests=[RequestSpec(at=1, src=0, dest=1)]))
+        assert trace.meta["spacing"] is None
+
+
+GENERIC6 = {"kind": "generic", "nodes": 6, "seed": 0}
+G6 = generate_topology(*GENERIC6.values())
+FAULT_AT = st.integers(0, 60)
+# a well-formed fault on the GENERIC6 graph, or any op string with 0-3 ids in
+# and out of that graph, one past the uint16 range among them
+FAULT_SPECS = st.one_of(
+    st.builds(FaultSpec, at=FAULT_AT, op=st.sampled_from(["fail_node", "restore_node"]),
+              target=st.sampled_from([(n,) for n in sorted(G6.nodes)])),
+    st.builds(FaultSpec, at=FAULT_AT, op=st.sampled_from(["fail_link", "restore_link"]),
+              target=st.sampled_from(sorted(G6.edges))),
+    st.builds(FaultSpec, at=FAULT_AT,
+              op=st.one_of(st.sampled_from(FAULT_OPS), st.text(max_size=12)),
+              target=st.lists(st.one_of(st.integers(-1, 7), st.just(MAX_NODE_ID + 1)),
+                              max_size=3).map(tuple)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FAULT_SPECS, max_size=4))
+def test_code_built_faults_are_rejected_or_run(faults):
+    sc = ScenarioConfig(seed=3, generator=GENERIC6,
+                        random_requests=RandomRequests(count=2, spacing=20),
+                        faults=faults, horizon=100)
+    try:
+        trace = run(sc)
+    except ConfigError:
+        return
+    assert len(trace.records("TopologyChanged")) == len(faults)
 
 
 def copying_send_bottle(self, frm, bottle, to):
@@ -318,7 +380,7 @@ class TestFaultHandling:
         # Node 1 dies in the same tick the bottle is in flight.
         sc = ScenarioConfig(seed=1, topology_file=str(topo_path),
                             requests=[RequestSpec(at=1, src=0, dest=1)],
-                            faults=[FaultSpec(at=2, op="fail_node", node=1)],
+                            faults=[FaultSpec(at=2, op="fail_node", target=(1,))],
                             horizon=2000)
         trace = run(sc)
         assert trace.records("RouteFound") == []
@@ -351,8 +413,8 @@ class TestFaultHandling:
         sc = ScenarioConfig(seed=1, topology_file=str(topo_path),
                             protocol={"beacon_period": 5},
                             requests=[RequestSpec(at=50, src=0, dest=1)],
-                            faults=[FaultSpec(at=1, op="fail_link", link=(0, 1)),
-                                    FaultSpec(at=60, op="restore_link", link=(0, 1))],
+                            faults=[FaultSpec(at=1, op="fail_link", target=(0, 1)),
+                                    FaultSpec(at=60, op="restore_link", target=(0, 1))],
                             horizon=2000)
         trace = run(sc)
         assert trace.records("RouteFound")
@@ -390,7 +452,7 @@ class TestNeighborRefresh:
                                                                  refreshes):
         t = make_topology((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4))
         sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
-                           faults=[FaultSpec(at=8, op="fail_link", link=(4, 1))],
+                           faults=[FaultSpec(at=8, op="fail_link", target=(4, 1))],
                            horizon=50)
         trace = run(sc)
         # node 4 is in phase 0 (the fault's own instant), node 1 in phase 1
@@ -401,9 +463,9 @@ class TestNeighborRefresh:
         t = make_topology((0, 1), (1, 2), (2, 3))
         sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
                            requests=[RequestSpec(at=1, src=3, dest=0)],
-                           faults=[FaultSpec(at=20, op="fail_node", node=2),
-                                   FaultSpec(at=21, op="fail_link", link=(1, 2)),
-                                   FaultSpec(at=31, op="restore_node", node=2)],
+                           faults=[FaultSpec(at=20, op="fail_node", target=(2,)),
+                                   FaultSpec(at=21, op="fail_link", target=(1, 2)),
+                                   FaultSpec(at=31, op="restore_node", target=(2,))],
                            horizon=60)
         trace = run(sc)
         node2 = [(at, down, rtab) for at, nid, down, rtab in refreshes if nid == 2]
@@ -416,8 +478,8 @@ class TestNeighborRefresh:
         t = make_topology((0, 1), (1, 2), (2, 3))
         sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 4},
                            requests=[RequestSpec(at=1, src=3, dest=0)],
-                           faults=[FaultSpec(at=20, op="fail_link", link=(2, 1)),
-                                   FaultSpec(at=25, op="fail_node", node=3)],
+                           faults=[FaultSpec(at=20, op="fail_link", target=(2, 1)),
+                                   FaultSpec(at=25, op="fail_node", target=(3,))],
                            horizon=60)
         trace = run(sc)
         assert [(ev.at, ev.node, ev.data) for ev in trace.records("TopologyChanged")] == [
@@ -437,7 +499,7 @@ class TestNeighborRefresh:
         t = make_topology((0, 1), (0, 2))
         sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": 5},
                            requests=[RequestSpec(at=1, src=1, dest=2)],
-                           faults=[FaultSpec(at=0, op="fail_link", link=(0, 1))],
+                           faults=[FaultSpec(at=0, op="fail_link", target=(0, 1))],
                            horizon=50)
         trace = run(sc)
         first = next(ev for ev in trace.events if ev.kind != "TopologyChanged")
@@ -532,6 +594,7 @@ class TestMalformedTrace:
         ('{"op":"fail_link","target":[1]}', "op 'fail_link' needs a target of 2"),
         ('{"op":"restore_node","target":[1,2]}', "op 'restore_node' needs a target of 1"),
         ('{"op":"fail_node","target":1}', "op 'fail_node' needs a target of 1"),
+        ('{"op":"fail_node","target":["a"]}', "op 'fail_node' needs a target of 1"),
     ])
     def test_bad_topology_change(self, tmp_path, data, error):
         line = '{"at":5,"seq":1,"node":1,"kind":"TopologyChanged","data":%s}' % data

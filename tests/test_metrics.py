@@ -112,9 +112,9 @@ class TestTables:
     def test_reconstruction_matches_final_state(self, tmp_path):
         t = generate_topology("generic", 15, 0)
         # node 14 and link 6-12 lie on the first route found
-        faults = [FaultSpec(at=30, op="fail_node", node=14),
-                  FaultSpec(at=250, op="fail_link", link=(6, 12)),
-                  FaultSpec(at=400, op="restore_node", node=14)]
+        faults = [FaultSpec(at=30, op="fail_node", target=(14,)),
+                  FaultSpec(at=250, op="fail_link", target=(6, 12)),
+                  FaultSpec(at=400, op="restore_node", target=(14,))]
         for scenario_faults in ([], faults):
             trace = run_on(tmp_path, t, 5, [RequestSpec(at=1, src=0, dest=8),
                                             RequestSpec(at=600, src=4, dest=11)],

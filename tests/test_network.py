@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottlenet.domain import RouteEntry
-from bottlenet.errors import ConfigError, UnknownEdge, UnknownNode
+from bottlenet.errors import ConfigError, PreconditionViolation, UnknownEdge, UnknownNode
 from bottlenet.network import (
     Topology,
-    fail_link,
-    fail_node,
+    fault_error,
     hello_tick,
     load_topology,
-    restore_link,
-    restore_node,
     save_topology,
     topology_from_dict,
 )
@@ -24,7 +21,7 @@ class TestNeighbors:
         assert path3.live_neighbors(1) == {0, 2}
 
     def test_down_node_invisible(self, path3):
-        fail_node(path3, 2)
+        path3.apply_fault("fail_node", (2,))
         assert path3.live_neighbors(1) == {0}
 
     def test_complete_graph(self):
@@ -37,7 +34,7 @@ class TestNeighbors:
             path3.live_neighbors(99)
 
     def test_down_node_sees_nothing(self, path3):
-        fail_node(path3, 1)
+        path3.apply_fault("fail_node", (1,))
         assert path3.live_neighbors(1) == set()
 
 
@@ -53,7 +50,7 @@ class TestHelloTick:
         t = make_topology((1, 4), (1, 6))
         rtab = {9: RouteEntry(4, 5), 2: RouteEntry(6, 1)}
         node = make_node(1, {4, 6}, rtab=dict(rtab))
-        fail_node(t, 4)
+        t.apply_fault("fail_node", (4,))
         assert hello_tick(t, node) == {4}
         assert node.nbors == {6}
         assert node.rtab == rtab
@@ -69,31 +66,51 @@ class TestHelloTick:
 class TestFaults:
     def test_fail_restore_node_round_trip(self, path3):
         before = path3.live_neighbors(1)
-        restore_node(fail_node(path3, 2), 2)
+        path3.apply_fault("fail_node", (2,))
+        path3.apply_fault("restore_node", (2,))
         assert path3.live_neighbors(1) == before
         assert not path3.down_nodes
 
     def test_fail_restore_link_round_trip(self, path3):
         before = path3.live_neighbors(0)
-        restore_link(fail_link(path3, 0, 1), 0, 1)
+        path3.apply_fault("fail_link", (0, 1))
+        path3.apply_fault("restore_link", (0, 1))
         assert path3.live_neighbors(0) == before
 
     def test_fail_link_is_directionless(self, path3):
-        fail_link(path3, 1, 0)
+        path3.apply_fault("fail_link", (1, 0))
         assert path3.live_neighbors(0) == set()
         assert path3.live_neighbors(1) == {2}
 
     def test_failed_node_kills_all_incident_links(self):
         star = make_topology((0, 1), (0, 2), (0, 3))
-        fail_node(star, 0)
+        star.apply_fault("fail_node", (0,))
         for n in (1, 2, 3):
             assert star.live_neighbors(n) == set()
 
     def test_unknown_targets(self, path3):
         with pytest.raises(UnknownNode):
-            fail_node(path3, 42)
+            path3.apply_fault("fail_node", (42,))
         with pytest.raises(UnknownEdge):
-            fail_link(path3, 0, 2)
+            path3.apply_fault("fail_link", (0, 2))
+
+    def test_returns_the_nodes_whose_live_neighbors_may_change(self):
+        star = make_topology((0, 1), (0, 2), (0, 3))
+        assert sorted(star.apply_fault("fail_node", (0,))) == [0, 1, 2, 3]
+        assert star.apply_fault("fail_link", (2, 0)) == (2, 0)
+        assert sorted(star.apply_fault("restore_node", (1,))) == [0, 1]
+
+    @pytest.mark.parametrize("op, target, error", [
+        ("explode", (1,), "unknown op 'explode'"),
+        ("fail_link", (1,), "op 'fail_link' needs a target of 2"),
+        ("fail_node", (0, 1), "op 'fail_node' needs a target of 1"),
+        ("fail_node", (True,), "op 'fail_node' needs a target of 1"),
+    ])
+    def test_bad_op_or_target_changes_nothing(self, path3, op, target, error):
+        assert fault_error(op, target).startswith(error)
+        with pytest.raises(PreconditionViolation, match=error):
+            path3.apply_fault(op, target)
+        assert not path3.down_nodes and not path3.down_edges
 
 
 @given(st.sets(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottlenet.errors import UnknownNode
-from bottlenet.network import Topology, fail_link, fail_node
+from bottlenet.network import Topology
 from bottlenet.oracle import (
     Distances,
     Unreachable,
@@ -64,7 +64,7 @@ class TestConnected:
     def test_cut_bridge_disconnects(self):
         t = make_topology((0, 1), (1, 2), (2, 3), (2, 4))
         assert connected(t, 0, 3)
-        fail_node(t, 2)
+        t.apply_fault("fail_node", (2,))
         assert not connected(t, 0, 3)
         assert connected(t, 0, 1)
 
@@ -105,7 +105,7 @@ class TestDistancesSnapshot:
 
     def test_later_faults_are_not_seen(self, path3):
         truth = Distances(path3)
-        fail_node(path3, 1)
+        path3.apply_fault("fail_node", (1,))
         assert truth.between(0, 2) == 2
         assert Distances(path3).between(0, 2) is Unreachable
 
@@ -152,10 +152,10 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     for a, b in pairs:
         t.add_edge(a, b)
     for n in down & t.nodes:
-        fail_node(t, n)
+        t.apply_fault("fail_node", (n,))
     for a, b in data.draw(st.sets(st.sampled_from(sorted(t.edges)), max_size=4)
                           if t.edges else st.just(set())):
-        fail_link(t, a, b)
+        t.apply_fault("fail_link", (a, b))
     g = nx.Graph()
     g.add_nodes_from(n for n in t.nodes if n not in t.down_nodes)
     g.add_edges_from(e for e in t.edges if t.link_live(*e))

@@ -7,7 +7,7 @@ from bottlenet import topogen
 from bottlenet.domain import MAX_NODE_ID
 from bottlenet.dotexport import export_dot
 from bottlenet.errors import InvalidCount, InvalidPath
-from bottlenet.network import Topology, fail_link, fail_node, save_topology
+from bottlenet.network import Topology, save_topology
 from bottlenet.oracle import components
 from bottlenet.topogen import generate_topology
 from conftest import make_topology
@@ -154,8 +154,8 @@ class TestDotExport:
 
     def test_down_highlight_step_drawn_dotted(self):
         t = make_topology((0, 1), (1, 2), (2, 3))
-        fail_link(t, 0, 1)
-        fail_node(t, 3)
+        t.apply_fault("fail_link", (0, 1))
+        t.apply_fault("fail_node", (3,))
         dot = export_dot(t, highlight=[0, 1, 2, 3])
         assert "  0 -- 1 [color=red, penwidth=2, style=dotted];" in dot
         assert "  1 -- 2 [color=red, penwidth=2];" in dot
@@ -163,7 +163,7 @@ class TestDotExport:
 
     def test_down_node_drawn_dashed(self):
         t = make_topology((0, 1))
-        fail_node(t, 1)
+        t.apply_fault("fail_node", (1,))
         assert "1 [style=dashed];" in export_dot(t)
 
     def test_output_is_stable(self):

@@ -4,7 +4,6 @@ against a full edge scan."""
 import pytest
 from hypothesis import given, strategies as st
 
-from bottlenet import network
 from bottlenet.errors import ConfigError
 from bottlenet.network import Topology, edge_key, topology_from_dict
 from bottlenet.oracle import distances_from
@@ -49,9 +48,9 @@ def test_live_neighbors_match_edge_scan(pairs, isolated, ops, build):
                 t.add_edge(a, b)
         elif op.endswith("_node"):
             if a in t.nodes:
-                getattr(network, op)(t, a)
+                t.apply_fault(op, (a,))
         elif edge_key(a, b) in t.edges:
-            getattr(network, op)(t, a, b)
+            t.apply_fault(op, (a, b))
         for n in t.nodes:
             t.live_neighbors(n).clear()  # callers may mutate what they get
             assert t.live_neighbors(n) == scan_live_neighbors(t, n)
@@ -66,13 +65,13 @@ def test_link_live_reads_faults_and_unknown_ids():
     assert t.link_live(0, 1) and t.link_live(1, 0)
     assert not t.link_live(0, 2) and not t.link_live(0, 9)
     assert not t.link_live(0, 77) and not t.link_live(77, 0)  # no KeyError
-    network.fail_link(t, 1, 0)
+    t.apply_fault("fail_link", (1, 0))
     assert not t.link_live(0, 1) and not t.link_live(1, 0)
     assert t.link_live(1, 2)
-    network.fail_node(t, 3)
+    t.apply_fault("fail_node", (3,))
     assert not t.link_live(2, 3) and not t.link_live(3, 2)
-    network.restore_link(t, 0, 1)
-    network.restore_node(t, 3)
+    t.apply_fault("restore_link", (0, 1))
+    t.apply_fault("restore_node", (3,))
     assert all(t.link_live(a, b) and t.link_live(b, a) for a, b in t.edges)
 
 
