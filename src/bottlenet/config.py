@@ -89,10 +89,25 @@ class ScenarioConfig:
         return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
 
     def check(self, source: str = "<scenario>") -> None:
-        """The load-time checks of the topology and protocol fields, for a
-        scenario built in code: a ConfigError names the first bad field."""
+        """The checks scenario_from_dict makes, with its messages, for a
+        scenario built in code: a ConfigError names the first bad field.
+        engine.run checks the rest against the topology: each fault's op
+        and target, and that each request names two different nodes."""
+        _int_field(vars(self), "seed", source)
         _check_topology(self.topology_file, self.generator, source)
         _check_protocol(self.protocol, source)
+        for i, req in enumerate(self.requests):
+            _request(vars(req), f"{source}: field 'requests[{i}]'")
+        rr = self.random_requests
+        if rr is not None:
+            fields = vars(rr)
+            if rr.spacing is None:  # the default, as an absent key is in a file
+                fields = {key: value for key, value in fields.items() if key != "spacing"}
+            _random_requests(fields, f"{source}: field 'random_requests'")
+        for i, fault in enumerate(self.faults):
+            _int_field(vars(fault), "at", f"{source}: field 'faults[{i}]'")
+        if self.horizon is not None:
+            _int_field(vars(self), "horizon", source, minimum=1)
 
 
 def _require(doc: dict, key: str, source: str) -> Any:
@@ -162,6 +177,22 @@ def _check_protocol(protocol: Any, source: str) -> None:
                    minimum=_PROTOCOL_MINIMUMS[key])
 
 
+def _request(req: dict, where: str) -> RequestSpec:
+    return RequestSpec(
+        at=_int_field(req, "at", where),
+        src=_int_field(req, "src", where),
+        dest=_int_field(req, "dest", where),
+    )
+
+
+def _random_requests(rr: dict, where: str) -> RandomRequests:
+    return RandomRequests(
+        count=_int_field(rr, "count", where, minimum=1),
+        first_at=_int_field(rr, "first_at", where, default=1),
+        spacing=_int_field(rr, "spacing", where, minimum=1, default=None),
+    )
+
+
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: expected a JSON object")
@@ -182,11 +213,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         where = f"{source}: field 'requests[{i}]'"
         if not isinstance(req, dict):
             raise ConfigError(f"{where}: expected an object")
-        spec = RequestSpec(
-            at=_int_field(req, "at", where),
-            src=_int_field(req, "src", where),
-            dest=_int_field(req, "dest", where),
-        )
+        spec = _request(req, where)
         if spec.src == spec.dest:
             raise ConfigError(f"{where}: src and dest are both node {spec.src}; "
                               "a request to self needs no route")
@@ -198,11 +225,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         where = f"{source}: field 'random_requests'"
         if not isinstance(rr, dict):
             raise ConfigError(f"{where}: expected an object")
-        random_requests = RandomRequests(
-            count=_int_field(rr, "count", where, minimum=1),
-            first_at=_int_field(rr, "first_at", where, default=1),
-            spacing=_int_field(rr, "spacing", where, minimum=1, default=None),
-        )
+        random_requests = _random_requests(rr, where)
 
     faults = []
     for i, fault in enumerate(_list_field(doc, "faults", source)):

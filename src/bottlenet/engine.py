@@ -44,8 +44,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from typing import Any, Iterator, Sequence
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import fsm
 from .config import DEFAULT_HORIZON, ProtocolConfig, ScenarioConfig
@@ -70,56 +70,96 @@ class EventKind(Enum):
     APP_REQUEST = "app_request"
 
 
-# (kind, msg) -> the data fields every such record carries. Sent, Received
-# and DeliveryFailed records name a bottle or a data packet in "msg"; other
-# kinds have no msg. An Eliminated record at the bottle's origin adds "dest".
-RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
-    key: frozenset(fields.split()) for key, fields in {
-        ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
-        ("Sent", "data"): "msg to src dest xfer",
-        ("Received", "bottle"): "msg from btl_id src dest rf failure history_len xfer",
-        ("Received", "data"): "msg from src dest path xfer",
-        ("DeliveryFailed", "bottle"): "msg to xfer",
-        ("DeliveryFailed", "data"): "msg xfer",
-        ("Eliminated", None): "btl_id reason",
-        ("RouteFound", None): "src dest path",
-        ("Inaccessible", None): "src dest",
-        ("TableUpdated", None): "dest next_hop hops",
-        ("RouteRemoved", None): "dest reason",
-        ("TopologyChanged", None): "op target",
-    }.items()}
-
 # One encoder for every record: json.dumps would build a new one per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _BOOL = {True: "true", False: "false"}.__getitem__
 
-# Record shape -> (%-format, fix-ups); see TraceEvent.to_json. A shape is the
-# kind, the data keys and the types of kind, keys and every value. The types
-# are part of the key because 0, 0.0 and False compare and hash equal: keyed
-# on values alone, {False: 0} and then {0: 0} would share one format and
-# write "false" for the second. A bool never gets %d, which would write it
-# as 1. Bounded, so that traces with ever new keys cannot grow it forever.
-_FORMATS: dict[tuple, tuple[str, tuple[tuple[int, Any], ...]]] = {}
-_FORMATS_MAX = 1024
+# Value kind -> its conversion spec in a line's %-format and the converter
+# to JSON text that fills a %s, if it needs one. A name is a str that JSON
+# writes as it is: ASCII with no quote, backslash or control character.
+_VALUE_KINDS: dict[str, tuple[str, Any]] = {
+    "int": ("%d", None), "name": ('"%s"', None), "bool": ("%s", _BOOL),
+    "json": ("%s", _encode),
+}
 
 
-def _line_format(kind: Any, data: dict, values: list) -> tuple[str, tuple]:
+def _line_format(kind: Any, names: Iterable[Any],
+                 value_kinds: Iterable[str]) -> tuple[str, tuple]:
     """The %-format of one record shape, with the constant text in place,
     and its fix-ups: (index into values, converter to JSON text) for each
-    value that is not a plain int. values is [at, seq, node, *data.values()]."""
+    value that needs one. values is [at, seq, node, *data.values()], names
+    the data keys and value_kinds the kind of each value."""
     specs, fixups = [], []
-    for i, v in enumerate(values):
-        if type(v) is int:
-            specs.append("%d")
-        else:
-            specs.append("%s")
-            fixups.append((i, _BOOL if type(v) is bool else _encode))
+    for i, value_kind in enumerate(value_kinds):
+        spec, convert = _VALUE_KINDS[value_kind]
+        specs.append(spec)
+        if convert is not None:
+            fixups.append((i, convert))
     fields = [_encode({name: 0})[1:-3].replace("%", "%%") + ":" + spec
-              for name, spec in zip(data, specs[3:])]
+              for name, spec in zip(names, specs[3:])]
     fmt = ('{"at":%s,"seq":%s,"node":%s,"kind":' % tuple(specs[:3])
            + _encode(kind).replace("%", "%%")
            + ',"data":{' + ",".join(fields) + "}}")
     return fmt, tuple(fixups)
+
+
+# Every record shape the engine writes: (kind, msg, data field names in the
+# order the engine fills them), with the %-format and fix-ups of each at the
+# same index of _SHAPE_FORMATS. Engine._record stores the index on the record.
+_SHAPES: list[tuple[str, str | None, tuple[str, ...]]] = []
+_SHAPE_FORMATS: list[tuple[str, tuple]] = []
+
+
+def _shape(kind: str, msg: str | None, fields: str) -> int:
+    """Declare one record shape; fields are "name" or "name:kind" (see
+    _VALUE_KINDS), an int when no kind is given. Returns its index."""
+    names, value_kinds = [], ["int", "int", "int"]  # at, seq, node
+    for item in fields.split():
+        name, _, value_kind = item.partition(":")
+        names.append(name)
+        value_kinds.append(value_kind or "int")
+    _SHAPES.append((kind, msg, tuple(names)))
+    _SHAPE_FORMATS.append(_line_format(kind, names, value_kinds))
+    return len(_SHAPES) - 1
+
+
+# Sent, Received and DeliveryFailed records name a bottle or a data packet
+# in "msg"; other kinds have no msg. Each value must be of its declared kind,
+# an int never a bool or a float: times, node ids and counts are ints because
+# loading and ScenarioConfig.check reject any other scenario value.
+_SENT_BOTTLE = _shape("Sent", "bottle", "msg:name to btl_id:name src dest "
+                      "rf:bool failure:bool history_len bytes xfer")
+_SENT_DATA = _shape("Sent", "data", "msg:name to src dest xfer")
+_RECEIVED_BOTTLE = _shape("Received", "bottle", "msg:name from btl_id:name src dest "
+                          "rf:bool failure:bool history_len xfer")
+_RECEIVED_DATA = _shape("Received", "data", "msg:name from src dest path:json xfer")
+_BOUNCED_BOTTLE = _shape("DeliveryFailed", "bottle", "msg:name to xfer")
+_BOUNCED_DATA = _shape("DeliveryFailed", "data", "msg:name to xfer")
+_HOP_CAPPED = _shape("DeliveryFailed", "data", "msg:name src dest reason:name xfer:json")
+_ELIMINATED = _shape("Eliminated", None, "btl_id:name reason:name")
+_ELIMINATED_AT_ORIGIN = _shape("Eliminated", None, "btl_id:name reason:name dest")
+_ROUTE_FOUND = _shape("RouteFound", None, "src dest path:json")
+_INACCESSIBLE = _shape("Inaccessible", None, "src dest")
+_TABLE_UPDATED = _shape("TableUpdated", None, "dest next_hop hops")
+_ROUTE_REMOVED = _shape("RouteRemoved", None, "dest reason:name")
+_TOPOLOGY_CHANGED = _shape("TopologyChanged", None, "op:name target:json")
+
+# (kind, msg) -> the data fields every such record carries: those that every
+# declared shape of that kind and msg has.
+RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
+    (kind, msg): frozenset.intersection(*(frozenset(names) for k, m, names in _SHAPES
+                                          if (k, m) == (kind, msg)))
+    for kind, msg, _ in _SHAPES}
+
+# Shape -> (%-format, fix-ups) of the records with no declared shape (loaded
+# or built in code); see TraceEvent.to_json. Such a shape is the kind, the
+# data keys and the types of kind, keys and every value. The types are part
+# of the key because 0, 0.0 and False compare and hash equal: keyed on values
+# alone, {False: 0} and then {0: 0} would share one format and write "false"
+# for the second. A bool never gets %d, which would write it as 1. Bounded,
+# so that traces with ever new keys cannot grow it forever.
+_FORMATS: dict[tuple, tuple[str, tuple[tuple[int, Any], ...]]] = {}
+_FORMATS_MAX = 1024
 
 
 @dataclass(slots=True)
@@ -129,20 +169,29 @@ class TraceEvent:
     node: int
     kind: str
     data: dict[str, Any]
+    # the index of the record's declared shape in _SHAPE_FORMATS, set by the
+    # engine; None for a record loaded or built in code
+    shape: int | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         """The record as one line of compact JSON: byte for byte what
         ``_encode`` writes for {at, seq, node, kind, data}, filled into the
-        cached format of the record's shape in one % call."""
-        kind, data = self.kind, self.data
-        values = [self.at, self.seq, self.node, *data.values()]
-        key = (kind, type(kind), *data, *map(type, data), *map(type, values))
-        try:
-            fmt, fixups = _FORMATS[key]
-        except KeyError:
-            if len(_FORMATS) >= _FORMATS_MAX:
-                _FORMATS.clear()
-            fmt, fixups = _FORMATS[key] = _line_format(kind, data, values)
+        format of the record's shape in one % call: its declared shape's,
+        or else the one cached for its kind, keys and value types."""
+        values = [self.at, self.seq, self.node, *self.data.values()]
+        if self.shape is not None:
+            fmt, fixups = _SHAPE_FORMATS[self.shape]
+        else:
+            kind, data = self.kind, self.data
+            key = (kind, type(kind), *data, *map(type, data), *map(type, values))
+            try:
+                fmt, fixups = _FORMATS[key]
+            except KeyError:
+                if len(_FORMATS) >= _FORMATS_MAX:
+                    _FORMATS.clear()
+                fmt, fixups = _FORMATS[key] = _line_format(kind, data, [
+                    "int" if type(v) is int else "bool" if type(v) is bool else "json"
+                    for v in values])
         for i, convert in fixups:
             values[i] = convert(values[i])
         return fmt % tuple(values)
@@ -189,38 +238,47 @@ _CHUNK_LINES = 2048
 
 
 def iter_trace(path: str) -> Iterator[TraceEvent]:
-    """The records of a JSONL trace written by ``Trace.write``, in order.
+    """The records of a JSONL trace written by ``Trace.write``, in order,
+    streamed a chunk at a time (see ``_trace_chunks``)."""
+    return chain.from_iterable(_trace_chunks(path))
 
-    Each ``_CHUNK_LINES`` lines are decoded in one call, each non-blank line
-    wrapped in a list of its own: a record split over two lines leaves fewer
-    lists than lines, and a line holding two records a list of two. Only a
-    chunk that fails to decode or to conform is checked line by line, to
-    name its first bad line in a ``MalformedTrace`` (see ``_record_error``).
+
+def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
+    """The records of each ``_CHUNK_LINES`` lines of a JSONL trace.
+
+    Each chunk is decoded in one call, each non-blank line wrapped in a list
+    of its own: a record split over two lines leaves fewer lists than lines,
+    and a line holding two records a list of two. Each record is checked
+    against ``RECORD_FIELDS`` as it is built, and a chunk that fails to
+    decode or to conform leaves fewer records than lines. Only such a chunk
+    is checked line by line, to name its first bad line in a
+    ``MalformedTrace`` (see ``_record_error``).
     """
     with open(path) as fh:
         first = 1  # the number of the chunk's first line
         while lines := list(islice(fh, _CHUNK_LINES)):
             texts = [line for line in map(str.strip, lines) if line]
+            events: list[TraceEvent] = []
             try:
                 rows = json.loads("[[" + "],[".join(texts) + "]]" if texts else "[]")
-                events = [TraceEvent(rec["at"], rec["seq"], rec["node"],
-                                     rec["kind"], rec["data"]) for (rec,) in rows]
-                for ev in events:
-                    fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
-                    if (fields is None or not ev.data.keys() >= fields
+                for (rec,) in rows:
+                    kind, data = rec["kind"], rec["data"]
+                    fields = RECORD_FIELDS.get((kind, data.get("msg")))
+                    if (fields is None or not data.keys() >= fields
                             or fields is _FAULT_FIELDS
-                            and fault_error(ev.data["op"], ev.data["target"])):
-                        events = None
+                            and fault_error(data["op"], data["target"])):
                         break
+                    events.append(TraceEvent(rec["at"], rec["seq"], rec["node"],
+                                             kind, data))
             except (ValueError, TypeError, KeyError, AttributeError):
-                events = None
-            if events is None or len(events) != len(texts):
+                pass
+            if len(events) != len(texts):
                 for n, line in enumerate(map(str.strip, lines), first):
                     error = line and _record_error(line)
                     if error:
                         raise MalformedTrace(f"{path}: line {n}: {error}")
                 raise MalformedTrace(f"{path}: not a JSONL trace")
-            yield from events
+            yield events
             first += len(lines)
 
 
@@ -295,12 +353,11 @@ class Engine:
             fsm.SetTimer: lambda nid, a: self.schedule(
                 a.deadline, EventKind.TIMER_FIRE, (nid, a.btl_id)),
             fsm.DeclareInaccessible: lambda nid, a: self._record(
-                nid, "Inaccessible", {"src": nid, "dest": a.dest}),
+                nid, "Inaccessible", _INACCESSIBLE, {"src": nid, "dest": a.dest}),
             fsm.TableUpdated: self._on_table_updated,
             fsm.RouteRemoved: lambda nid, a: self._record(
-                nid, "RouteRemoved", {"dest": a.dest, "reason": a.reason}),
+                nid, "RouteRemoved", _ROUTE_REMOVED, {"dest": a.dest, "reason": a.reason}),
         }
-        self._trace_seq = 0
         self._xfer = 0
         self.trace: list[TraceEvent] = []
         self.bottle_bytes_sent = 0
@@ -329,10 +386,12 @@ class Engine:
 
     # -- trace -------------------------------------------------------------
 
-    def _record(self, node: int, kind: str, data: dict[str, Any]) -> None:
-        self.trace.append(TraceEvent(self.now, self._trace_seq, node, kind,
-                                     data))
-        self._trace_seq += 1
+    def _record(self, node: int, kind: str, shape: int,
+                data: dict[str, Any]) -> None:
+        """Append one record; shape is its declared shape (see _shape),
+        whose fields data holds in their declared order."""
+        trace = self.trace
+        trace.append(TraceEvent(self.now, len(trace), node, kind, data, shape))
 
     # -- main loop ---------------------------------------------------------
 
@@ -361,14 +420,14 @@ class Engine:
         if not self.topology.link_live(frm, to):
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
             return
-        self._record(to, "Received", {
+        self._record(to, "Received", _RECEIVED_BOTTLE, {
             "msg": "bottle", "from": frm, "btl_id": btl_id,
             "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
             "failure": bottle.failure, "history_len": len(bottle.history),
             "xfer": xfer,
         })
         if bottle.rf and to == bottle.src:
-            self._record(to, "RouteFound", {
+            self._record(to, "RouteFound", _ROUTE_FOUND, {
                 "src": bottle.src, "dest": bottle.dest,
                 "path": list(bottle.history),
             })
@@ -381,7 +440,7 @@ class Engine:
             self._fail_delivery(frm, to, pkt, xfer, "data")
             return
         pkt.path.append(to)
-        self._record(to, "Received", {
+        self._record(to, "Received", _RECEIVED_DATA, {
             "msg": "data", "from": frm, "src": pkt.src, "dest": pkt.dest,
             "path": list(pkt.path), "xfer": xfer,
         })
@@ -389,7 +448,7 @@ class Engine:
             return
         if len(pkt.path) > self.cfg.hop_limit + 1:
             # Stale tables can momentarily loop a packet; cap its journey.
-            self._record(to, "DeliveryFailed", {
+            self._record(to, "DeliveryFailed", _HOP_CAPPED, {
                 "msg": "data", "src": pkt.src, "dest": pkt.dest,
                 "reason": "hop_cap", "xfer": None,
             })
@@ -415,7 +474,7 @@ class Engine:
 
     def _on_fault(self, op: str, target: tuple) -> None:
         # run() has checked every fault against the topology
-        self._record(target[0], "TopologyChanged",
+        self._record(target[0], "TopologyChanged", _TOPOLOGY_CHANGED,
                      {"op": op, "target": list(target)})
         touched = self.topology.apply_fault(op, target)
         if op == "restore_node":
@@ -454,16 +513,18 @@ class Engine:
 
     def _on_table_updated(self, nid: int, action: fsm.TableUpdated) -> None:
         for dest, (next_hop, hops) in action.entries:
-            self._record(nid, "TableUpdated",
+            self._record(nid, "TableUpdated", _TABLE_UPDATED,
                          {"dest": dest, "next_hop": next_hop, "hops": hops})
 
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
         data: dict[str, Any] = {"btl_id": str(action.btl_id),
                                 "reason": action.reason.value}
+        shape = _ELIMINATED
         pending = self.nodes[nid].pending.get(action.btl_id)
         if pending is not None:
             data["dest"] = pending.dest
-        self._record(nid, "Eliminated", data)
+            shape = _ELIMINATED_AT_ORIGIN
+        self._record(nid, "Eliminated", shape, data)
 
     def _send_bottle(self, frm: int, bottle: Bottle, to: int) -> None:
         # The bottle goes on the wire as it is: its sender keeps no
@@ -473,7 +534,7 @@ class Engine:
         xfer = self._xfer
         self._xfer += 1
         btl_id = str(bottle.btl_id)
-        self._record(frm, "Sent", {
+        self._record(frm, "Sent", _SENT_BOTTLE, {
             "msg": "bottle", "to": to, "btl_id": btl_id,
             "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
             "failure": bottle.failure, "history_len": len(bottle.history),
@@ -488,7 +549,7 @@ class Engine:
     def _send_data(self, frm: int, pkt: DataPacket, to: int) -> None:
         xfer = self._xfer
         self._xfer += 1
-        self._record(frm, "Sent", {
+        self._record(frm, "Sent", _SENT_DATA, {
             "msg": "data", "to": to, "src": pkt.src, "dest": pkt.dest,
             "xfer": xfer,
         })
@@ -500,7 +561,9 @@ class Engine:
 
     def _fail_delivery(self, frm: int, to: int, item: Bottle | DataPacket,
                        xfer: int, msg: str) -> None:
-        self._record(frm, "DeliveryFailed", {"msg": msg, "to": to, "xfer": xfer})
+        self._record(frm, "DeliveryFailed",
+                     _BOUNCED_BOTTLE if msg == "bottle" else _BOUNCED_DATA,
+                     {"msg": msg, "to": to, "xfer": xfer})
         if frm in self.topology.down_nodes:
             return
         actions = fsm.on_delivery_failure(self.nodes[frm], item, to, self.now,

@@ -164,6 +164,37 @@ class TestRun:
             run(ScenarioConfig(seed=1, requests=[RequestSpec(at=1, src=0, dest=1)],
                                **fields))
 
+    @pytest.mark.parametrize("fields, doc", [
+        ({"seed": 1.0}, {"seed": 1.0}),
+        ({"requests": [RequestSpec(at=1.5, src=0, dest=1)]},
+         {"requests": [{"at": 1.5, "src": 0, "dest": 1}]}),
+        ({"requests": [RequestSpec(at=True, src=0, dest=1)]},
+         {"requests": [{"at": True, "src": 0, "dest": 1}]}),
+        ({"requests": [RequestSpec(at=1, src=True, dest=2)]},
+         {"requests": [{"at": 1, "src": True, "dest": 2}]}),
+        ({"requests": [RequestSpec(at=1, src=0, dest=-1)]},
+         {"requests": [{"at": 1, "src": 0, "dest": -1}]}),
+        ({"random_requests": RandomRequests(count="2")},
+         {"random_requests": {"count": "2"}}),
+        ({"random_requests": RandomRequests(count=2, first_at=0.5)},
+         {"random_requests": {"count": 2, "first_at": 0.5}}),
+        ({"random_requests": RandomRequests(count=2, spacing=0)},
+         {"random_requests": {"count": 2, "spacing": 0}}),
+        ({"faults": [FaultSpec(at="5", op="fail_node", target=(1,))]},
+         {"faults": [{"at": "5", "op": "fail_node", "node": 1}]}),
+        ({"horizon": "x"}, {"horizon": "x"}),
+    ], ids=["seed", "requests.at", "requests.at-bool", "requests.src", "requests.dest",
+            "random_requests.count", "random_requests.first_at", "random_requests.spacing",
+            "faults.at", "horizon"])
+    def test_code_built_times_and_counts_checked_as_loaded_ones(self, fields, doc):
+        """Each field gets the ConfigError scenario_from_dict gives the same
+        value in a document, before anything runs."""
+        with pytest.raises(ConfigError) as built:
+            run(ScenarioConfig(**{"seed": 1, "generator": GENERIC10} | fields))
+        with pytest.raises(ConfigError) as loaded:
+            scenario_from_dict({"seed": 1, "topology": {"generator": GENERIC10}} | doc)
+        assert str(built.value) == str(loaded.value)
+
     def test_meta_states_the_spacing_of_random_requests(self):
         rr = RandomRequests(count=3, spacing=7)
         trace = run(ScenarioConfig(seed=1, generator=GENERIC10, random_requests=rr))
@@ -212,7 +243,7 @@ def copying_send_bottle(self, frm, bottle, to):
     self.bottle_bytes_sent += size
     xfer = self._xfer
     self._xfer += 1
-    self._record(frm, "Sent", {
+    self._record(frm, "Sent", engine._SENT_BOTTLE, {
         "msg": "bottle", "to": to, "btl_id": btl_id,
         "src": sent.src, "dest": sent.dest, "rf": sent.rf,
         "failure": sent.failure, "history_len": len(sent.history),
@@ -239,6 +270,40 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
             reference = run(sc)
     assert trace.to_jsonl() == reference.to_jsonl()
     assert trace.meta == reference.meta
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
+    """Every record the engine writes carries its declared shape, and its
+    line is the one the same record without a shape gets."""
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path = Path(tmp, "topo.json")
+        save_topology(t, str(topo_path))
+        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+    for ev in trace.events:
+        assert ev.shape is not None
+        assert ev.to_json() == TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data).to_json()
+
+
+def test_record_fields_derived_from_the_declared_shapes():
+    assert engine.RECORD_FIELDS == {
+        key: frozenset(fields.split()) for key, fields in {
+            ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
+            ("Sent", "data"): "msg to src dest xfer",
+            ("Received", "bottle"): "msg from btl_id src dest rf failure history_len xfer",
+            ("Received", "data"): "msg from src dest path xfer",
+            ("DeliveryFailed", "bottle"): "msg to xfer",
+            ("DeliveryFailed", "data"): "msg xfer",
+            ("Eliminated", None): "btl_id reason",
+            ("RouteFound", None): "src dest path",
+            ("Inaccessible", None): "src dest",
+            ("TableUpdated", None): "dest next_hop hops",
+            ("RouteRemoved", None): "dest reason",
+            ("TopologyChanged", None): "op target",
+        }.items()}
 
 
 class Level(IntEnum):
@@ -682,9 +747,10 @@ class TestChunkedTrace:
 def transient(step):
     """The bytes tracemalloc saw in use while step ran, beyond those still in
     use when it returned, and its result. For Trace.write, which returns
-    nothing, what is still in use is interpreter free lists (of key tuples
-    in TraceEvent.to_json), which grow with the records written up to a
-    fixed cap and would otherwise blur a peak that does not."""
+    nothing, what is still in use is interpreter free lists (of the key
+    tuples TraceEvent.to_json builds for a record without a declared
+    shape), which grow with the records written up to a fixed cap and would
+    otherwise blur a peak that does not."""
     gc.collect()
     tracemalloc.start()
     try:

@@ -13,7 +13,9 @@ on purpose re-pins the values and says why in CHANGES.md; any other
 change must leave them as they are. Each case also goes through the
 trace file: the bytes written, the records loaded back and their encoding
 must match the live run and the pinned hash, and every record must carry
-the data fields engine.RECORD_FIELDS requires of its kind.
+the data fields engine.RECORD_FIELDS requires of its kind. The corpus holds
+a record of every shape the engine declares, so the hashes pin the bytes
+of each declared format.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from bottlenet import engine
 from bottlenet.config import scenario_from_dict
 from bottlenet.engine import RECORD_FIELDS, load_trace, run
 from bottlenet.metrics import summarize
@@ -56,6 +59,12 @@ def test_every_record_conforms_to_the_field_table(case):
     for ev in trace.events:
         fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
         assert fields is not None and ev.data.keys() >= fields, ev
+
+
+def test_corpus_pins_the_bytes_of_every_declared_shape():
+    shapes = {ev.shape for case in CORPUS
+              for ev in run(scenario_from_dict(case["scenario"], source=case["name"])).events}
+    assert shapes == set(range(len(engine._SHAPES)))
 
 
 def test_readme_trace_format_lists_the_field_table():
