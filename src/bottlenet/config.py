@@ -96,18 +96,27 @@ class ScenarioConfig:
         _int_field(vars(self), "seed", source)
         _check_topology(self.topology_file, self.generator, source)
         _check_protocol(self.protocol, source)
-        for i, req in enumerate(self.requests):
-            _request(vars(req), f"{source}: field 'requests[{i}]'")
-        rr = self.random_requests
-        if rr is not None:
-            fields = vars(rr)
-            if rr.spacing is None:  # the default, as an absent key is in a file
+        for i, req in enumerate(_list_field(vars(self), "requests", source)):
+            where = f"{source}: field 'requests[{i}]'"
+            _request(_spec_fields(req, RequestSpec, where), where)
+        if self.random_requests is not None:
+            where = f"{source}: field 'random_requests'"
+            fields = _spec_fields(self.random_requests, RandomRequests, where)
+            if fields["spacing"] is None:  # the default, as an absent key is in a file
                 fields = {key: value for key, value in fields.items() if key != "spacing"}
-            _random_requests(fields, f"{source}: field 'random_requests'")
-        for i, fault in enumerate(self.faults):
-            _int_field(vars(fault), "at", f"{source}: field 'faults[{i}]'")
+            _random_requests(fields, where)
+        for i, fault in enumerate(_list_field(vars(self), "faults", source)):
+            where = f"{source}: field 'faults[{i}]'"
+            _int_field(_spec_fields(fault, FaultSpec, where), "at", where)
         if self.horizon is not None:
             _int_field(vars(self), "horizon", source, minimum=1)
+
+
+def _spec_fields(value: Any, spec: type, where: str) -> dict[str, Any]:
+    """The fields of value, which must be an instance of spec."""
+    if not isinstance(value, spec):
+        raise ConfigError(f"{where}: expected a {spec.__name__}, got {value!r}")
+    return vars(value)
 
 
 def _require(doc: dict, key: str, source: str) -> Any:

@@ -18,7 +18,9 @@ A refresh sorts where the beacon of a node that beaconed every period
 would sort. With P the beacon period, that beacon for s is sent at
 s - P, while the beacon for s - P is processed. So it sorts after the
 events sent at s - P by events that sort before that beacon, and before
-the events sent by events that sort after it. The heap key is
+the events sent by events that sort after it. A queue entry is
+(at, born, tie, seq, handler, payload), where handler is the bound
+Engine method that run calls as handler(*payload); its heap key is
 (at, born, tie, seq):
 
 - born is the instant an event was scheduled, -inf for the requests and
@@ -26,7 +28,8 @@ the events sent by events that sort after it. The heap key is
 - tie is 0 when the event that scheduled it sorts before the beacon of
   its instant (key below (now, now - P, 1)), 2 when it sorts after;
 - a refresh at s has born = s - P and tie = 1;
-- seq counts schedule calls, so it is monotone in born.
+- seq counts queued events, so it is monotone in born, and unique, so
+  two entries never compare their handlers.
 
 Every other event therefore keeps its scheduling order, and a refresh
 sorts after the faults at its instant. For s < P it sorts after the
@@ -43,9 +46,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import fsm
 from .config import DEFAULT_HORIZON, ProtocolConfig, ScenarioConfig
@@ -59,15 +61,6 @@ from .domain import (
 )
 from .errors import BottlenetError, ConfigError, MalformedTrace
 from .network import Topology, fault_error, hello_tick, load_topology
-
-
-class EventKind(Enum):
-    BOTTLE_ARRIVAL = "bottle_arrival"
-    DATA_ARRIVAL = "data_arrival"
-    TIMER_FIRE = "timer_fire"
-    NEIGHBOR_REFRESH = "neighbor_refresh"
-    FAULT_INJECTION = "fault_injection"
-    APP_REQUEST = "app_request"
 
 
 # One encoder for every record: json.dumps would build a new one per call.
@@ -325,38 +318,27 @@ class Engine:
                  horizon: int):
         self.topology = topology
         self.cfg = cfg
-        self.seed = seed
         self.horizon = horizon
         self.now = 0
         self.nodes = {nid: NodeState(nid=nid, nbors=topology.live_neighbors(nid))
                       for nid in sorted(topology.nodes)}
         self._rngs = {nid: random.Random(f"{seed}:{nid}")
                       for nid in self.nodes}
-        # (at, born, tie, seq, kind, payload); see the module docstring
-        self._queue: list[tuple[int, float, int, int, EventKind, tuple]] = []
+        # (at, born, tie, seq, handler, payload); see the module docstring
+        self._queue: list[tuple[int, float, int, int, Callable[..., None], tuple]] = []
         self._event_seq = 0
         self._born: float = -math.inf  # the instant being processed
         self._tie = 0                  # see the module docstring
         self._refresh_due: set[int] = set()
-        self._handlers = {
-            EventKind.APP_REQUEST: self._on_app_request,
-            EventKind.BOTTLE_ARRIVAL: self._on_bottle_arrival,
-            EventKind.DATA_ARRIVAL: self._on_data_arrival,
-            EventKind.TIMER_FIRE: self._on_timer_fire,
-            EventKind.NEIGHBOR_REFRESH: self._on_neighbor_refresh,
-            EventKind.FAULT_INJECTION: self._on_fault,
-        }
-        self._actions = {
-            fsm.Send: lambda nid, a: self._send_bottle(nid, a.bottle, a.to),
-            fsm.SendData: lambda nid, a: self._send_data(nid, a.packet, a.to),
+        # fsm action type -> the method(nid, action) that carries it out
+        self._actions: dict[type, Callable[[int, Any], None]] = {
+            fsm.Send: self._send_bottle,
+            fsm.SendData: self._send_data,
             fsm.Eliminate: self._on_eliminate,
-            fsm.SetTimer: lambda nid, a: self.schedule(
-                a.deadline, EventKind.TIMER_FIRE, (nid, a.btl_id)),
-            fsm.DeclareInaccessible: lambda nid, a: self._record(
-                nid, "Inaccessible", _INACCESSIBLE, {"src": nid, "dest": a.dest}),
+            fsm.SetTimer: self._on_set_timer,
+            fsm.DeclareInaccessible: self._on_inaccessible,
             fsm.TableUpdated: self._on_table_updated,
-            fsm.RouteRemoved: lambda nid, a: self._record(
-                nid, "RouteRemoved", _ROUTE_REMOVED, {"dest": a.dest, "reason": a.reason}),
+            fsm.RouteRemoved: self._on_route_removed,
         }
         self._xfer = 0
         self.trace: list[TraceEvent] = []
@@ -365,14 +347,12 @@ class Engine:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, at: int, kind: EventKind, payload: tuple) -> None:
+    def schedule(self, at: int, handler: Callable[..., None],
+                 payload: tuple) -> None:
         if at < self.now:
             raise ConfigError(f"cannot schedule event at {at}, now is {self.now}")
-        self._push(at, self._born, self._tie, kind, payload)
-
-    def _push(self, at: int, born: float, tie: int, kind: EventKind,
-              payload: tuple) -> None:
-        heapq.heappush(self._queue, (at, born, tie, self._event_seq, kind, payload))
+        heapq.heappush(self._queue, (at, self._born, self._tie, self._event_seq,
+                                     handler, payload))
         self._event_seq += 1
 
     def _refresh_at_next_beacon(self, nid: int) -> None:
@@ -382,7 +362,9 @@ class Engine:
         at = self.now + (nid - self.now) % period
         if at <= self.horizon:
             self._refresh_due.add(nid)
-            self._push(at, at - period, 1, EventKind.NEIGHBOR_REFRESH, (nid,))
+            heapq.heappush(self._queue, (at, at - period, 1, self._event_seq,
+                                         self._on_neighbor_refresh, (nid,)))
+            self._event_seq += 1
 
     # -- trace -------------------------------------------------------------
 
@@ -396,14 +378,16 @@ class Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
-        queue, handlers = self._queue, self._handlers
+        queue, pop = self._queue, heapq.heappop
         period = self.cfg.beacon_period
         while queue and queue[0][0] <= self.horizon:
-            at, born, tie, _, kind, payload = heapq.heappop(queue)
+            at, born, tie, _, handler, payload = pop(queue)
             self.now = self._born = at
-            self._tie = 0 if (born, tie) < (at - period, 1) else 2
+            # (born, tie) < (at - period, 1), without building the tuples
+            beacon_born = at - period
+            self._tie = 0 if born < beacon_born or born == beacon_born and tie < 1 else 2
             self.events_processed += 1
-            handlers[kind](*payload)
+            handler(*payload)
 
     # -- event handlers ----------------------------------------------------
 
@@ -483,7 +467,7 @@ class Engine:
             nid = target[0]
             for btl_id, req in self.nodes[nid].pending.items():
                 if req.deadline <= self.now:
-                    self.schedule(self.now, EventKind.TIMER_FIRE, (nid, btl_id))
+                    self.schedule(self.now, self._on_timer_fire, (nid, btl_id))
         for nid in touched:
             self._refresh_at_next_beacon(nid)
 
@@ -511,6 +495,16 @@ class Engine:
         for action in actions:
             on_action[type(action)](nid, action)
 
+    def _on_set_timer(self, nid: int, action: fsm.SetTimer) -> None:
+        self.schedule(action.deadline, self._on_timer_fire, (nid, action.btl_id))
+
+    def _on_inaccessible(self, nid: int, action: fsm.DeclareInaccessible) -> None:
+        self._record(nid, "Inaccessible", _INACCESSIBLE, {"src": nid, "dest": action.dest})
+
+    def _on_route_removed(self, nid: int, action: fsm.RouteRemoved) -> None:
+        self._record(nid, "RouteRemoved", _ROUTE_REMOVED,
+                     {"dest": action.dest, "reason": action.reason})
+
     def _on_table_updated(self, nid: int, action: fsm.TableUpdated) -> None:
         for dest, (next_hop, hops) in action.entries:
             self._record(nid, "TableUpdated", _TABLE_UPDATED,
@@ -526,9 +520,10 @@ class Engine:
             shape = _ELIMINATED_AT_ORIGIN
         self._record(nid, "Eliminated", shape, data)
 
-    def _send_bottle(self, frm: int, bottle: Bottle, to: int) -> None:
+    def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no
         # reference to it (see the fsm module docstring).
+        bottle, to = send.bottle, send.to
         size = wire_size(bottle)
         self.bottle_bytes_sent += size
         xfer = self._xfer
@@ -542,11 +537,12 @@ class Engine:
         })
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
-                          EventKind.BOTTLE_ARRIVAL, (frm, to, bottle, xfer, btl_id))
+                          self._on_bottle_arrival, (frm, to, bottle, xfer, btl_id))
         else:
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
 
-    def _send_data(self, frm: int, pkt: DataPacket, to: int) -> None:
+    def _send_data(self, frm: int, send: fsm.SendData) -> None:
+        pkt, to = send.packet, send.to
         xfer = self._xfer
         self._xfer += 1
         self._record(frm, "Sent", _SENT_DATA, {
@@ -555,7 +551,7 @@ class Engine:
         })
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
-                          EventKind.DATA_ARRIVAL, (frm, to, pkt, xfer))
+                          self._on_data_arrival, (frm, to, pkt, xfer))
         else:
             self._fail_delivery(frm, to, pkt, xfer, "data")
 
@@ -624,7 +620,7 @@ def run(scenario: ScenarioConfig) -> Trace:
     engine = Engine(topology, cfg, scenario.seed, horizon)
 
     for at, src, dest in requests:
-        engine.schedule(at, EventKind.APP_REQUEST, (src, dest))
+        engine.schedule(at, engine._on_app_request, (src, dest))
     # faults change only what is down, so one copy checks them all
     probe = Topology(set(topology.nodes), set(topology.edges))
     for i, fault in enumerate(scenario.faults):
@@ -632,7 +628,7 @@ def run(scenario: ScenarioConfig) -> Trace:
             probe.apply_fault(fault.op, fault.target)
         except BottlenetError as exc:
             raise ConfigError(f"field 'faults[{i}]': {exc}") from exc
-        engine.schedule(fault.at, EventKind.FAULT_INJECTION, (fault.op, fault.target))
+        engine.schedule(fault.at, engine._on_fault, (fault.op, fault.target))
 
     engine.run()
 

@@ -3,7 +3,9 @@
 Every handler takes the node's state, mutates it in place, and returns the
 list of actions for the engine to carry out. Handlers never touch the
 topology or the clock beyond the arguments they are given, which keeps
-them testable without a running simulation.
+them testable without a running simulation. An action is a slotted
+dataclass record, one type per ``Action`` member, which the engine
+dispatches by its type; actions of different types never compare equal.
 
 A bottle has one owner at a time. A handler owns the bottle it is given
 and may extend its history in place; a ``Send`` hands the bottle to the
@@ -45,36 +47,36 @@ class ElimReason(Enum):
     DEAD_END = "dead_end"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     bottle: Bottle
     to: NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendData:
     packet: DataPacket
     to: NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Eliminate:
     btl_id: BottleId
     reason: ElimReason
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     btl_id: BottleId
     deadline: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeclareInaccessible:
     dest: NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TableUpdated:
     """The routes one harvest installed, as (dest, entry) pairs in harvest
     order; the trace gets one TableUpdated record per pair."""
@@ -82,7 +84,7 @@ class TableUpdated:
     entries: list[tuple[NodeId, RouteEntry]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RouteRemoved:
     dest: NodeId
     reason: str  # delivery_failure | route_failure | neighbor_lost
@@ -109,7 +111,7 @@ def next_state(current: NodePhase, pkt_queue_empty: bool,
 def choose_next_hop(nbors: set[NodeId], history: Sequence[NodeId],
                     rng: random.Random) -> NodeId | None:
     """Uniform pick among neighbors the bottle has not visited; None at a dead end."""
-    candidates = sorted(set(nbors).difference(history))
+    candidates = sorted(nbors.difference(history))
     if not candidates:
         return None
     return rng.choice(candidates)

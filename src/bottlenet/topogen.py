@@ -46,15 +46,6 @@ def _build(n: int, rows: list[list[int]]) -> Topology:
     return t
 
 
-def _sample_edges(n: int, p: float, rng: random.Random) -> Topology:
-    t = Topology(nodes=set(range(n)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < p:
-                t.add_edge(a, b)
-    return t
-
-
 def _skip_draws(count: int, rng: random.Random) -> None:
     """Advance rng exactly as count calls of random() would.
 
@@ -122,7 +113,9 @@ def generate_topology(kind: str, n: int, seed: int) -> Topology:
         raise InvalidCount(f"node ids are uint16: at most {MAX_NODE_ID + 1} nodes, got {n}")
     rng = random.Random(f"{kind}:{n}:{seed}")
     if kind == "sparse-partitioned":
-        return _sample_edges(n, 2 / (n - 1), rng)
+        p = 2 / (n - 1)
+        return _build(n, [[b for b in range(a + 1, n) if rng.random() < p]
+                          for a in range(n - 1)])
     if kind == "generic":
         p, min_degree = 3 / (n - 1), 0
     else:

@@ -2,6 +2,7 @@ import gc
 import json
 import tempfile
 import tracemalloc
+import typing
 from collections import Counter
 from enum import IntEnum
 from pathlib import Path
@@ -18,11 +19,10 @@ from bottlenet.config import (
     ScenarioConfig,
     scenario_from_dict,
 )
-from bottlenet import engine
-from bottlenet.domain import Bottle, serialize_bottle
+from bottlenet import engine, fsm
+from bottlenet.domain import Bottle, BottleId, serialize_bottle
 from bottlenet.engine import (
     Engine,
-    EventKind,
     Trace,
     TraceEvent,
     iter_trace,
@@ -61,7 +61,16 @@ class TestScheduling:
         eng = Engine(make_topology((0, 1)), ProtocolConfig(8, 16), seed=0, horizon=10)
         eng.now = 5
         with pytest.raises(ConfigError):
-            eng.schedule(3, EventKind.APP_REQUEST, (0, 1))
+            eng.schedule(3, eng._on_app_request, (0, 1))
+
+    def test_every_fsm_action_type_has_a_handler(self):
+        eng = Engine(make_topology((0, 1)), ProtocolConfig(8, 16), seed=0, horizon=10)
+        assert set(eng._actions) == set(typing.get_args(fsm.Action))
+
+    def test_action_equality_is_type_aware(self):
+        b = Bottle(0, 1, BottleId(0, 0), False, [0], False)
+        assert fsm.Send(b, 1) != fsm.SendData(b, 1)
+        assert fsm.Send(b, 1) == fsm.Send(b, 1)
 
     def test_equal_time_events_keep_insertion_order(self, tmp_path):
         t = make_topology((0, 1), (1, 2))
@@ -183,9 +192,11 @@ class TestRun:
         ({"faults": [FaultSpec(at="5", op="fail_node", target=(1,))]},
          {"faults": [{"at": "5", "op": "fail_node", "node": 1}]}),
         ({"horizon": "x"}, {"horizon": "x"}),
+        ({"requests": None}, {"requests": None}),
+        ({"faults": None}, {"faults": None}),
     ], ids=["seed", "requests.at", "requests.at-bool", "requests.src", "requests.dest",
             "random_requests.count", "random_requests.first_at", "random_requests.spacing",
-            "faults.at", "horizon"])
+            "faults.at", "horizon", "requests", "faults"])
     def test_code_built_times_and_counts_checked_as_loaded_ones(self, fields, doc):
         """Each field gets the ConfigError scenario_from_dict gives the same
         value in a document, before anything runs."""
@@ -194,6 +205,18 @@ class TestRun:
         with pytest.raises(ConfigError) as loaded:
             scenario_from_dict({"seed": 1, "topology": {"generator": GENERIC10}} | doc)
         assert str(built.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"requests": [{"at": 1, "src": 0, "dest": 1}]},
+         r"field 'requests\[0\]': expected a RequestSpec, got \{"),
+        ({"faults": [(5, "fail_node", (1,))]},
+         r"field 'faults\[0\]': expected a FaultSpec, got \(5"),
+        ({"random_requests": {"count": 2}},
+         r"field 'random_requests': expected a RandomRequests, got \{"),
+    ], ids=["requests[0]", "faults[0]", "random_requests"])
+    def test_code_built_specs_of_the_wrong_type_rejected(self, fields, named):
+        with pytest.raises(ConfigError, match=named):
+            run(ScenarioConfig(**{"seed": 1, "generator": GENERIC10} | fields))
 
     def test_meta_states_the_spacing_of_random_requests(self):
         rr = RandomRequests(count=3, spacing=7)
@@ -233,9 +256,10 @@ def test_code_built_faults_are_rejected_or_run(faults):
     assert len(trace.records("TopologyChanged")) == len(faults)
 
 
-def copying_send_bottle(self, frm, bottle, to):
+def copying_send_bottle(self, frm, send):
     """Engine._send_bottle as it was when bottles were passed by value: a
     copy per send, sized by packing its wire image."""
+    bottle, to = send.bottle, send.to
     sent = Bottle(bottle.src, bottle.dest, bottle.btl_id, bottle.rf,
                   list(bottle.history), bottle.failure)
     btl_id = str(sent.btl_id)
@@ -251,7 +275,7 @@ def copying_send_bottle(self, frm, bottle, to):
     })
     if self.topology.link_live(frm, to):
         self.schedule(self.now + self.cfg.per_hop_latency,
-                      EventKind.BOTTLE_ARRIVAL, (frm, to, sent, xfer, btl_id))
+                      self._on_bottle_arrival, (frm, to, sent, xfer, btl_id))
     else:
         self._fail_delivery(frm, to, sent, xfer, "bottle")
 
