@@ -11,9 +11,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from .domain import MAX_NODE_ID, is_node_id
+from .domain import MAX_NODE_ID
 from .errors import ConfigError
-from .network import FAULT_OPS, load_json
+from .network import FAULT_OPS, fault_error, load_json
 from .topogen import KINDS
 
 DEFAULT_PER_HOP_LATENCY = 1
@@ -89,25 +89,34 @@ class ScenarioConfig:
         return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
 
     def check(self, source: str = "<scenario>") -> None:
-        """The checks scenario_from_dict makes, with its messages, for a
-        scenario built in code: a ConfigError names the first bad field.
-        engine.run checks the rest against the topology: each fault's op
-        and target, and that each request names two different nodes."""
+        """Every rule a scenario's fields must meet, for one loaded by
+        scenario_from_dict and one built in code alike: a ConfigError names
+        the first bad field. engine.run checks the rest against the topology:
+        that each request's nodes and each fault's target exist."""
         _int_field(vars(self), "seed", source)
         _check_topology(self.topology_file, self.generator, source)
         _check_protocol(self.protocol, source)
         for i, req in enumerate(_list_field(vars(self), "requests", source)):
             where = f"{source}: field 'requests[{i}]'"
-            _request(_spec_fields(req, RequestSpec, where), where)
+            fields = _spec_fields(req, RequestSpec, where)
+            for key in fields:
+                _int_field(fields, key, where)
+            if req.src == req.dest:
+                raise ConfigError(f"{where}: request at t={req.at}: src and dest are both "
+                                  f"node {req.src}; a request to self needs no route")
         if self.random_requests is not None:
             where = f"{source}: field 'random_requests'"
             fields = _spec_fields(self.random_requests, RandomRequests, where)
-            if fields["spacing"] is None:  # the default, as an absent key is in a file
-                fields = {key: value for key, value in fields.items() if key != "spacing"}
-            _random_requests(fields, where)
+            _int_field(fields, "count", where, minimum=1)
+            _int_field(fields, "first_at", where)
+            if fields["spacing"] is not None:  # None is the default
+                _int_field(fields, "spacing", where, minimum=1)
         for i, fault in enumerate(_list_field(vars(self), "faults", source)):
             where = f"{source}: field 'faults[{i}]'"
             _int_field(_spec_fields(fault, FaultSpec, where), "at", where)
+            error = fault_error(fault.op, fault.target)
+            if error:
+                raise ConfigError(f"{where}: {error}")
         if self.horizon is not None:
             _int_field(vars(self), "horizon", source, minimum=1)
 
@@ -119,22 +128,11 @@ def _spec_fields(value: Any, spec: type, where: str) -> dict[str, Any]:
     return vars(value)
 
 
-def _require(doc: dict, key: str, source: str) -> Any:
-    if key not in doc:
-        raise ConfigError(f"{source}: missing field '{key}'")
-    return doc[key]
-
-
-_REQUIRED = object()
-
-
 def _int_field(doc: dict, key: str, source: str, minimum: int | None = 0,
-               default: Any = _REQUIRED, maximum: int | None = None) -> Any:
-    """doc[key] as an integer >= minimum (any integer when minimum is None)
-    and <= maximum, if one is given; default when absent, if one is given."""
-    if key not in doc and default is not _REQUIRED:
-        return default
-    value = _require(doc, key, source)
+               maximum: int | None = None) -> None:
+    """doc[key] must be an integer >= minimum (any integer when minimum is
+    None) and <= maximum, if one is given."""
+    value = doc[key]
     if (not isinstance(value, int) or isinstance(value, bool)
             or (minimum is not None and value < minimum)
             or (maximum is not None and value > maximum)):
@@ -142,7 +140,6 @@ def _int_field(doc: dict, key: str, source: str, minimum: int | None = 0,
         if maximum is not None:
             expected += f" and <= {maximum}"
         raise ConfigError(f"{source}: field '{key}': expected {expected}, got {value!r}")
-    return value
 
 
 def _list_field(doc: dict, key: str, source: str) -> list | tuple:
@@ -186,89 +183,60 @@ def _check_protocol(protocol: Any, source: str) -> None:
                    minimum=_PROTOCOL_MINIMUMS[key])
 
 
-def _request(req: dict, where: str) -> RequestSpec:
-    return RequestSpec(
-        at=_int_field(req, "at", where),
-        src=_int_field(req, "src", where),
-        dest=_int_field(req, "dest", where),
-    )
-
-
-def _random_requests(rr: dict, where: str) -> RandomRequests:
-    return RandomRequests(
-        count=_int_field(rr, "count", where, minimum=1),
-        first_at=_int_field(rr, "first_at", where, default=1),
-        spacing=_int_field(rr, "spacing", where, minimum=1, default=None),
-    )
-
-
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: expected a JSON object")
-    seed = _int_field(doc, "seed", source)
-
-    topo = _require(doc, "topology", source)
+    """The scenario a JSON document describes, judged by ScenarioConfig.check,
+    which holds every rule on its values. Building it needs only that the
+    document, random_requests and each request and fault are objects with
+    their required keys, and that each fault's op picks the key of its
+    target: 'node' or 'link'. A JSON null is the field's None."""
+    seed, topo = _keys(doc, source, "seed", "topology")
     if not isinstance(topo, dict):
-        topo = {}
-    topology_file = topo.get("file")
-    generator = None if "file" in topo else topo.get("generator")
-    _check_topology(topology_file, generator, source)
-
-    protocol = doc.get("protocol", {})
-    _check_protocol(protocol, source)
-
-    requests = []
-    for i, req in enumerate(_list_field(doc, "requests", source)):
-        where = f"{source}: field 'requests[{i}]'"
-        if not isinstance(req, dict):
-            raise ConfigError(f"{where}: expected an object")
-        spec = _request(req, where)
-        if spec.src == spec.dest:
-            raise ConfigError(f"{where}: src and dest are both node {spec.src}; "
-                              "a request to self needs no route")
-        requests.append(spec)
-
-    random_requests = None
-    if "random_requests" in doc:
-        rr = doc["random_requests"]
-        where = f"{source}: field 'random_requests'"
-        if not isinstance(rr, dict):
-            raise ConfigError(f"{where}: expected an object")
-        random_requests = _random_requests(rr, where)
-
-    faults = []
-    for i, fault in enumerate(_list_field(doc, "faults", source)):
-        where = f"{source}: field 'faults[{i}]'"
-        if not isinstance(fault, dict):
-            raise ConfigError(f"{where}: expected an object")
-        op = _require(fault, "op", where)
-        if not isinstance(op, str) or op not in FAULT_OPS:
-            raise ConfigError(f"{where}: field 'op': unknown operation {op!r}")
-        at = _int_field(fault, "at", where)
-        if op.endswith("_node"):
-            target = (_int_field(fault, "node", where, maximum=MAX_NODE_ID),)
-        else:
-            link = _require(fault, "link", where)
-            if (not isinstance(link, (list, tuple)) or len(link) != 2
-                    or not all(is_node_id(x) for x in link)):
-                raise ConfigError(f"{where}: field 'link': expected [a, b]")
-            target = tuple(link)
-        faults.append(FaultSpec(at=at, op=op, target=target))
-
-    horizon = doc.get("horizon")
-    if horizon is not None:
-        horizon = _int_field(doc, "horizon", source, minimum=1)
-
-    return ScenarioConfig(
+        topo = {}  # check names the field
+    requests = doc.get("requests", [])
+    if isinstance(requests, (list, tuple)):  # else check names the field
+        requests = [RequestSpec(*_keys(req, f"{source}: field 'requests[{i}]'",
+                                       "at", "src", "dest"))
+                    for i, req in enumerate(requests)]
+    rr = doc.get("random_requests")
+    if rr is not None:
+        (count,) = _keys(rr, f"{source}: field 'random_requests'", "count")
+        rr = RandomRequests(count, rr.get("first_at", 1), rr.get("spacing"))
+    faults = doc.get("faults", [])
+    if isinstance(faults, (list, tuple)):
+        faults = [_fault(fault, f"{source}: field 'faults[{i}]'")
+                  for i, fault in enumerate(faults)]
+    scenario = ScenarioConfig(
         seed=seed,
-        topology_file=topology_file,
-        generator=generator,
-        protocol=dict(protocol),
+        topology_file=topo.get("file"),
+        generator=None if "file" in topo else topo.get("generator"),
+        protocol=doc.get("protocol", {}),
         requests=requests,
-        random_requests=random_requests,
+        random_requests=rr,
         faults=faults,
-        horizon=horizon,
+        horizon=doc.get("horizon"),
     )
+    scenario.check(source)
+    return scenario
+
+
+def _keys(obj: Any, where: str, *keys: str) -> list:
+    """The values of keys in obj, which must be an object holding each."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    try:
+        return [obj[key] for key in keys]
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing field '{exc.args[0]}'") from None
+
+
+def _fault(fault: Any, where: str) -> FaultSpec:
+    at, op = _keys(fault, where, "at", "op")
+    if op not in FAULT_OPS:
+        return FaultSpec(at, op, ())  # check names the op
+    if op.endswith("_node"):
+        return FaultSpec(at, op, tuple(_keys(fault, where, "node")))
+    (link,) = _keys(fault, where, "link")
+    return FaultSpec(at, op, tuple(link) if isinstance(link, list) else link)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

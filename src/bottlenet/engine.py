@@ -47,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import fsm
 from .config import DEFAULT_HORIZON, ProtocolConfig, ScenarioConfig
@@ -76,26 +76,6 @@ _VALUE_KINDS: dict[str, tuple[str, Any]] = {
 }
 
 
-def _line_format(kind: Any, names: Iterable[Any],
-                 value_kinds: Iterable[str]) -> tuple[str, tuple]:
-    """The %-format of one record shape, with the constant text in place,
-    and its fix-ups: (index into values, converter to JSON text) for each
-    value that needs one. values is [at, seq, node, *data.values()], names
-    the data keys and value_kinds the kind of each value."""
-    specs, fixups = [], []
-    for i, value_kind in enumerate(value_kinds):
-        spec, convert = _VALUE_KINDS[value_kind]
-        specs.append(spec)
-        if convert is not None:
-            fixups.append((i, convert))
-    fields = [_encode({name: 0})[1:-3].replace("%", "%%") + ":" + spec
-              for name, spec in zip(names, specs[3:])]
-    fmt = ('{"at":%s,"seq":%s,"node":%s,"kind":' % tuple(specs[:3])
-           + _encode(kind).replace("%", "%%")
-           + ',"data":{' + ",".join(fields) + "}}")
-    return fmt, tuple(fixups)
-
-
 # Every record shape the engine writes: (kind, msg, data field names in the
 # order the engine fills them), with the %-format and fix-ups of each at the
 # same index of _SHAPE_FORMATS. Engine._record stores the index on the record.
@@ -105,21 +85,30 @@ _SHAPE_FORMATS: list[tuple[str, tuple]] = []
 
 def _shape(kind: str, msg: str | None, fields: str) -> int:
     """Declare one record shape; fields are "name" or "name:kind" (see
-    _VALUE_KINDS), an int when no kind is given. Returns its index."""
-    names, value_kinds = [], ["int", "int", "int"]  # at, seq, node
-    for item in fields.split():
+    _VALUE_KINDS), an int when no kind is given. Returns its index.
+
+    Its %-format has the constant text in place; its fix-ups are (index
+    into values, converter to JSON text) for each value that needs one,
+    where values is [at, seq, node, *data.values()]."""
+    names, specs, fixups = [], [], []
+    for i, item in enumerate(["at", "seq", "node", *fields.split()]):
         name, _, value_kind = item.partition(":")
+        spec, convert = _VALUE_KINDS[value_kind or "int"]
         names.append(name)
-        value_kinds.append(value_kind or "int")
-    _SHAPES.append((kind, msg, tuple(names)))
-    _SHAPE_FORMATS.append(_line_format(kind, names, value_kinds))
+        specs.append(f"{_encode(name)}:{spec}")
+        if convert is not None:
+            fixups.append((i, convert))
+    fmt = '{%s,%s,%s,"kind":%s,"data":{%s}}' % (*specs[:3], _encode(kind),
+                                                 ",".join(specs[3:]))
+    _SHAPES.append((kind, msg, tuple(names[3:])))
+    _SHAPE_FORMATS.append((fmt, tuple(fixups)))
     return len(_SHAPES) - 1
 
 
 # Sent, Received and DeliveryFailed records name a bottle or a data packet
 # in "msg"; other kinds have no msg. Each value must be of its declared kind,
 # an int never a bool or a float: times, node ids and counts are ints because
-# loading and ScenarioConfig.check reject any other scenario value.
+# ScenarioConfig.check rejects any other scenario value.
 _SENT_BOTTLE = _shape("Sent", "bottle", "msg:name to btl_id:name src dest "
                       "rf:bool failure:bool history_len bytes xfer")
 _SENT_DATA = _shape("Sent", "data", "msg:name to src dest xfer")
@@ -144,17 +133,6 @@ RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
                                           if (k, m) == (kind, msg)))
     for kind, msg, _ in _SHAPES}
 
-# Shape -> (%-format, fix-ups) of the records with no declared shape (loaded
-# or built in code); see TraceEvent.to_json. Such a shape is the kind, the
-# data keys and the types of kind, keys and every value. The types are part
-# of the key because 0, 0.0 and False compare and hash equal: keyed on values
-# alone, {False: 0} and then {0: 0} would share one format and write "false"
-# for the second. A bool never gets %d, which would write it as 1. Bounded,
-# so that traces with ever new keys cannot grow it forever.
-_FORMATS: dict[tuple, tuple[str, tuple[tuple[int, Any], ...]]] = {}
-_FORMATS_MAX = 1024
-
-
 @dataclass(slots=True)
 class TraceEvent:
     at: int
@@ -167,24 +145,14 @@ class TraceEvent:
     shape: int | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
-        """The record as one line of compact JSON: byte for byte what
-        ``_encode`` writes for {at, seq, node, kind, data}, filled into the
-        format of the record's shape in one % call: its declared shape's,
-        or else the one cached for its kind, keys and value types."""
+        """The record as one line of compact JSON: what ``_encode`` writes
+        for {at, seq, node, kind, data}. A record with a declared shape
+        fills that shape's format in one % call, to the same bytes."""
+        if self.shape is None:
+            return _encode({"at": self.at, "seq": self.seq, "node": self.node,
+                            "kind": self.kind, "data": self.data})
         values = [self.at, self.seq, self.node, *self.data.values()]
-        if self.shape is not None:
-            fmt, fixups = _SHAPE_FORMATS[self.shape]
-        else:
-            kind, data = self.kind, self.data
-            key = (kind, type(kind), *data, *map(type, data), *map(type, values))
-            try:
-                fmt, fixups = _FORMATS[key]
-            except KeyError:
-                if len(_FORMATS) >= _FORMATS_MAX:
-                    _FORMATS.clear()
-                fmt, fixups = _FORMATS[key] = _line_format(kind, data, [
-                    "int" if type(v) is int else "bool" if type(v) is bool else "json"
-                    for v in values])
+        fmt, fixups = _SHAPE_FORMATS[self.shape]
         for i, convert in fixups:
             values[i] = convert(values[i])
         return fmt % tuple(values)
@@ -330,16 +298,6 @@ class Engine:
         self._born: float = -math.inf  # the instant being processed
         self._tie = 0                  # see the module docstring
         self._refresh_due: set[int] = set()
-        # fsm action type -> the method(nid, action) that carries it out
-        self._actions: dict[type, Callable[[int, Any], None]] = {
-            fsm.Send: self._send_bottle,
-            fsm.SendData: self._send_data,
-            fsm.Eliminate: self._on_eliminate,
-            fsm.SetTimer: self._on_set_timer,
-            fsm.DeclareInaccessible: self._on_inaccessible,
-            fsm.TableUpdated: self._on_table_updated,
-            fsm.RouteRemoved: self._on_route_removed,
-        }
         self._xfer = 0
         self.trace: list[TraceEvent] = []
         self.bottle_bytes_sent = 0
@@ -388,6 +346,8 @@ class Engine:
             self._tie = 0 if born < beacon_born or born == beacon_born and tie < 1 else 2
             self.events_processed += 1
             handler(*payload)
+        # the entries past the horizon hold bound methods of this engine
+        queue.clear()
 
     # -- event handlers ----------------------------------------------------
 
@@ -493,7 +453,7 @@ class Engine:
     def _apply(self, nid: int, actions: Sequence[fsm.Action]) -> None:
         on_action = self._actions
         for action in actions:
-            on_action[type(action)](nid, action)
+            on_action[type(action)](self, nid, action)
 
     def _on_set_timer(self, nid: int, action: fsm.SetTimer) -> None:
         self.schedule(action.deadline, self._on_timer_fire, (nid, action.btl_id))
@@ -566,6 +526,18 @@ class Engine:
                                           self.cfg, self._rngs[frm])
         self._apply(frm, actions)
 
+    # fsm action type -> the function(engine, nid, action) that carries it
+    # out: plain functions, so that an engine holds no reference to itself
+    _actions: dict[type, Callable[["Engine", int, Any], None]] = {
+        fsm.Send: _send_bottle,
+        fsm.SendData: _send_data,
+        fsm.Eliminate: _on_eliminate,
+        fsm.SetTimer: _on_set_timer,
+        fsm.DeclareInaccessible: _on_inaccessible,
+        fsm.TableUpdated: _on_table_updated,
+        fsm.RouteRemoved: _on_route_removed,
+    }
+
 
 def _resolve_topology(scenario: ScenarioConfig) -> Topology:
     if scenario.topology_file is not None:
@@ -579,33 +551,37 @@ def _resolve_topology(scenario: ScenarioConfig) -> Topology:
 def request_schedule(scenario: ScenarioConfig, topology: Topology,
                      cfg: ProtocolConfig) -> tuple[list[tuple[int, int, int]], int | None]:
     """All (at, src, dest) requests, explicit then random, and the spacing
-    of the random ones (None when there are none)."""
-    out = [(r.at, r.src, r.dest) for r in scenario.requests]
+    of the random ones (None when there are none). A ConfigError names an
+    explicit request whose nodes the topology lacks."""
+    out = []
+    for i, r in enumerate(scenario.requests):
+        for role, nid in (("src", r.src), ("dest", r.dest)):
+            if nid not in topology.nodes:
+                raise ConfigError(f"field 'requests[{i}]': request at t={r.at}: "
+                                  f"unknown {role} node {nid}")
+        out.append((r.at, r.src, r.dest))
     rr = scenario.random_requests
     spacing = None
     if rr is not None:
         rng = random.Random(f"{scenario.seed}:requests")
         pool = sorted(topology.nodes)
         if len(pool) < 2:
-            raise ConfigError("random_requests need at least two nodes")
+            raise ConfigError("field 'random_requests': need at least two nodes, "
+                              f"the topology has {len(pool)}")
         spacing = rr.spacing
         if spacing is None:
             spacing = (cfg.retry_limit + 1) * cfg.timeout + 2
         for i in range(rr.count):
             src, dest = rng.sample(pool, 2)
             out.append((rr.first_at + i * spacing, src, dest))
-    for at, src, dest in out:
-        if src not in topology.nodes:
-            raise ConfigError(f"request at t={at}: unknown src node {src}")
-        if dest not in topology.nodes:
-            raise ConfigError(f"request at t={at}: unknown dest node {dest}")
-        if src == dest:
-            raise ConfigError(f"request at t={at}: src and dest are both node {src}")
     return out, spacing
 
 
 def run(scenario: ScenarioConfig) -> Trace:
-    """Execute one scenario to completion and return its full trace."""
+    """Execute one scenario to completion and return its full trace.
+
+    ScenarioConfig.check judges the scenario's fields; run adds only the
+    checks that need the topology (request_schedule's and the fault probe)."""
     scenario.check()
     topology = _resolve_topology(scenario)
     cfg = scenario.protocol_for(len(topology.nodes))

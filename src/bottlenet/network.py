@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .domain import NodeId, NodeState, is_node_id
+from .domain import MAX_NODE_ID, NodeId, NodeState, is_node_id
 from .errors import ConfigError, PreconditionViolation, UnknownEdge, UnknownNode
 
 Edge = tuple[NodeId, NodeId]
@@ -120,13 +120,15 @@ FAULT_OPS = ("fail_node", "restore_node", "fail_link", "restore_link")
 def fault_error(op: Any, target: Any) -> str | None:
     """What is wrong with a fault's op and target, if anything: the op must
     be one of FAULT_OPS, and the target one node id for a node op, two for
-    a link op."""
+    a link op. The message names the scenario file's key: 'op', 'node' or
+    'link'."""
     if not isinstance(op, str) or op not in FAULT_OPS:
-        return f"unknown op {op!r}"
-    arity = 1 if op.endswith("_node") else 2
+        return f"unknown op {op!r}; 'op' must be one of {', '.join(FAULT_OPS)}"
+    key, arity = ("node", 1) if op.endswith("_node") else ("link", 2)
     if (not isinstance(target, (list, tuple)) or len(target) != arity
             or not all(map(is_node_id, target))):
-        return f"op {op!r} needs a target of {arity} node(s), got {target!r}"
+        return (f"op {op!r} needs a target of {arity} node id(s) in 0..{MAX_NODE_ID} "
+                f"(its {key!r}), got {target!r}")
     return None
 
 

@@ -3,6 +3,7 @@ import json
 import tempfile
 import tracemalloc
 import typing
+import weakref
 from collections import Counter
 from enum import IntEnum
 from pathlib import Path
@@ -66,6 +67,29 @@ class TestScheduling:
     def test_every_fsm_action_type_has_a_handler(self):
         eng = Engine(make_topology((0, 1)), ProtocolConfig(8, 16), seed=0, horizon=10)
         assert set(eng._actions) == set(typing.get_args(fsm.Action))
+
+    def test_engine_is_freed_when_run_returns(self, monkeypatch):
+        """Nothing an engine holds after its run refers back to it, so
+        reference counting frees it without the cyclic collector."""
+        engines = []
+        original = Engine.run
+
+        def remembering(self):
+            engines.append(weakref.ref(self))
+            original(self)
+
+        monkeypatch.setattr(Engine, "run", remembering)
+        # requests past the horizon stay queued when the loop ends
+        sc = ScenarioConfig(seed=1, generator=GENERIC10, horizon=50,
+                            requests=[RequestSpec(at=1, src=0, dest=5),
+                                      RequestSpec(at=80, src=2, dest=7)])
+        gc.disable()
+        try:
+            trace = run(sc)
+            assert engines[0]() is None
+        finally:
+            gc.enable()
+        assert trace.records("RouteFound")
 
     def test_action_equality_is_type_aware(self):
         b = Bottle(0, 1, BottleId(0, 0), False, [0], False)
@@ -290,7 +314,7 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
         save_topology(t, str(topo_path))
         sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
         trace = run(sc)
-        with mock.patch.object(Engine, "_send_bottle", copying_send_bottle):
+        with mock.patch.dict(Engine._actions, {fsm.Send: copying_send_bottle}):
             reference = run(sc)
     assert trace.to_jsonl() == reference.to_jsonl()
     assert trace.meta == reference.meta
@@ -366,10 +390,7 @@ class TestTraceWriter:
            st.dictionaries(keys, values, max_size=5))
     def test_same_text_as_the_compact_encoder(self, at, seq, node, kind, data):
         expected = dumps(at, seq, node, kind, data)
-        ev = TraceEvent(at, seq, node, kind, data)
-        # the second call reads the format the first one cached
-        assert ev.to_json() == expected
-        assert ev.to_json() == expected
+        assert TraceEvent(at, seq, node, kind, data).to_json() == expected
 
     @pytest.mark.parametrize("datas", [
         # 0, 0.0 and False compare and hash equal
@@ -771,10 +792,10 @@ class TestChunkedTrace:
 def transient(step):
     """The bytes tracemalloc saw in use while step ran, beyond those still in
     use when it returned, and its result. For Trace.write, which returns
-    nothing, what is still in use is interpreter free lists (of the key
-    tuples TraceEvent.to_json builds for a record without a declared
-    shape), which grow with the records written up to a fixed cap and would
-    otherwise blur a peak that does not."""
+    nothing, what is still in use is interpreter free lists (of the lists
+    and tuples TraceEvent.to_json builds per record), which grow with the
+    records written up to a fixed cap and would otherwise blur a peak that
+    does not."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -799,7 +820,7 @@ def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypa
     for chunks in (4, 16):
         trace = Trace(events=events[:chunks * chunk])
         path = tmp_path / f"{chunks}.jsonl"
-        trace.write(str(path))  # fills the format cache outside the measurement
+        trace.write(str(path))  # warms the free lists outside the measurement
         writes[chunks], _ = transient(lambda: trace.write(str(path)))
         loads[chunks], loaded = transient(lambda: load_trace(str(path)))
         assert loaded.events == trace.events
