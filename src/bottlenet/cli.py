@@ -28,7 +28,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    trace = engine.run(scenario)
+    try:
+        trace = engine.run(scenario)
+    except ConfigError as exc:  # a check that needs the topology
+        raise ConfigError(f"{args.config}: {exc}") from exc
     if args.trace_out:
         trace.write(args.trace_out)
     summary = metrics.summarize(trace)

@@ -110,13 +110,14 @@ class PendingRequest:
 
 @dataclass
 class NodeState:
+    """What a node keeps between events: bottle counter, live neighbours,
+    routing table and open discoveries. No arrival waits here; each goes to
+    its fsm handler at the instant it lands (see the fsm module docstring)."""
+
     nid: NodeId
     bid: int = 0
     nbors: set[NodeId] = field(default_factory=set)
     rtab: RoutingTable = field(default_factory=dict)
-    state: NodePhase = NodePhase.IDLE
-    pkt_queue: list[DataPacket] = field(default_factory=list)
-    btl_queue: list[Bottle] = field(default_factory=list)
     pending: dict[BottleId, PendingRequest] = field(default_factory=dict)
 
     def next_seq(self) -> int:

@@ -355,8 +355,8 @@ class Engine:
         if src in self.topology.down_nodes:
             return
         pkt = DataPacket(src=src, dest=dest, path=[src])
-        self.nodes[src].pkt_queue.append(pkt)
-        self._drain(src)
+        self._apply(src, fsm.handle_route_request(self.nodes[src], pkt, self.now,
+                                                  self.cfg, self._rngs[src]))
 
     def _on_bottle_arrival(self, frm: int, to: int, bottle: Bottle,
                            xfer: int, btl_id: str) -> None:
@@ -375,8 +375,8 @@ class Engine:
                 "src": bottle.src, "dest": bottle.dest,
                 "path": list(bottle.history),
             })
-        self.nodes[to].btl_queue.append(bottle)
-        self._drain(to)
+        self._apply(to, fsm.handle_bottle(self.nodes[to], bottle, self.now,
+                                          self.cfg, self._rngs[to]))
 
     def _on_data_arrival(self, frm: int, to: int, pkt: DataPacket,
                          xfer: int) -> None:
@@ -397,8 +397,8 @@ class Engine:
                 "reason": "hop_cap", "xfer": None,
             })
             return
-        self.nodes[to].pkt_queue.append(pkt)
-        self._drain(to)
+        self._apply(to, fsm.handle_route_request(self.nodes[to], pkt, self.now,
+                                                 self.cfg, self._rngs[to]))
 
     def _on_timer_fire(self, nid: int, btl_id: BottleId) -> None:
         if nid in self.topology.down_nodes:
@@ -431,24 +431,7 @@ class Engine:
         for nid in touched:
             self._refresh_at_next_beacon(nid)
 
-    # -- node servicing ----------------------------------------------------
-
-    def _drain(self, nid: int) -> None:
-        node = self.nodes[nid]
-        while True:
-            node.state = fsm.next_state(node.state, not node.pkt_queue,
-                                        not node.btl_queue)
-            if node.state is fsm.NodePhase.BTL_MANAGE:
-                bottle = node.btl_queue.pop(0)
-                actions = fsm.handle_bottle(node, bottle, self.now, self.cfg,
-                                            self._rngs[nid])
-            elif node.state is fsm.NodePhase.ROUTE_REQ:
-                pkt = node.pkt_queue.pop(0)
-                actions = fsm.handle_route_request(node, pkt, self.now,
-                                                   self.cfg, self._rngs[nid])
-            else:
-                break
-            self._apply(nid, actions)
+    # -- fsm actions -------------------------------------------------------
 
     def _apply(self, nid: int, actions: Sequence[fsm.Action]) -> None:
         on_action = self._actions

@@ -15,6 +15,12 @@ it. No bottle is copied on its way from node to node.
 A harvest's routes leave in one ``TableUpdated`` action that carries every
 entry it installed, in harvest order; the engine still writes one
 TableUpdated trace record per entry.
+
+``next_state`` is the published per-node FSM over a packet queue and a
+bottle queue. The engine keeps no queues: it hands each arrival to
+``handle_bottle`` or ``handle_route_request`` at the instant it lands, and no
+action delivers anything at that instant. So each arrival takes the table's
+path for a single item, IDLE -> BTL_MANAGE (or ROUTE_REQ) -> IDLE, in one event.
 """
 
 from __future__ import annotations
@@ -99,7 +105,9 @@ def next_state(current: NodePhase, pkt_queue_empty: bool,
     """Total transition function over the three states and two queue flags.
 
     Bottle management wins when both queues hold work; servicing in-flight
-    discoveries spreads routing knowledge network-wide.
+    discoveries spreads routing knowledge network-wide. The engine handles
+    each arrival at the instant it lands, so only the single-item path is
+    ever taken (see the module docstring).
     """
     if not btl_queue_empty:
         return NodePhase.BTL_MANAGE

@@ -6,7 +6,7 @@ protocol discovers; deliberately shares nothing with the FSM. A
 gets an int bitmask of its live links. Each source then costs one cached
 bit-parallel BFS, each level the OR of the frontier's masks minus the nodes
 seen (Beamer, Asanovic & Patterson, SC 2012). Many-query callers keep one
-snapshot; the module functions build one per call. A snapshot does not
+snapshot; the two module functions build one per call. A snapshot does not
 follow faults applied after it is built.
 """
 
@@ -33,7 +33,8 @@ class Distances:
         return n in self._index
 
     def from_source(self, a: int) -> dict[int, int]:
-        """distances_from over the snapshot; cached, so callers must not mutate it."""
+        """Hop count of a shortest live path from a to each node it reaches,
+        a at 0; cached, so callers must not mutate it."""
         dist = self._cache.get(a)
         if dist is not None:
             return dist
@@ -73,24 +74,9 @@ class Distances:
         return sorted(out, key=len, reverse=True)
 
 
-def distances_from(t: Topology, a: int) -> dict[int, int]:
-    """Hop count of a shortest live path from a to every node it reaches; a
-    itself is at 0 and unreachable nodes are absent."""
-    return Distances(t).from_source(a)
-
-
 def bfs_distance(t: Topology, a: int, b: int) -> int | None:
     """Hop count of a shortest live path from a to b; None when disconnected."""
     return Distances(t).between(a, b)
-
-
-def connected(t: Topology, a: int, b: int) -> bool:
-    return bfs_distance(t, a, b) is not Unreachable
-
-
-def component(t: Topology, a: int) -> set[int]:
-    """All nodes reachable from a over live links (includes a itself)."""
-    return set(distances_from(t, a))
 
 
 def components(t: Topology) -> list[set[int]]:

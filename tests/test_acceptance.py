@@ -41,7 +41,7 @@ def connected_pair(t: Topology, tag: str, want_connected: bool) -> tuple[int, in
     nodes = sorted(t.nodes)
     while True:
         src, dest = pick.sample(nodes, 2)
-        if oracle.connected(t, src, dest) == want_connected:
+        if (oracle.Distances(t).between(src, dest) is not None) == want_connected:
             return src, dest
 
 

@@ -156,6 +156,21 @@ class TestRun:
         })
         assert main(["run", "--config", config]) == 2
 
+    def test_fault_on_a_missing_edge_names_the_file_and_field(self, tmp_path,
+                                                              generated_topology, capsys):
+        edges = {frozenset(e) for e in load_topology(generated_topology).edges}
+        a, b = next((a, b) for a in range(15) for b in range(a + 1, 15)
+                    if frozenset((a, b)) not in edges)
+        config = write_scenario(tmp_path, {
+            "seed": 1,
+            "topology": {"file": generated_topology},
+            "faults": [{"at": 5, "op": "fail_link", "link": [a, b]}],
+        })
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {config}: field 'faults[0]': "
+                       f"edge ({a}, {b}) not in topology\n")
+
     def test_trace_out_into_a_missing_directory_is_a_clean_error(self, tmp_path, capsys,
                                                                  generated_topology):
         config = write_scenario(tmp_path, {

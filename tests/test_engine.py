@@ -336,6 +336,31 @@ def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
         assert ev.to_json() == TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data).to_json()
 
 
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
+    """fsm.handle_bottle runs once per Received bottle record, at that
+    record's node and instant, in trace order: no arrival waits for a later
+    event of its node."""
+    t, doc = case
+    handled = []
+    handle_bottle = fsm.handle_bottle
+
+    def recording(node, b, now, *args):
+        handled.append((now, node.nid, str(b.btl_id)))
+        return handle_bottle(node, b, now, *args)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path = Path(tmp, "topo.json")
+        save_topology(t, str(topo_path))
+        sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
+        with mock.patch.object(fsm, "handle_bottle", recording):
+            trace = run(sc)
+    assert handled == [(ev.at, ev.node, ev.data["btl_id"]) for ev in trace.events
+                       if ev.kind == "Received" and ev.data["msg"] == "bottle"]
+
+
 def test_record_fields_derived_from_the_declared_shapes():
     assert engine.RECORD_FIELDS == {
         key: frozenset(fields.split()) for key, fields in {

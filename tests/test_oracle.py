@@ -10,10 +10,7 @@ from bottlenet.oracle import (
     Distances,
     Unreachable,
     bfs_distance,
-    component,
     components,
-    connected,
-    distances_from,
 )
 from bottlenet.topogen import generate_topology
 from conftest import make_topology
@@ -55,18 +52,18 @@ class TestBfsDistance:
 
 class TestConnected:
     def test_same_component(self, path3):
-        assert connected(path3, 0, 2)
+        assert Distances(path3).between(0, 2) is not None
 
     def test_across_partition(self):
         t = make_topology((0, 1), (2, 3))
-        assert not connected(t, 0, 3)
+        assert Distances(t).between(0, 3) is None
 
     def test_cut_bridge_disconnects(self):
         t = make_topology((0, 1), (1, 2), (2, 3), (2, 4))
-        assert connected(t, 0, 3)
+        assert Distances(t).between(0, 3) is not None
         t.apply_fault("fail_node", (2,))
-        assert not connected(t, 0, 3)
-        assert connected(t, 0, 1)
+        assert Distances(t).between(0, 3) is None
+        assert Distances(t).between(0, 1) is not None
 
 
 class TestComponents:
@@ -79,7 +76,7 @@ class TestComponents:
 
     def test_component_of(self):
         t = make_topology((0, 1), (3, 4))
-        assert component(t, 3) == {3, 4}
+        assert set(Distances(t).from_source(3)) == {3, 4}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partitioned_graph_largest_first_ties_by_smallest_node(self, seed):
@@ -163,7 +160,7 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     for a in t.nodes:
         want = nx.single_source_shortest_path_length(g, a) if a in g else {a: 0}
         assert truth.from_source(a) == want
-        assert distances_from(t, a) == want
+        assert Distances(t).from_source(a) == want
         for b in t.nodes:
             assert truth.between(a, b) == want.get(b, Unreachable)
             assert bfs_distance(t, a, b) == want.get(b, Unreachable)

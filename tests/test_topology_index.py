@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bottlenet.errors import ConfigError
 from bottlenet.network import Topology, edge_key, topology_from_dict
-from bottlenet.oracle import distances_from
+from bottlenet.oracle import Distances
 
 
 def scan_link_live(t: Topology, a: int, b: int) -> bool:
@@ -79,7 +79,7 @@ def test_constructor_adds_missing_endpoints_as_add_edge_does():
     t = Topology(nodes={0}, edges={(0, 1)})
     assert t.nodes == {0, 1}
     assert t.live_neighbors(1) == {0}
-    assert distances_from(t, 0) == {0: 0, 1: 1}  # was a raw KeyError: 1
+    assert Distances(t).from_source(0) == {0: 0, 1: 1}  # was a raw KeyError: 1
 
 
 def test_constructor_rejects_a_self_loop():
