@@ -41,10 +41,12 @@ s - P that lands at s sorts before the beacon.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
 import random
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, Sequence
@@ -88,8 +90,8 @@ def _shape(kind: str, msg: str | None, fields: str) -> int:
     _VALUE_KINDS), an int when no kind is given. Returns its index.
 
     Its %-format has the constant text in place; its fix-ups are (index
-    into values, converter to JSON text) for each value that needs one,
-    where values is [at, seq, node, *data.values()]."""
+    from the end of values, converter to JSON text) for each value that
+    needs one, where values ends with [at, seq, node, *data.values()]."""
     names, specs, fixups = [], [], []
     for i, item in enumerate(["at", "seq", "node", *fields.split()]):
         name, _, value_kind = item.partition(":")
@@ -101,7 +103,7 @@ def _shape(kind: str, msg: str | None, fields: str) -> int:
     fmt = '{%s,%s,%s,"kind":%s,"data":{%s}}' % (*specs[:3], _encode(kind),
                                                  ",".join(specs[3:]))
     _SHAPES.append((kind, msg, tuple(names[3:])))
-    _SHAPE_FORMATS.append((fmt, tuple(fixups)))
+    _SHAPE_FORMATS.append((fmt, tuple((i - len(names), c) for i, c in fixups)))
     return len(_SHAPES) - 1
 
 
@@ -145,17 +147,20 @@ class TraceEvent:
     shape: int | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
-        """The record as one line of compact JSON: what ``_encode`` writes
-        for {at, seq, node, kind, data}. A record with a declared shape
-        fills that shape's format in one % call, to the same bytes."""
+        """The record as one line of compact JSON, as ``_encode`` writes it."""
+        values: list = []
+        return self._fill(values) % tuple(values)
+
+    def _fill(self, values: list) -> str:
+        """The record's %-format, after appending the values that fill it to values."""
         if self.shape is None:
             return _encode({"at": self.at, "seq": self.seq, "node": self.node,
-                            "kind": self.kind, "data": self.data})
-        values = [self.at, self.seq, self.node, *self.data.values()]
+                            "kind": self.kind, "data": self.data}).replace("%", "%%")
         fmt, fixups = _SHAPE_FORMATS[self.shape]
+        values += (self.at, self.seq, self.node, *self.data.values())
         for i, convert in fixups:
             values[i] = convert(values[i])
-        return fmt % tuple(values)
+        return fmt
 
 
 @dataclass
@@ -165,11 +170,10 @@ class Trace:
     The JSONL form (``to_jsonl``, ``write``) holds one record per line: a
     compact JSON object (no spaces, ASCII only) with the keys ``at``,
     ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
-    always gives the same bytes. ``write`` and ``iter_trace``, which streams
-    it back, each hold one chunk of text at a time; ``iter_trace`` rejects
-    all but exactly one such object per non-blank line, and any record whose
-    data lacks a field ``RECORD_FIELDS`` requires or, for TopologyChanged,
-    names an unknown op or a target that does not fit it.
+    always gives the same bytes. ``write`` (one %-format per chunk) and
+    ``iter_trace``, which streams it back, each hold one chunk of text at a
+    time; ``iter_trace`` rejects all but exactly one such object per
+    non-blank line, and any record whose data does not fit its kind.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -183,7 +187,9 @@ class Trace:
 
     def _jsonl_chunks(self) -> Iterator[str]:
         for i in range(0, len(self.events), _CHUNK_LINES):
-            yield "".join([ev.to_json() + "\n" for ev in self.events[i:i + _CHUNK_LINES]])
+            values: list = []
+            fmts = [ev._fill(values) for ev in self.events[i:i + _CHUNK_LINES]]
+            yield ("\n".join(fmts) + "\n") % tuple(values)
 
     def to_jsonl(self) -> str:
         return "".join(self._jsonl_chunks())
@@ -204,43 +210,56 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
     return chain.from_iterable(_trace_chunks(path))
 
 
-def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
-    """The records of each ``_CHUNK_LINES`` lines of a JSONL trace.
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; leave it as it was on leaving."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
-    Each chunk is decoded in one call, each non-blank line wrapped in a list
-    of its own: a record split over two lines leaves fewer lists than lines,
-    and a line holding two records a list of two. Each record is checked
-    against ``RECORD_FIELDS`` as it is built, and a chunk that fails to
-    decode or to conform leaves fewer records than lines. Only such a chunk
-    is checked line by line, to name its first bad line in a
-    ``MalformedTrace`` (see ``_record_error``).
-    """
+
+def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
+    """The records of each ``_CHUNK_LINES`` lines of a JSONL trace. A chunk is
+    decoded in one call (``_decode_chunk``), each line wrapped in a list of its
+    own, so a record split over two lines, a line of two records, a blank line
+    or a record whose data does not fit its kind leaves fewer records than
+    lines. Only such a chunk is decoded again without its blank lines, and if
+    that fails too, checked line by line to name its first bad line in a
+    ``MalformedTrace`` (see ``_record_error``)."""
     with open(path) as fh:
         first = 1  # the number of the chunk's first line
         while lines := list(islice(fh, _CHUNK_LINES)):
-            texts = [line for line in map(str.strip, lines) if line]
-            events: list[TraceEvent] = []
-            try:
-                rows = json.loads("[[" + "],[".join(texts) + "]]" if texts else "[]")
-                for (rec,) in rows:
-                    kind, data = rec["kind"], rec["data"]
-                    fields = RECORD_FIELDS.get((kind, data.get("msg")))
-                    if (fields is None or not data.keys() >= fields
-                            or fields is _FAULT_FIELDS
-                            and fault_error(data["op"], data["target"])):
-                        break
-                    events.append(TraceEvent(rec["at"], rec["seq"], rec["node"],
-                                             kind, data))
-            except (ValueError, TypeError, KeyError, AttributeError):
-                pass
-            if len(events) != len(texts):
-                for n, line in enumerate(map(str.strip, lines), first):
-                    error = line and _record_error(line)
-                    if error:
-                        raise MalformedTrace(f"{path}: line {n}: {error}")
-                raise MalformedTrace(f"{path}: not a JSONL trace")
+            events = _decode_chunk(lines)
+            if len(events) != len(lines):
+                texts = [line for line in map(str.strip, lines) if line]
+                if len(events := _decode_chunk(texts)) != len(texts):
+                    for n, line in enumerate(map(str.strip, lines), first):
+                        error = line and _record_error(line)
+                        if error:
+                            raise MalformedTrace(f"{path}: line {n}: {error}")
+                    raise MalformedTrace(f"{path}: not a JSONL trace")
             yield events
             first += len(lines)
+
+
+@_collector_paused()
+def _decode_chunk(lines: list[str]) -> list[TraceEvent]:
+    """The records of lines up to the first bad one, decoded in one call."""
+    events: list[TraceEvent] = []
+    append, get_fields, fault_fields = events.append, RECORD_FIELDS.get, _FAULT_FIELDS
+    with suppress(ValueError, TypeError, KeyError, AttributeError):
+        for (rec,) in json.loads("[[" + "],[".join(lines) + "]]"):
+            kind, data = rec["kind"], rec["data"]
+            fields = get_fields((kind, data.get("msg")))
+            if (fields is None or not data.keys() >= fields
+                    or fields is fault_fields and fault_error(data["op"], data["target"])):
+                break
+            append(TraceEvent(rec["at"], rec["seq"], rec["node"], kind, data))
+    return events
 
 
 def load_trace(path: str) -> Trace:
@@ -589,7 +608,8 @@ def run(scenario: ScenarioConfig) -> Trace:
             raise ConfigError(f"field 'faults[{i}]': {exc}") from exc
         engine.schedule(fault.at, engine._on_fault, (fault.op, fault.target))
 
-    engine.run()
+    with _collector_paused():  # a run makes no cyclic garbage
+        engine.run()
 
     return Trace(
         events=engine.trace,

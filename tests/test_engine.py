@@ -794,6 +794,45 @@ class TestChunkedTrace:
         bad = self.write(tmp_path, self.records(3) + ["", "", ""] + ['{"at": 1}'])
         with pytest.raises(MalformedTrace, match="line 7: missing field 'seq'"):
             load_trace(bad)
+        # whitespace around a record or a line break, and a line holding
+        # only a form feed, which str.strip drops but JSON does not allow
+        padded = [" \t" + line + "\t " for line in self.records(7)]
+        form_feed = self.records(2) + ["\f", " \f\t"] + self.records(5, start=2)
+        for lines, newline in [(padded, "\n"), (self.records(7), "\r\n"),
+                               (padded[:4] + [""] + padded[4:], "\r\n"),
+                               (form_feed, "\n"), (form_feed, "\r\n")]:
+            path = tmp_path / "spaced.jsonl"
+            path.write_bytes("".join(line + newline for line in lines).encode())
+            assert load_trace(str(path)).events == [
+                TraceEvent(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})
+                for seq in range(7)]
+            path.write_bytes("".join(line + newline for line in lines + ['{"at": 1}'])
+                             .encode())
+            with pytest.raises(MalformedTrace,
+                               match=f"line {len(lines) + 1}: missing field 'seq'"):
+                load_trace(str(path))
+
+    def test_writer_fills_one_format_per_chunk_to_each_records_bytes(self, tmp_path):
+        """Engine-shaped and unshaped records, loaded or built in code, mixed
+        within and across chunks: a % in an unshaped record's kind, keys or
+        values, or in a shaped record's name, is written as it is."""
+        shaped = run(two_node_scenario(tmp_path)).events
+        loaded = load_trace(self.write(tmp_path, self.records(2, start=50))).events
+        events = [loaded[0], *shaped[:2],
+                  TraceEvent(3, 60, 1, "50%", {"%d": "%s", "100%": 7, "%%": None,
+                                               "%(x)s": ["%", "a%%b%"]}),
+                  TraceEvent(4, 61, 2, "Eliminated", {"btl_id": "%d%s", "reason": "100%"},
+                             engine._ELIMINATED),
+                  *shaped[2:], loaded[1], TraceEvent(5, 62, 0, "%s%%", {"k": "%"})]
+        assert {ev.shape is None for ev in events} == {True, False}
+        assert len(events) % 3 != 0
+        trace = Trace(events=events)
+        path = tmp_path / "mixed.jsonl"
+        trace.write(str(path))
+        expected = "".join(ev.to_json() + "\n" for ev in events)
+        assert path.read_text() == trace.to_jsonl() == expected
+        assert expected == "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
+                                   for ev in events)
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, [])
@@ -814,13 +853,82 @@ class TestChunkedTrace:
         assert list(iter_trace(str(path))) == trace.events
 
 
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for a test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """run and the trace reader build records with the cyclic collector
+    paused, and leave it as they found it, however they end."""
+
+    @pytest.fixture(autouse=True)
+    def three_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK_LINES", 3)
+
+    def watch(self, monkeypatch, owner, name, fail=False):
+        """Wrap owner.name to note whether the collector is on at each call."""
+        seen, original = [], getattr(owner, name)
+
+        def watching(*args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("mid-run")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, watching)
+        return seen
+
+    def trace_file(self, tmp_path, bad_line=None):
+        lines = [record_line(seq) for seq in range(10)]
+        if bad_line is not None:
+            lines[bad_line - 1] = '{"at": 1}'
+        path = tmp_path / "paused.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    def test_run(self, tmp_path, monkeypatch, collector):
+        seen = self.watch(monkeypatch, fsm, "handle_bottle")
+        assert run(two_node_scenario(tmp_path)).records("RouteFound")
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_run_that_raises(self, tmp_path, monkeypatch, collector):
+        seen = self.watch(monkeypatch, fsm, "handle_bottle", fail=True)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            run(two_node_scenario(tmp_path))
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_load_trace(self, tmp_path, monkeypatch, collector):
+        seen = self.watch(monkeypatch, engine, "TraceEvent")
+        assert len(load_trace(self.trace_file(tmp_path)).events) == 10
+        assert len(seen) == 10 and not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_iter_trace_dropped_after_its_first_chunk(self, tmp_path, collector):
+        stream = iter_trace(self.trace_file(tmp_path))
+        assert next(stream).seq == 0
+        assert gc.isenabled() is collector
+        del stream
+        assert gc.isenabled() is collector
+
+    def test_load_trace_that_raises_in_the_third_chunk(self, tmp_path, collector):
+        with pytest.raises(MalformedTrace, match="line 8: missing field 'seq'"):
+            load_trace(self.trace_file(tmp_path, bad_line=8))
+        assert gc.isenabled() is collector
+
+
 def transient(step):
     """The bytes tracemalloc saw in use while step ran, beyond those still in
     use when it returned, and its result. For Trace.write, which returns
-    nothing, what is still in use is interpreter free lists (of the lists
-    and tuples TraceEvent.to_json builds per record), which grow with the
-    records written up to a fixed cap and would otherwise blur a peak that
-    does not."""
+    nothing, what is still in use is interpreter free lists (of the tuples
+    TraceEvent._fill builds per record), which grow with the records written
+    up to a fixed cap and would otherwise blur a peak that does not."""
     gc.collect()
     tracemalloc.start()
     try:
