@@ -223,43 +223,43 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
-    """The records of each ``_CHUNK_LINES`` lines of a JSONL trace. A chunk is
-    decoded in one call (``_decode_chunk``), each line wrapped in a list of its
-    own, so a record split over two lines, a line of two records, a blank line
-    or a record whose data does not fit its kind leaves fewer records than
-    lines. Only such a chunk is decoded again without its blank lines, and if
-    that fails too, checked line by line to name its first bad line in a
-    ``MalformedTrace`` (see ``_record_error``)."""
+    """The records of each ``_CHUNK_LINES`` lines of a JSONL trace, decoded in
+    one call (``_decode_chunk``). Only a chunk it rejects is decoded line by
+    line, each line stripped, to name its first bad line (``_record_error``)."""
     with open(path) as fh:
         first = 1  # the number of the chunk's first line
         while lines := list(islice(fh, _CHUNK_LINES)):
             events = _decode_chunk(lines)
-            if len(events) != len(lines):
-                texts = [line for line in map(str.strip, lines) if line]
-                if len(events := _decode_chunk(texts)) != len(texts):
-                    for n, line in enumerate(map(str.strip, lines), first):
-                        error = line and _record_error(line)
-                        if error:
-                            raise MalformedTrace(f"{path}: line {n}: {error}")
-                    raise MalformedTrace(f"{path}: not a JSONL trace")
+            if events is None:
+                events = []
+                for n, line in enumerate(map(str.strip, lines), first):
+                    if (line_events := _decode_chunk([line])) is None:
+                        raise MalformedTrace(f"{path}: line {n}: {_record_error(line)}")
+                    events += line_events
             yield events
             first += len(lines)
 
 
 @_collector_paused()
-def _decode_chunk(lines: list[str]) -> list[TraceEvent]:
-    """The records of lines up to the first bad one, decoded in one call."""
+def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
+    """Every record of lines, decoded in one call with each line wrapped in a
+    list of its own, or None unless that gives one list per line, each
+    holding one record that fits its kind, or nothing for a line of JSON
+    whitespace. A line holding ``],[`` adds a list."""
     events: list[TraceEvent] = []
     append, get_fields, fault_fields = events.append, RECORD_FIELDS.get, _FAULT_FIELDS
     with suppress(ValueError, TypeError, KeyError, AttributeError):
-        for (rec,) in json.loads("[[" + "],[".join(lines) + "]]"):
-            kind, data = rec["kind"], rec["data"]
-            fields = get_fields((kind, data.get("msg")))
-            if (fields is None or not data.keys() >= fields
-                    or fields is fault_fields and fault_error(data["op"], data["target"])):
-                break
-            append(TraceEvent(rec["at"], rec["seq"], rec["node"], kind, data))
-    return events
+        if len(items := json.loads("[[" + "],[".join(lines) + "]]")) == len(lines):
+            for (rec,) in filter(None, items):
+                kind, data = rec["kind"], rec["data"]
+                fields = get_fields((kind, data.get("msg")))
+                if (fields is None or not data.keys() >= fields
+                        or fields is fault_fields and fault_error(data["op"], data["target"])):
+                    break
+                append(TraceEvent(rec["at"], rec["seq"], rec["node"], kind, data))
+            else:
+                return events
+    return None
 
 
 def load_trace(path: str) -> Trace:
@@ -619,7 +619,6 @@ def run(scenario: ScenarioConfig) -> Trace:
             "spacing": spacing,
             "bottle_bytes_sent": engine.bottle_bytes_sent,
             "events_processed": engine.events_processed,
-            "trace_records": len(engine.trace),
         },
         nodes=engine.nodes,
         topology=topology,

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import tempfile
@@ -10,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bottlenet.config import (
     FaultSpec,
@@ -683,6 +684,11 @@ class TestMalformedTrace:
         with pytest.raises(MalformedTrace, match="line 2:"):
             self.load(tmp_path, [record_line(0),
                                  record_line(1) + "," + record_line(2)])
+        # joined with "],[", it closes its own list and opens the next line's:
+        # only the count of lists per line tells it from two lines
+        with pytest.raises(MalformedTrace, match="line 2: not one JSON record"):
+            self.load(tmp_path, [record_line(0),
+                                 record_line(1) + "],[" + record_line(2)])
 
     @pytest.mark.parametrize("inside", ["list", "string"])
     def test_record_split_over_two_lines(self, tmp_path, inside):
@@ -812,6 +818,17 @@ class TestChunkedTrace:
                                match=f"line {len(lines) + 1}: missing field 'seq'"):
                 load_trace(str(path))
 
+    def test_one_decode_per_chunk_with_a_blank_line(self, tmp_path):
+        """A blank CRLF line first, inside or last in each chunk is an empty
+        list inside its wrapper: each chunk still takes one json.loads."""
+        lines = [""] + self.records(3) + [""] + self.records(3, start=3) + [""]
+        path = tmp_path / "blank.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        with mock.patch.object(engine.json, "loads", wraps=json.loads) as loads:
+            events = load_trace(str(path)).events
+        assert [ev.seq for ev in events] == list(range(6))
+        assert loads.call_count == 3
+
     def test_writer_fills_one_format_per_chunk_to_each_records_bytes(self, tmp_path):
         """Engine-shaped and unshaped records, loaded or built in code, mixed
         within and across chunks: a % in an unshaped record's kind, keys or
@@ -851,6 +868,81 @@ class TestChunkedTrace:
         assert trace.to_jsonl() == "".join(ev.to_json() + "\n" for ev in trace.events)
         assert load_trace(str(path)).events == trace.events
         assert list(iter_trace(str(path))) == trace.events
+
+
+@functools.cache
+def engine_record_lines():
+    """One line of each record shape a faulty 12-node run writes."""
+    doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 12, "seed": 0}},
+           "protocol": {"queue_cap": 1, "retry_limit": 1},
+           "random_requests": {"count": 20, "spacing": 2},
+           "faults": [{"at": 3, "op": "fail_node", "node": 2},
+                      {"at": 4, "op": "fail_link", "link": [0, 3]},
+                      {"at": 30, "op": "restore_node", "node": 2}]}
+    lines = {ev.shape: ev.to_json() for ev in run(scenario_from_dict(doc)).events}
+    assert len(lines) >= 8
+    return tuple(sorted(lines.values()))
+
+
+# replacement values for a record's kind and data, and its data's msg, op and target
+RECORD_EDITS = {
+    "kind": sorted({kind for kind, _ in engine.RECORD_FIELDS}) + ["Lost", ["Sent"], 1],
+    "data": [[], "data", None],
+    "msg": ["bottle", "data", None, ["data"], {"m": 1}],
+    "op": [*FAULT_OPS, "explode", ["fail_node"], None],
+    "target": [[1], [1, 2], [], [1, 2, 3], ["a"], 1, [MAX_NODE_ID + 1], None],
+}
+LINE_TOKENS = ["],[", ",", "[", "]", "{", "}", '"', ":", '"msg":"data",', '"at":1,',
+               " ", "\t", "\f"]
+
+
+@st.composite
+def mutated_record_lines(draw):
+    """An engine record line with its kind, data, msg, op or target replaced
+    or a key deleted, then ],[, commas, brackets, quotes, keys or another
+    record inserted into its text or cut out of it, or the line wrapped in a
+    list."""
+    rec = json.loads(draw(st.sampled_from(engine_record_lines())))
+    data = rec["data"]
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from([*RECORD_EDITS, "delete"]))
+        if field == "delete":
+            key = draw(st.sampled_from([*rec, *data]))
+            (rec if key in rec else data).pop(key, None)
+        else:
+            owner = rec if field in ("kind", "data") else data
+            owner[field] = draw(st.sampled_from(RECORD_EDITS[field]))
+    line = json.dumps(rec, separators=(",", ":"))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["insert", "cut", "remove", "join", "wrap"]))
+        if edit == "insert":
+            line = line[:at] + draw(st.sampled_from(LINE_TOKENS)) + line[at:]
+        elif edit == "cut":
+            line = line[:at] + line[at + draw(st.integers(1, 3)):]
+        elif edit == "remove":
+            line = line.replace(draw(st.sampled_from(LINE_TOKENS)), "", 1)
+        elif edit == "join":
+            line += draw(st.sampled_from(["],[", ","])) + draw(
+                st.sampled_from(engine_record_lines()))
+        else:
+            line = f"[{line}]"
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_record_lines())
+def test_the_line_path_names_every_line_it_rejects(line):
+    """The trace reader's line-by-line path raises with _record_error's
+    message for a line _decode_chunk rejects: that message is never None,
+    and a line it accepts is exactly one record, the line's own."""
+    assume(line.strip())
+    decoded, error = engine._decode_chunk([line]), engine._record_error(line)
+    assert (decoded is None) == (error is not None), (line, error)
+    if decoded is not None:
+        rec = json.loads(line)
+        assert decoded == [TraceEvent(rec["at"], rec["seq"], rec["node"], rec["kind"],
+                                      rec["data"])]
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
