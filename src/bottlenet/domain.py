@@ -75,7 +75,7 @@ class Bottle:
 
 
 class RouteEntry(NamedTuple):
-    """One route; immutable, so a table and its shallow copy may share it."""
+    """One route; immutable, so a table and a TableUpdated action may share it."""
 
     next_hop: NodeId
     hop_count: int
@@ -100,9 +100,10 @@ class DataPacket:
 
 @dataclass
 class PendingRequest:
-    """Bookkeeping for an outstanding discovery at its source."""
+    """A source's one open discovery, stored under its destination in
+    ``NodeState.pending``; btl_id is the attempt whose timer is armed."""
 
-    dest: NodeId
+    btl_id: BottleId
     retries_used: int
     deadline: int
     queued_packets: list[DataPacket] = field(default_factory=list)
@@ -111,14 +112,15 @@ class PendingRequest:
 @dataclass
 class NodeState:
     """What a node keeps between events: bottle counter, live neighbours,
-    routing table and open discoveries. No arrival waits here; each goes to
-    its fsm handler at the instant it lands (see the fsm module docstring)."""
+    routing table and open discoveries, at most one per destination. No
+    arrival waits here; each goes to its fsm handler at the instant it
+    lands (see the fsm module docstring)."""
 
     nid: NodeId
     bid: int = 0
     nbors: set[NodeId] = field(default_factory=set)
     rtab: RoutingTable = field(default_factory=dict)
-    pending: dict[BottleId, PendingRequest] = field(default_factory=dict)
+    pending: dict[NodeId, PendingRequest] = field(default_factory=dict)
 
     def next_seq(self) -> int:
         """Consume the per-node bottle counter (wraps at 16 bits)."""

@@ -152,7 +152,7 @@ class TraceEvent:
         return self._fill(values) % tuple(values)
 
     def _fill(self, values: list) -> str:
-        """The record's %-format, after appending the values that fill it to values."""
+        """The record's %-format, after adding the values that fill it to values."""
         if self.shape is None:
             return _encode({"at": self.at, "seq": self.seq, "node": self.node,
                             "kind": self.kind, "data": self.data}).replace("%", "%%")
@@ -226,18 +226,21 @@ def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
     """The records of each ``_CHUNK_LINES`` lines of a JSONL trace, decoded in
     one call (``_decode_chunk``). Only a chunk it rejects is decoded line by
     line, each line stripped, to name its first bad line (``_record_error``)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         first = 1  # the number of the chunk's first line
-        while lines := list(islice(fh, _CHUNK_LINES)):
-            events = _decode_chunk(lines)
-            if events is None:
-                events = []
-                for n, line in enumerate(map(str.strip, lines), first):
-                    if (line_events := _decode_chunk([line])) is None:
-                        raise MalformedTrace(f"{path}: line {n}: {_record_error(line)}")
-                    events += line_events
-            yield events
-            first += len(lines)
+        try:
+            while lines := list(islice(fh, _CHUNK_LINES)):
+                events = _decode_chunk(lines)
+                if events is None:
+                    events = []
+                    for n, line in enumerate(map(str.strip, lines), first):
+                        if (line_events := _decode_chunk([line])) is None:
+                            raise MalformedTrace(f"{path}: line {n}: {_record_error(line)}")
+                        events += line_events
+                yield events
+                first += len(lines)
+        except UnicodeDecodeError as exc:
+            raise MalformedTrace(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @_collector_paused()
@@ -419,13 +422,11 @@ class Engine:
         self._apply(to, fsm.handle_route_request(self.nodes[to], pkt, self.now,
                                                  self.cfg, self._rngs[to]))
 
-    def _on_timer_fire(self, nid: int, btl_id: BottleId) -> None:
+    def _on_timer_fire(self, nid: int, dest: int, btl_id: BottleId) -> None:
         if nid in self.topology.down_nodes:
             return
-        node = self.nodes[nid]
-        actions = fsm.on_timeout(node, btl_id, self.now, self.cfg,
-                                 self._rngs[nid])
-        self._apply(nid, actions)
+        self._apply(nid, fsm.on_timeout(self.nodes[nid], dest, btl_id, self.now,
+                                        self.cfg, self._rngs[nid]))
 
     def _on_neighbor_refresh(self, nid: int) -> None:
         self._refresh_due.discard(nid)
@@ -441,12 +442,9 @@ class Engine:
                      {"op": op, "target": list(target)})
         touched = self.topology.apply_fault(op, target)
         if op == "restore_node":
-            # A request timer that fired while the node was down did
-            # nothing; fire it again now, so that no request stays open.
+            # so that no request stays open (see fsm.on_restore)
             nid = target[0]
-            for btl_id, req in self.nodes[nid].pending.items():
-                if req.deadline <= self.now:
-                    self.schedule(self.now, self._on_timer_fire, (nid, btl_id))
+            self._apply(nid, fsm.on_restore(self.nodes[nid], self.now))
         for nid in touched:
             self._refresh_at_next_beacon(nid)
 
@@ -458,7 +456,8 @@ class Engine:
             on_action[type(action)](self, nid, action)
 
     def _on_set_timer(self, nid: int, action: fsm.SetTimer) -> None:
-        self.schedule(action.deadline, self._on_timer_fire, (nid, action.btl_id))
+        self.schedule(action.deadline, self._on_timer_fire,
+                      (nid, action.dest, action.btl_id))
 
     def _on_inaccessible(self, nid: int, action: fsm.DeclareInaccessible) -> None:
         self._record(nid, "Inaccessible", _INACCESSIBLE, {"src": nid, "dest": action.dest})
@@ -475,12 +474,11 @@ class Engine:
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
         data: dict[str, Any] = {"btl_id": str(action.btl_id),
                                 "reason": action.reason.value}
-        shape = _ELIMINATED
-        pending = self.nodes[nid].pending.get(action.btl_id)
-        if pending is not None:
-            data["dest"] = pending.dest
-            shape = _ELIMINATED_AT_ORIGIN
-        self._record(nid, "Eliminated", shape, data)
+        if action.dest is None:
+            self._record(nid, "Eliminated", _ELIMINATED, data)
+        else:
+            data["dest"] = action.dest
+            self._record(nid, "Eliminated", _ELIMINATED_AT_ORIGIN, data)
 
     def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no

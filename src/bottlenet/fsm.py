@@ -12,9 +12,14 @@ and may extend its history in place; a ``Send`` hands the bottle to the
 engine, and from then on neither the handler nor the node keeps or reads
 it. No bottle is copied on its way from node to node.
 
-A harvest's routes leave in one ``TableUpdated`` action that carries every
-entry it installed, in harvest order; the engine still writes one
-TableUpdated trace record per entry.
+A node's table and open discoveries change only here, in place: a harvest
+installs its routes and reports them in one ``TableUpdated`` action, in
+harvest order (the engine writes one TableUpdated record per entry), and
+``purge_routes`` is the one place routes leave. A source has at most one
+open discovery per destination, kept in ``NodeState.pending`` under it;
+its timer names the destination and the attempt it was armed for, and
+``on_restore`` re-arms those that fell due while the node was down. The
+engine carries out actions and never reads a request.
 
 ``next_state`` is the published per-node FSM over a packet queue and a
 bottle queue. The engine keeps no queues: it hands each arrival to
@@ -69,10 +74,12 @@ class SendData:
 class Eliminate:
     btl_id: BottleId
     reason: ElimReason
+    dest: NodeId | None = None  # set when a fresh bottle dies at its source
 
 
 @dataclass(slots=True)
 class SetTimer:
+    dest: NodeId
     btl_id: BottleId
     deadline: int
 
@@ -127,25 +134,22 @@ def choose_next_hop(nbors: set[NodeId], history: Sequence[NodeId],
 
 def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
                               self_id: NodeId, nbors: set[NodeId],
-                              ) -> tuple[RoutingTable,
-                                         list[tuple[NodeId, RouteEntry]]]:
+                              ) -> list[tuple[NodeId, RouteEntry]]:
     """Harvest routes to every other node on a bottle's travel history.
 
     Looking from this node's position in the history, earlier entries are
     reachable through the previous hop and (on a return traversal) later
     entries through the next hop. An entry is installed only when the
     destination is new or the harvested hop count strictly improves on the
-    existing one; ties keep what is already there. rtab is never
-    modified: it comes back as it is when nothing improves, and a shallow
-    copy with the updates otherwise. The second value lists each
-    (dest, entry) installed, in harvest order.
+    existing one; ties keep what is already there. Entries are installed
+    into rtab in place, as purge_routes removes them; the return value
+    lists each (dest, entry) installed, in harvest order.
     """
     try:
         i = history.index(self_id)
     except ValueError:
         raise PreconditionViolation(
             f"node {self_id} not on history {list(history)}") from None
-    table = rtab
     learned: list[tuple[NodeId, RouteEntry]] = []
     sides = []  # (via, destinations in history order, first hops, step)
     if i > 0 and history[i - 1] in nbors:
@@ -154,14 +158,12 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
         sides.append((history[i + 1], history[i + 1:], 1, 1))
     for via, dests, hops, step in sides:
         for dest in dests:
-            current = table.get(dest)
+            current = rtab.get(dest)
             if current is None or hops < current.hop_count:
-                if table is rtab:
-                    table = dict(rtab)
-                entry = table[dest] = RouteEntry(via, hops)
+                entry = rtab[dest] = RouteEntry(via, hops)
                 learned.append((dest, entry))
             hops += step
-    return table, learned
+    return learned
 
 
 def purge_routes(node: NodeState, lost: Collection[NodeId], reason: str,
@@ -179,30 +181,22 @@ def _start_discovery(node: NodeState, dest: NodeId, now: int,
                      cfg: ProtocolConfig, rng: random.Random,
                      queued: list[DataPacket], retries_used: int = 0,
                      ) -> list[Action]:
-    """Create a bottle for dest, launch it, and arm the request timer."""
+    """Open the request for dest: launch a fresh bottle and arm its timer."""
     bottle = make_bottle(node.nid, dest, node.next_seq())
     deadline = now + cfg.timeout
-    node.pending[bottle.btl_id] = PendingRequest(
-        dest=dest, retries_used=retries_used, deadline=deadline,
+    node.pending[dest] = PendingRequest(
+        btl_id=bottle.btl_id, retries_used=retries_used, deadline=deadline,
         queued_packets=queued)
     hop = choose_next_hop(node.nbors, bottle.history, rng)
     actions: list[Action]
     if hop is None:
         # Nowhere to launch: the bottle dies on the spot, the timer still
         # drives the retry/inaccessible path.
-        actions = [Eliminate(bottle.btl_id, ElimReason.DEAD_END)]
+        actions = [Eliminate(bottle.btl_id, ElimReason.DEAD_END, dest)]
     else:
         actions = [Send(bottle, hop)]
-    actions.append(SetTimer(bottle.btl_id, deadline))
+    actions.append(SetTimer(dest, bottle.btl_id, deadline))
     return actions
-
-
-def _pending_for_dest(node: NodeState, dest: NodeId,
-                      ) -> tuple[BottleId, PendingRequest] | None:
-    for btl_id, req in node.pending.items():
-        if req.dest == dest:
-            return btl_id, req
-    return None
 
 
 def _failure_report(node: NodeState, pkt: DataPacket) -> list[Action]:
@@ -238,9 +232,8 @@ def handle_route_request(node: NodeState, pkt: DataPacket, now: int,
     entry = node.rtab.get(pkt.dest)
     if entry is not None:
         return [SendData(pkt, entry.next_hop)]
-    open_request = _pending_for_dest(node, pkt.dest)
-    if open_request is not None:
-        _, req = open_request
+    req = node.pending.get(pkt.dest)
+    if req is not None:
         if len(req.queued_packets) >= cfg.queue_cap:
             if pkt.src != node.nid:
                 return _failure_report(node, pkt)
@@ -264,8 +257,7 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
         raise MalformedBottle(
             f"returning bottle {b.btl_id} at node {node.nid} off its history")
 
-    node.rtab, learned = update_table_from_history(
-        node.rtab, b.history, node.nid, node.nbors)
+    learned = update_table_from_history(node.rtab, b.history, node.nid, node.nbors)
     actions: list[Action] = [TableUpdated(learned)] if learned else []
 
     if forward and bottle_hops(b) >= cfg.hop_limit:
@@ -310,11 +302,9 @@ def _complete_discovery(node: NodeState, b: Bottle, now: int,
     retried under a fresh id.
     """
     actions: list[Action] = []
-    open_request = _pending_for_dest(node, b.dest)
-    if open_request is None:
+    req = node.pending.pop(b.dest, None)
+    if req is None:
         return actions
-    btl_id, req = open_request
-    del node.pending[btl_id]
     entry = node.rtab.get(b.dest)
     for pkt in req.queued_packets:
         if entry is not None:
@@ -331,26 +321,35 @@ def _handle_route_failure(node: NodeState, b: Bottle, now: int,
                           ) -> list[Action]:
     """Route-failure bottle reached the packet's source: purge and retry."""
     actions = purge_routes(node, (), "route_failure", dest=b.dest)
-    if _pending_for_dest(node, b.dest) is None:
+    if b.dest not in node.pending:
         actions.extend(_start_discovery(node, b.dest, now, cfg, rng, queued=[]))
     return actions
 
 
-def on_timeout(node: NodeState, btl_id: BottleId, now: int,
+def on_timeout(node: NodeState, dest: NodeId, btl_id: BottleId, now: int,
                cfg: ProtocolConfig, rng: random.Random) -> list[Action]:
-    """Request timer fired: retry with a fresh bottle or give up."""
-    req = node.pending.pop(btl_id, None)
-    if req is None:
-        return []  # stale timer, the bottle already came back
-    entry = node.rtab.get(req.dest)
+    """Request timer fired: retry with a fresh bottle or give up. A timer
+    of any attempt but the open one is stale and does nothing."""
+    req = node.pending.get(dest)
+    if req is None or req.btl_id != btl_id:
+        return []
+    del node.pending[dest]  # before a retry reopens it: pending keeps arming order
+    entry = node.rtab.get(dest)
     if entry is not None:
         # Route learned passively from another bottle while waiting.
         return [SendData(pkt, entry.next_hop) for pkt in req.queued_packets]
     if req.retries_used < cfg.retry_limit:
-        return _start_discovery(node, req.dest, now, cfg, rng,
+        return _start_discovery(node, dest, now, cfg, rng,
                                 queued=req.queued_packets,
                                 retries_used=req.retries_used + 1)
-    return [DeclareInaccessible(req.dest)]
+    return [DeclareInaccessible(dest)]
+
+
+def on_restore(node: NodeState, now: int) -> list[Action]:
+    """Node back up: each request timer that fell due while it was down did
+    nothing then, so fire it again now, in pending order."""
+    return [SetTimer(dest, req.btl_id, now) for dest, req in node.pending.items()
+            if req.deadline <= now]
 
 
 def on_delivery_failure(node: NodeState, item: Bottle | DataPacket,

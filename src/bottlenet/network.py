@@ -167,11 +167,11 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
 
 def load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an int too long
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -250,3 +250,36 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "line 1: kind 'Sent': missing field 'btl_id'" in err
+
+
+class TestNotUtf8:
+    """A 0xff byte, which no UTF-8 text holds, in any file the CLI reads is
+    an error line naming the file, never a traceback."""
+
+    def errors(self, capsys, argv, status):
+        capsys.readouterr()
+        assert main(argv) == status
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        return err
+
+    def test_trace(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes((DATA / "golden_two_node.jsonl").read_bytes() + b'{"at":\xff}\n')
+        err = self.errors(capsys, ["summarize", "--trace", str(trace), "--topology",
+                                   str(DATA / "two_node_topology.json")], 1)
+        assert err.startswith(f"error: {trace}: not UTF-8 text: ")
+
+    def test_topology(self, tmp_path, capsys):
+        topology = tmp_path / "topo.json"
+        topology.write_bytes(b'{"nodes": [0, 1], "edges": [[0, 1]]}\xff\n')
+        err = self.errors(capsys, ["summarize", "--trace",
+                                   str(DATA / "golden_two_node.jsonl"),
+                                   "--topology", str(topology)], 2)
+        assert err.startswith(f"config error: {topology}: ")
+
+    def test_scenario(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_bytes(b'{"seed": 1, "topology": {"file": "t\xff.json"}}')
+        err = self.errors(capsys, ["run", "--config", str(config)], 2)
+        assert err.startswith(f"config error: {config}: ")

@@ -15,6 +15,7 @@ from bottlenet.fsm import (
     handle_bottle,
     handle_route_request,
     on_delivery_failure,
+    on_restore,
     on_timeout,
     purge_routes,
 )
@@ -45,8 +46,9 @@ class TestRouteRequest:
         assert sends(actions)[0].to in {4, 9}
         assert bottle.history == [0] and bottle.dest == 8
         timers = [a for a in actions if isinstance(a, SetTimer)]
-        assert timers == [SetTimer(bottle.btl_id, 5 + cfg.timeout)]
-        assert node.pending[bottle.btl_id].queued_packets[0].dest == 8
+        assert timers == [SetTimer(8, bottle.btl_id, 5 + cfg.timeout)]
+        assert node.pending[8].btl_id == bottle.btl_id
+        assert node.pending[8].queued_packets[0].dest == 8
 
     def test_delivery_to_self_is_a_no_op(self, cfg, rng):
         node = make_node(3, {1})
@@ -60,6 +62,10 @@ class TestRouteRequest:
         assert any(isinstance(a, Eliminate) and a.reason is ElimReason.DEAD_END
                    for a in actions)
         assert len(node.pending) == 1
+        # the dead bottle names its destination; handle_bottle's do not
+        btl_id = node.pending[8].btl_id
+        assert actions == [Eliminate(btl_id, ElimReason.DEAD_END, 8),
+                           SetTimer(8, btl_id, 5 + cfg.timeout)]
 
     def test_second_packet_joins_open_request(self, cfg, rng):
         node = make_node(0, {4})
@@ -95,6 +101,7 @@ class TestHandleBottle:
         actions = handle_bottle(node, b, 3, cfg, rng)
         assert not b.rf
         assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.HOP_LIMIT)
+        assert actions[-1].dest is None
 
     def test_intermediate_forwards_to_unvisited(self, cfg, rng):
         node = make_node(2, {0, 5, 9})
@@ -109,6 +116,7 @@ class TestHandleBottle:
         b = Bottle(0, 8, BottleId(0, 0), history=[0, 5])
         actions = handle_bottle(node, b, 3, cfg, rng)
         assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.DEAD_END)
+        assert actions[-1].dest is None
 
     def test_return_leg_relays_backwards(self, cfg, rng):
         node = make_node(5, {0, 2})
@@ -139,8 +147,8 @@ class TestHandleBottle:
         walk = [0, 7, 9, 12, 14, 3, 13, 4, 2, 8]
         node = make_node(0, {7, 12})
         pkt = DataPacket(0, 8, path=[0])
-        node.pending[BottleId(0, 0)] = PendingRequest(
-            dest=8, retries_used=0, deadline=120, queued_packets=[pkt])
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 0), retries_used=0, deadline=120, queued_packets=[pkt])
         b = Bottle(0, 8, BottleId(0, 0), rf=True, history=list(walk))
         actions = handle_bottle(node, b, 20, cfg, rng)
         assert node.rtab[8] == RouteEntry(7, len(walk) - 1)
@@ -150,8 +158,8 @@ class TestHandleBottle:
     def test_slow_bottle_from_earlier_attempt_completes_request(self, cfg, rng):
         node = make_node(0, {7})
         pkt = DataPacket(0, 8, path=[0])
-        node.pending[BottleId(0, 3)] = PendingRequest(
-            dest=8, retries_used=3, deadline=500, queued_packets=[pkt])
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 3), retries_used=3, deadline=500, queued_packets=[pkt])
         b = Bottle(0, 8, BottleId(0, 0), rf=True, history=[0, 7, 8])
         actions = handle_bottle(node, b, 20, cfg, rng)
         assert data_sends(actions) == [SendData(pkt, 7)]
@@ -179,33 +187,70 @@ class TestOnTimeout:
         node = make_node(0, {4})
         first = handle_route_request(node, DataPacket(0, 8, path=[0]), 0, cfg, rng)
         first_id = sends(first)[0].bottle.btl_id
-        actions = on_timeout(node, first_id, cfg.timeout, cfg, rng)
+        actions = on_timeout(node, 8, first_id, cfg.timeout, cfg, rng)
         (send,) = sends(actions)
         assert send.bottle.btl_id != first_id
         (req,) = node.pending.values()
+        assert node.pending[8] is req and req.btl_id == send.bottle.btl_id
         assert req.retries_used == 1
         assert len(req.queued_packets) == 1
 
     def test_exhausted_retries_declare_inaccessible(self, cfg, rng):
         node = make_node(0, {4})
-        node.pending[BottleId(0, 9)] = PendingRequest(
-            dest=8, retries_used=cfg.retry_limit, deadline=500, queued_packets=[])
-        actions = on_timeout(node, BottleId(0, 9), 500, cfg, rng)
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 9), retries_used=cfg.retry_limit, deadline=500,
+            queued_packets=[])
+        actions = on_timeout(node, 8, BottleId(0, 9), 500, cfg, rng)
         assert actions == [DeclareInaccessible(8)]
         assert not node.pending
 
     def test_stale_timer_is_ignored(self, cfg, rng):
         node = make_node(0, {4})
-        assert on_timeout(node, BottleId(0, 77), 500, cfg, rng) == []
+        assert on_timeout(node, 8, BottleId(0, 77), 500, cfg, rng) == []
+
+    def test_timer_of_an_earlier_attempt_is_ignored(self, cfg, rng):
+        node = make_node(0, {4})
+        first = handle_route_request(node, DataPacket(0, 8, path=[0]), 0, cfg, rng)
+        first_id = sends(first)[0].bottle.btl_id
+        on_timeout(node, 8, first_id, cfg.timeout, cfg, rng)
+        req = node.pending[8]
+        before = (req.btl_id, req.retries_used, req.deadline, list(req.queued_packets))
+        assert req.btl_id != first_id
+        assert on_timeout(node, 8, first_id, 2 * cfg.timeout, cfg, rng) == []
+        assert node.pending == {8: req}
+        assert (req.btl_id, req.retries_used, req.deadline,
+                list(req.queued_packets)) == before
 
     def test_passively_learned_route_flushes_without_retry(self, cfg, rng):
         node = make_node(0, {4}, rtab={8: RouteEntry(4, 2)})
         pkt = DataPacket(0, 8, path=[0])
-        node.pending[BottleId(0, 0)] = PendingRequest(
-            dest=8, retries_used=0, deadline=120, queued_packets=[pkt])
-        actions = on_timeout(node, BottleId(0, 0), 120, cfg, rng)
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 0), retries_used=0, deadline=120, queued_packets=[pkt])
+        actions = on_timeout(node, 8, BottleId(0, 0), 120, cfg, rng)
         assert actions == [SendData(pkt, 4)]
         assert not node.pending
+
+
+class TestOnRestore:
+    def test_rearms_the_overdue_requests_in_pending_order(self, cfg, rng):
+        node = make_node(0, {4})
+        # neither destinations nor bottle ids in pending order
+        for dest, seq, deadline in ((9, 2, 90), (3, 0, 130), (7, 3, 100), (5, 1, 120)):
+            node.pending[dest] = PendingRequest(btl_id=BottleId(0, seq),
+                                                retries_used=0, deadline=deadline)
+        before = dict(node.pending)
+        assert on_restore(node, 120) == [SetTimer(9, BottleId(0, 2), 120),
+                                         SetTimer(7, BottleId(0, 3), 120),
+                                         SetTimer(5, BottleId(0, 1), 120)]
+        assert node.pending == before
+
+    def test_nothing_due(self, cfg, rng):
+        node = make_node(0, {4})
+        assert on_restore(node, 50) == []
+        handle_route_request(node, DataPacket(0, 8, path=[0]), 0, cfg, rng)
+        assert on_restore(node, cfg.timeout - 1) == []
+        (timer,) = on_restore(node, cfg.timeout)
+        assert timer == SetTimer(8, node.pending[8].btl_id, cfg.timeout)
 
 
 class TestPurgeRoutes:
