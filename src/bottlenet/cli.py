@@ -13,7 +13,7 @@ import sys
 from . import engine, metrics
 from .config import load_scenario
 from .dotexport import export_dot
-from .errors import BottlenetError, ConfigError
+from .errors import BottlenetError, ConfigError, MalformedRecord
 from .network import load_topology, save_topology
 from .topogen import KINDS, generate_topology
 
@@ -49,8 +49,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    summary = metrics.summarize(engine.iter_trace(args.trace),
-                                load_topology(args.topology))
+    try:
+        summary = metrics.summarize(engine.iter_trace(args.trace),
+                                    load_topology(args.topology))
+    except MalformedRecord as exc:  # the reader names the file, the fold the record
+        raise MalformedRecord(f"{args.trace}: {exc}") from None
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(summary.to_dict(), fh, indent=2)

@@ -1,42 +1,17 @@
 """Deterministic discrete-event simulation loop.
 
-All randomness flows from the scenario seed through per-node streams, and
-events with equal timestamps are processed in scheduling order, so a given
-(scenario, seed) pair always produces a byte-identical trace.
+All randomness flows from the scenario seed through per-node streams, so a
+given (scenario, seed) pair always produces a byte-identical trace. A queue
+entry is (at, seq, handler, payload), where seq counts queued events; run
+calls handler(*payload) for each entry in key order, so events that fall at
+the same instant run in the order they were queued.
 
-Neighbour refresh. A node's view of its live neighbours (hello beacons in
-the protocol) can go stale only when a fault touches it: fsm discards a
-neighbour only when the link to it is down at that instant. So a fault
-marks the nodes whose live neighbour set it may change (a link's two
-endpoints; a node and every node it shares an edge with), and each marked
-node is refreshed once, at its next beacon instant: the first instant
-s >= now with s = nid (mod beacon_period). A beacon at any other instant
-would change nothing, so none is scheduled, and a run without faults
-schedules no refresh at all.
-
-A refresh sorts where the beacon of a node that beaconed every period
-would sort. With P the beacon period, that beacon for s is sent at
-s - P, while the beacon for s - P is processed. So it sorts after the
-events sent at s - P by events that sort before that beacon, and before
-the events sent by events that sort after it. A queue entry is
-(at, born, tie, seq, handler, payload), where handler is the bound
-Engine method that run calls as handler(*payload); its heap key is
-(at, born, tie, seq):
-
-- born is the instant an event was scheduled, -inf for the requests and
-  faults queued before the loop;
-- tie is 0 when the event that scheduled it sorts before the beacon of
-  its instant (key below (now, now - P, 1)), 2 when it sorts after;
-- a refresh at s has born = s - P and tie = 1;
-- seq counts queued events, so it is monotone in born, and unique, so
-  two entries never compare their handlers.
-
-Every other event therefore keeps its scheduling order, and a refresh
-sorts after the faults at its instant. For s < P it sorts after the
-queued requests and faults and before every event born in the loop. The
-tie matters only when one event delay equals P and another is shorter
-than P (say per_hop_latency = P > timeout); otherwise every event born at
-s - P that lands at s sorts before the beacon.
+A neighbour refresh (a node's hello beacons in the protocol) is one such
+event. Only a fault can make a node's view of its live neighbours stale, so
+a fault queues one refresh for each node whose live neighbour set it may
+change (a link's two endpoints; a node and every node it shares an edge
+with), at the node's next beacon instant: the first s >= now with
+s = nid (mod beacon_period). A run without faults queues none.
 """
 
 from __future__ import annotations
@@ -44,8 +19,8 @@ from __future__ import annotations
 import gc
 import heapq
 import json
-import math
 import random
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -243,12 +218,20 @@ def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
             raise MalformedTrace(f"{path}: not UTF-8 text: {exc}") from None
 
 
+# "]", "," and "[" with only JSON whitespace between: in a document of several
+# wrapped lines, such text on one line adds a list, which one record split
+# over two lines inside a list can make up for.
+_LIST_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
+
+
 @_collector_paused()
 def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
     """Every record of lines, decoded in one call with each line wrapped in a
     list of its own, or None unless that gives one list per line, each
     holding one record that fits its kind, or nothing for a line of JSON
-    whitespace. A line holding ``],[`` adds a list."""
+    whitespace. Several lines whose text holds a _LIST_BREAK give None."""
+    if len(lines) > 1 and _LIST_BREAK.search("".join(lines)):
+        return None
     events: list[TraceEvent] = []
     append, get_fields, fault_fields = events.append, RECORD_FIELDS.get, _FAULT_FIELDS
     with suppress(ValueError, TypeError, KeyError, AttributeError):
@@ -314,11 +297,8 @@ class Engine:
                       for nid in sorted(topology.nodes)}
         self._rngs = {nid: random.Random(f"{seed}:{nid}")
                       for nid in self.nodes}
-        # (at, born, tie, seq, handler, payload); see the module docstring
-        self._queue: list[tuple[int, float, int, int, Callable[..., None], tuple]] = []
+        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._event_seq = 0
-        self._born: float = -math.inf  # the instant being processed
-        self._tie = 0                  # see the module docstring
         self._refresh_due: set[int] = set()
         self._xfer = 0
         self.trace: list[TraceEvent] = []
@@ -331,20 +311,16 @@ class Engine:
                  payload: tuple) -> None:
         if at < self.now:
             raise ConfigError(f"cannot schedule event at {at}, now is {self.now}")
-        heapq.heappush(self._queue, (at, self._born, self._tie, self._event_seq,
-                                     handler, payload))
+        heapq.heappush(self._queue, (at, self._event_seq, handler, payload))
         self._event_seq += 1
 
     def _refresh_at_next_beacon(self, nid: int) -> None:
         if nid in self._refresh_due:
             return
-        period = self.cfg.beacon_period
-        at = self.now + (nid - self.now) % period
+        at = self.now + (nid - self.now) % self.cfg.beacon_period
         if at <= self.horizon:
             self._refresh_due.add(nid)
-            heapq.heappush(self._queue, (at, at - period, 1, self._event_seq,
-                                         self._on_neighbor_refresh, (nid,)))
-            self._event_seq += 1
+            self.schedule(at, self._on_neighbor_refresh, (nid,))
 
     # -- trace -------------------------------------------------------------
 
@@ -359,13 +335,8 @@ class Engine:
 
     def run(self) -> None:
         queue, pop = self._queue, heapq.heappop
-        period = self.cfg.beacon_period
         while queue and queue[0][0] <= self.horizon:
-            at, born, tie, _, handler, payload = pop(queue)
-            self.now = self._born = at
-            # (born, tie) < (at - period, 1), without building the tuples
-            beacon_born = at - period
-            self._tie = 0 if born < beacon_born or born == beacon_born and tie < 1 else 2
+            self.now, _, handler, payload = pop(queue)
             self.events_processed += 1
             handler(*payload)
         # the entries past the horizon hold bound methods of this engine
@@ -440,13 +411,12 @@ class Engine:
         # run() has checked every fault against the topology
         self._record(target[0], "TopologyChanged", _TOPOLOGY_CHANGED,
                      {"op": op, "target": list(target)})
-        touched = self.topology.apply_fault(op, target)
+        for nid in self.topology.apply_fault(op, target):
+            self._refresh_at_next_beacon(nid)
         if op == "restore_node":
             # so that no request stays open (see fsm.on_restore)
             nid = target[0]
             self._apply(nid, fsm.on_restore(self.nodes[nid], self.now))
-        for nid in touched:
-            self._refresh_at_next_beacon(nid)
 
     # -- fsm actions -------------------------------------------------------
 

@@ -43,3 +43,7 @@ class ConfigError(BottlenetError):
 
 class MalformedTrace(BottlenetError):
     """A JSONL trace line is not exactly one record; message names file and line."""
+
+
+class MalformedRecord(MalformedTrace):
+    """A trace record's field has a JSON type its use cannot take; message names the record."""

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import takewhile
 from statistics import fmean
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .domain import BottleId
 from .engine import Trace, TraceEvent
-from .errors import BottlenetError, UnknownNode
+from .errors import BottlenetError, MalformedRecord, UnknownNode
 from .network import Topology
 from .oracle import Distances
 from .oracle import bfs_distance  # not called here; bound for perfbench/tracer.py
@@ -67,11 +65,13 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     """One pass over the records, up to and including instant up_to.
 
     An episode opens at the first bottle a source creates for a destination
-    and closes at the matching RouteFound or Inaccessible record; retry
-    bottles belong to the episode that spawned them. Tables (per node,
-    dest -> (next_hop, hops)) follow TableUpdated and RouteRemoved. The
-    topology starts from t's nodes and edges with nothing down and applies
-    each TopologyChanged in record order; t itself is left as it is.
+    (a Sent bottle whose history holds only its sender) and closes at the
+    matching RouteFound or Inaccessible record; retry bottles belong to the
+    episode that spawned them. Tables (per node, dest -> (next_hop, hops))
+    follow TableUpdated and RouteRemoved. The topology starts from t's nodes
+    and edges with nothing down and applies each TopologyChanged in record
+    order; t itself is left as it is. A field whose JSON type does not fit
+    its use raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
     topo = None if t is None else Topology(set(t.nodes), set(t.edges))
@@ -84,45 +84,64 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     def origin_bottle(ev: TraceEvent, btl_id: str, dest: int) -> None:
         ep = open_eps.get((ev.node, dest))
         if ep is None:
-            ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at)
+            # + 0 here and at the close: a time that is not a number fails in
+            # the loop, which names its record, and not in the sort below
+            ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at + 0)
         ep.btl_ids.add(btl_id)
 
     if up_to is not None:
-        events = takewhile(lambda ev: ev.at <= up_to, events)
-    for ev in events:
-        kind, data = ev.kind, ev.data
-        if kind == "Received":  # a third of the records; nothing here reads them
-            continue
-        if kind == "Sent":
-            if data["msg"] == "bottle":
-                sent += 1
-                nbytes += data["bytes"]
-                if (data["history_len"] == 1 and data["src"] == ev.node
-                        and BottleId.parse(data["btl_id"]).origin == ev.node):
+        events = _through(events, up_to)
+    try:
+        for ev in events:
+            kind, data = ev.kind, ev.data
+            if kind == "Received":  # a third of the records; nothing here reads them
+                continue
+            if kind == "Sent":
+                if data["msg"] == "bottle":
+                    sent += 1
+                    nbytes += data["bytes"]
+                    if data["history_len"] == 1:
+                        origin_bottle(ev, data["btl_id"], data["dest"])
+            elif kind == "TableUpdated":
+                tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
+            elif kind == "RouteRemoved":
+                tables[ev.node].pop(data["dest"], None)
+            elif kind == "Eliminated":
+                eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
+                if "dest" in data:  # origin-side: a bottle that never launched
                     origin_bottle(ev, data["btl_id"], data["dest"])
-        elif kind == "TableUpdated":
-            tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
-        elif kind == "RouteRemoved":
-            tables[ev.node].pop(data["dest"], None)
-        elif kind == "Eliminated":
-            eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
-            if "dest" in data:  # origin-side: a bottle that never launched
-                origin_bottle(ev, data["btl_id"], data["dest"])
-        elif kind == "RouteFound" or kind == "Inaccessible":
-            ep = open_eps.pop((data["src"], data["dest"]), None)
-            if ep is not None:
-                ep.end_at = ev.at
-                if kind == "RouteFound":
-                    ep.outcome, ep.path = "success", list(data["path"])
-                else:
-                    ep.outcome = "inaccessible"
-                done.append(ep)
-        elif kind == "TopologyChanged" and topo is not None:
-            topo.apply_fault(data["op"], data["target"])
+            elif kind == "RouteFound" or kind == "Inaccessible":
+                ep = open_eps.pop((data["src"], data["dest"]), None)
+                if ep is not None:
+                    ep.end_at = ev.at + 0
+                    if kind == "RouteFound":
+                        ep.outcome, ep.path = "success", list(data["path"])
+                    else:
+                        ep.outcome = "inaccessible"
+                    done.append(ep)
+            elif kind == "TopologyChanged" and topo is not None:
+                topo.apply_fault(data["op"], data["target"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedRecord(_bad_record(ev, exc)) from None
 
     done.extend(open_eps.values())
     done.sort(key=lambda ep: ep.start_at)
     return _Fold(done, dict(tables), topo, sent, nbytes, eliminated)
+
+
+def _bad_record(ev: TraceEvent, exc: Exception) -> str:
+    return f"record seq {ev.seq!r} (kind {ev.kind!r}): a field of the wrong type: {exc}"
+
+
+def _through(events: Iterable[TraceEvent], up_to: int) -> Iterator[TraceEvent]:
+    """The records of events up to and including instant up_to."""
+    for ev in events:
+        try:
+            if ev.at > up_to:
+                return
+        except TypeError as exc:
+            raise MalformedRecord(_bad_record(ev, exc)) from None
+        yield ev
 
 
 def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:

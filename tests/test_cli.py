@@ -251,6 +251,42 @@ class TestSummarize:
         assert err.startswith("error: ")
         assert "line 1: kind 'Sent': missing field 'btl_id'" in err
 
+    def summarize_edited(self, capsys, tmp_path, seq, edit):
+        """Exit status, stdout and stderr of summarize on the two-node golden
+        trace with edit(record) applied to its record seq."""
+        records = [json.loads(line) for line in
+                   (DATA / "golden_two_node.jsonl").read_text().splitlines()]
+        edit(records[seq])
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        status = main(["summarize", "--trace", str(trace),
+                       "--topology", str(DATA / "two_node_topology.json")])
+        return (status, *capsys.readouterr())
+
+    @pytest.mark.parametrize("seq, edit, named", [
+        (0, lambda rec: rec["data"].update(bytes="x"), "seq 0 (kind 'Sent')"),
+        (0, lambda rec: rec["data"].update(btl_id=["zz"]), "seq 0 (kind 'Sent')"),
+        (2, lambda rec: rec["data"].update(dest=[0]), "seq 2 (kind 'TableUpdated')"),
+        (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'Sent')"),
+        (5, lambda rec: rec.update(at="3"), "seq 5 (kind 'RouteFound')"),
+    ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str"])
+    def test_field_of_the_wrong_type_is_a_clean_error(self, tmp_path, capsys,
+                                                      seq, edit, named):
+        status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: record {named}: ")
+        assert "Traceback" not in err
+
+    def test_bottle_id_is_not_parsed(self, tmp_path, capsys):
+        # an episode opens on a bottle whose history holds only its sender
+        status, out, err = self.summarize_edited(
+            capsys, tmp_path, 0, lambda rec: rec["data"].update(btl_id="zz"))
+        assert (status, err) == (0, "")
+        main(["summarize", "--trace", str(DATA / "golden_two_node.jsonl"),
+              "--topology", str(DATA / "two_node_topology.json")])
+        assert out == capsys.readouterr().out
+
 
 class TestNotUtf8:
     """A 0xff byte, which no UTF-8 text holds, in any file the CLI reads is

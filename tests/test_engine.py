@@ -642,6 +642,34 @@ class TestNeighborRefresh:
         assert (first.at, first.node, first.kind, first.data["to"]) == (1, 1, "Sent", 0)
         assert (1, 1) in [(at, nid) for at, nid, *_ in refreshes]
 
+    @pytest.mark.parametrize("period", [3, 4, 5])
+    def test_event_queued_before_a_fault_runs_before_its_refresh(self, tmp_path,
+                                                                 monkeypatch, period):
+        # At t=1 the request sends 0's bottle to 2, due at t=2; then the fault
+        # queues node 2's refresh for its beacon instant, t=2 too. The bottle
+        # was queued first, so it lands while node 2 still sees node 3.
+        t = make_topology((0, 2), (2, 1), (2, 3))
+        sc = file_scenario(tmp_path, t, seed=1, protocol={"beacon_period": period},
+                           requests=[RequestSpec(at=1, src=0, dest=1)],
+                           faults=[FaultSpec(at=1, op="fail_link", target=(2, 3))],
+                           horizon=2)
+        log = []
+        arrival, refresh = Engine._on_bottle_arrival, Engine._on_neighbor_refresh
+
+        def arriving(self, frm, to, *rest):
+            log.append((self.now, "arrival", to, frozenset(self.nodes[to].nbors)))
+            arrival(self, frm, to, *rest)
+
+        def refreshing(self, nid):
+            log.append((self.now, "refresh", nid, frozenset(self.nodes[nid].nbors)))
+            refresh(self, nid)
+
+        monkeypatch.setattr(Engine, "_on_bottle_arrival", arriving)
+        monkeypatch.setattr(Engine, "_on_neighbor_refresh", refreshing)
+        trace = run(sc)
+        assert log == [(2, "arrival", 2, {0, 1, 3}), (2, "refresh", 2, {0, 1, 3})]
+        assert trace.nodes[2].nbors == {0, 1}
+
     def test_one_node_fault_costs_few_events(self):
         doc = {"seed": 4, "topology": {"generator": {"kind": "generic", "nodes": 100,
                                                      "seed": 0}},
@@ -657,12 +685,15 @@ def record_line(seq):
                       {"src": 0, "dest": 2, "path": [0, 1, 2]}).to_json()
 
 
-def split_record(inside):
-    """record_line(0) cut in two inside its path list or its kind string."""
-    line = record_line(0)
+def split_record(inside, seq=0):
+    """record_line(seq) cut in two inside its path list, inside an extra
+    field [[0],[1]] between its two lists, or inside its kind string."""
+    line = record_line(seq)
     if inside == "list":  # drop the comma a comma join would put back
         head, tail = line.split(",2]")
         return [head, "2]" + tail]
+    if inside == "nested list":  # drop the "],[" a "],[" join would put back
+        return [line[:-2] + ',"x":[[0', "1]]}}"]
     cut = line.index("Found")
     return [line[:cut], line[cut:]]
 
@@ -701,6 +732,13 @@ class TestMalformedTrace:
         with pytest.raises(MalformedTrace, match="line 1:"):
             self.load(tmp_path, split_record("list")
                       + [record_line(1) + "," + record_line(2)])
+
+    def test_two_on_a_line_and_a_split_nested_list_do_not_cancel(self, tmp_path):
+        # "],[" on line 1 adds a list, and joined with "],[" lines 2 and 3 make
+        # one record whose extra field is [[0],[1]]: three lists, three records
+        with pytest.raises(MalformedTrace, match=r"bad\.jsonl: line 1: not one JSON record"):
+            self.load(tmp_path, [record_line(0) + "],[" + record_line(1),
+                                 *split_record("nested list", seq=2)])
 
     @pytest.mark.parametrize("line", ["[1, 2]", "5", '"Sent"', "null"])
     def test_line_not_an_object(self, tmp_path, line):
@@ -943,6 +981,47 @@ def test_the_line_path_names_every_line_it_rejects(line):
         rec = json.loads(line)
         assert decoded == [TraceEvent(rec["at"], rec["seq"], rec["node"], rec["kind"],
                                       rec["data"])]
+
+
+@st.composite
+def chunk_lines(draw):
+    """Two to six lines of a trace chunk: engine record lines, mutated or
+    not, two records on one line, a record cut in two (at any point, or
+    where "],[" is cut out of an extra field [[0],[1]]), and blank lines."""
+    records = st.sampled_from(engine_record_lines())
+    lines = []
+    while len(lines) < draw(st.integers(2, 6)):
+        item = draw(st.sampled_from(["record", "mutated", "two", "cut", "blank"]))
+        if item == "record":
+            lines.append(draw(records))
+        elif item == "mutated":
+            lines.append(draw(mutated_record_lines()))
+        elif item == "two":
+            lines.append(draw(records) + draw(st.sampled_from(["],[", "] , [", ","]))
+                         + draw(records))
+        elif item == "cut":
+            line = draw(records)[:-2] + ',"x":[[0],[1]]}}'
+            if draw(st.booleans()):
+                head, tail = line.split("],[")
+            else:
+                at = draw(st.integers(1, len(line) - 1))
+                head, tail = line[:at], line[at + draw(st.integers(0, 3)):]
+            lines += [head, tail]
+        else:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(chunk_lines())
+def test_a_chunk_is_accepted_only_as_its_lines_alone(lines):
+    """_decode_chunk accepts a chunk of several lines only if each line
+    alone is accepted, and then gives the records the lines give alone."""
+    decoded = engine._decode_chunk(lines)
+    if decoded is not None:
+        alone = [engine._decode_chunk([line]) for line in lines]
+        assert None not in alone, lines
+        assert decoded == [ev for events in alone for ev in events]
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])

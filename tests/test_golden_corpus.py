@@ -7,8 +7,10 @@ sparse graph, a dense graph and a beacon period above one; five more
 (beacon period and latency 2, beacon period 5 with a node down across
 several of its beacon instants, timeout equal to the beacon period,
 latency equal to the beacon period with a shorter timeout, and a churn
-run shaped like the benchmark's) pin where neighbour refreshes fall among
-events at the same instant. A change that alters the trace format
+run shaped like the benchmark's) pin that a fault's neighbour refreshes
+run at each node's next beacon instant, after every event queued before
+the fault for that instant and before every event queued after it. A
+change that alters the trace format
 on purpose re-pins the values and says why in CHANGES.md; any other
 change must leave them as they are. Each case also goes through the
 trace file: the bytes written, the records loaded back and their encoding

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
 from bottlenet import engine
-from bottlenet.engine import iter_trace, load_trace, run
-from bottlenet.errors import UnknownNode
+from bottlenet.engine import TraceEvent, iter_trace, load_trace, run
+from bottlenet.errors import MalformedRecord, UnknownNode
 from bottlenet.metrics import (
     IncompleteTrace,
     episodes,
@@ -141,6 +141,15 @@ class TestTables:
         trace = run_on(tmp_path, make_topology((0, 1)), 3,
                        [RequestSpec(at=1, src=0, dest=1)])
         assert reconstruct_tables(trace, up_to=0) == {}
+
+    def test_cutoff_names_a_record_whose_time_is_not_a_number(self, tmp_path):
+        trace = run_on(tmp_path, make_topology((0, 1)), 3,
+                       [RequestSpec(at=1, src=0, dest=1)])
+        records = [TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data)
+                   for ev in trace.events]
+        records[2].at = "2"
+        with pytest.raises(MalformedRecord, match=r"^record seq 2 \(kind 'TableUpdated'\): "):
+            reconstruct_tables(records, up_to=5)
 
 
 def test_events_without_topology_rejected():
