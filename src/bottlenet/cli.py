@@ -13,7 +13,7 @@ import sys
 from . import engine, metrics
 from .config import load_scenario
 from .dotexport import export_dot
-from .errors import BottlenetError, ConfigError, MalformedRecord
+from .errors import BottlenetError, ConfigError, MalformedRecord, UnknownNode
 from .network import load_topology, save_topology
 from .topogen import KINDS, generate_topology
 
@@ -52,7 +52,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     try:
         summary = metrics.summarize(engine.iter_trace(args.trace),
                                     load_topology(args.topology))
-    except MalformedRecord as exc:  # the reader names the file, the fold the record
+    except (MalformedRecord, UnknownNode) as exc:  # past the reader: add the file
         raise MalformedRecord(f"{args.trace}: {exc}") from None
     if args.json_out:
         with open(args.json_out, "w") as fh:

@@ -50,11 +50,6 @@ class BottleId:
     def __str__(self) -> str:
         return f"{self.origin}-{self.seq}"
 
-    @classmethod
-    def parse(cls, text: str) -> "BottleId":
-        origin, _, seq = text.partition("-")
-        return cls(int(origin), int(seq))
-
 
 @dataclass
 class Bottle:
@@ -105,7 +100,6 @@ class PendingRequest:
 
     btl_id: BottleId
     retries_used: int
-    deadline: int
     queued_packets: list[DataPacket] = field(default_factory=list)
 
 

@@ -12,6 +12,9 @@ a fault queues one refresh for each node whose live neighbour set it may
 change (a link's two endpoints; a node and every node it shares an edge
 with), at the node's next beacon instant: the first s >= now with
 s = nid (mod beacon_period). A run without faults queues none.
+
+A timer that fires while its node is down waits in the engine; the node's
+restore queues each such timer again, in firing order, after its refreshes.
 """
 
 from __future__ import annotations
@@ -299,7 +302,8 @@ class Engine:
                       for nid in self.nodes}
         self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._event_seq = 0
-        self._refresh_due: set[int] = set()
+        # down node -> the payloads of its timers that fired while it was down
+        self._parked: dict[int, list[tuple]] = {}
         self._xfer = 0
         self.trace: list[TraceEvent] = []
         self.bottle_bytes_sent = 0
@@ -313,14 +317,6 @@ class Engine:
             raise ConfigError(f"cannot schedule event at {at}, now is {self.now}")
         heapq.heappush(self._queue, (at, self._event_seq, handler, payload))
         self._event_seq += 1
-
-    def _refresh_at_next_beacon(self, nid: int) -> None:
-        if nid in self._refresh_due:
-            return
-        at = self.now + (nid - self.now) % self.cfg.beacon_period
-        if at <= self.horizon:
-            self._refresh_due.add(nid)
-            self.schedule(at, self._on_neighbor_refresh, (nid,))
 
     # -- trace -------------------------------------------------------------
 
@@ -395,12 +391,12 @@ class Engine:
 
     def _on_timer_fire(self, nid: int, dest: int, btl_id: BottleId) -> None:
         if nid in self.topology.down_nodes:
+            self._parked.setdefault(nid, []).append((nid, dest, btl_id))
             return
         self._apply(nid, fsm.on_timeout(self.nodes[nid], dest, btl_id, self.now,
                                         self.cfg, self._rngs[nid]))
 
     def _on_neighbor_refresh(self, nid: int) -> None:
-        self._refresh_due.discard(nid)
         if nid in self.topology.down_nodes:
             return
         node = self.nodes[nid]
@@ -411,12 +407,12 @@ class Engine:
         # run() has checked every fault against the topology
         self._record(target[0], "TopologyChanged", _TOPOLOGY_CHANGED,
                      {"op": op, "target": list(target)})
+        now, period = self.now, self.cfg.beacon_period
         for nid in self.topology.apply_fault(op, target):
-            self._refresh_at_next_beacon(nid)
+            self.schedule(now + (nid - now) % period, self._on_neighbor_refresh, (nid,))
         if op == "restore_node":
-            # so that no request stays open (see fsm.on_restore)
-            nid = target[0]
-            self._apply(nid, fsm.on_restore(self.nodes[nid], self.now))
+            for payload in self._parked.pop(target[0], ()):
+                self.schedule(now, self._on_timer_fire, payload)
 
     # -- fsm actions -------------------------------------------------------
 

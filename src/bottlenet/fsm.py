@@ -17,9 +17,9 @@ installs its routes and reports them in one ``TableUpdated`` action, in
 harvest order (the engine writes one TableUpdated record per entry), and
 ``purge_routes`` is the one place routes leave. A source has at most one
 open discovery per destination, kept in ``NodeState.pending`` under it;
-its timer names the destination and the attempt it was armed for, and
-``on_restore`` re-arms those that fell due while the node was down. The
-engine carries out actions and never reads a request.
+its timer names the destination and the attempt it was armed for. The
+engine carries out actions, never reads a request, and holds a down node's
+timers until it is back, so no handler learns of a node's restore.
 
 ``next_state`` is the published per-node FSM over a packet queue and a
 bottle queue. The engine keeps no queues: it hands each arrival to
@@ -183,10 +183,8 @@ def _start_discovery(node: NodeState, dest: NodeId, now: int,
                      ) -> list[Action]:
     """Open the request for dest: launch a fresh bottle and arm its timer."""
     bottle = make_bottle(node.nid, dest, node.next_seq())
-    deadline = now + cfg.timeout
     node.pending[dest] = PendingRequest(
-        btl_id=bottle.btl_id, retries_used=retries_used, deadline=deadline,
-        queued_packets=queued)
+        btl_id=bottle.btl_id, retries_used=retries_used, queued_packets=queued)
     hop = choose_next_hop(node.nbors, bottle.history, rng)
     actions: list[Action]
     if hop is None:
@@ -195,7 +193,7 @@ def _start_discovery(node: NodeState, dest: NodeId, now: int,
         actions = [Eliminate(bottle.btl_id, ElimReason.DEAD_END, dest)]
     else:
         actions = [Send(bottle, hop)]
-    actions.append(SetTimer(dest, bottle.btl_id, deadline))
+    actions.append(SetTimer(dest, bottle.btl_id, now + cfg.timeout))
     return actions
 
 
@@ -343,13 +341,6 @@ def on_timeout(node: NodeState, dest: NodeId, btl_id: BottleId, now: int,
                                 queued=req.queued_packets,
                                 retries_used=req.retries_used + 1)
     return [DeclareInaccessible(dest)]
-
-
-def on_restore(node: NodeState, now: int) -> list[Action]:
-    """Node back up: each request timer that fell due while it was down did
-    nothing then, so fire it again now, in pending order."""
-    return [SetTimer(dest, req.btl_id, now) for dest, req in node.pending.items()
-            if req.deadline <= now]
 
 
 def on_delivery_failure(node: NodeState, item: Bottle | DataPacket,

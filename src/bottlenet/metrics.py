@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Iterable, Iterator, NamedTuple
 
+from .domain import is_node_id
 from .engine import Trace, TraceEvent
 from .errors import BottlenetError, MalformedRecord, UnknownNode
 from .network import Topology
@@ -71,7 +72,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     follow TableUpdated and RouteRemoved. The topology starts from t's nodes
     and edges with nothing down and applies each TopologyChanged in record
     order; t itself is left as it is. A field whose JSON type does not fit
-    its use raises MalformedRecord.
+    its use, or a node or link t lacks, raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
     topo = None if t is None else Topology(set(t.nodes), set(t.edges))
@@ -81,9 +82,14 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     eliminated: dict[str, int] = {}
     sent = nbytes = 0
 
+    known = is_node_id if topo is None else topo.nodes.__contains__
+
     def origin_bottle(ev: TraceEvent, btl_id: str, dest: int) -> None:
         ep = open_eps.get((ev.node, dest))
         if ep is None:
+            if not (known(ev.node) and known(dest)):
+                raise MalformedRecord(_bad_record(
+                    ev, f"node {ev.node!r} or dest {dest!r} is not a known node id"))
             # + 0 here and at the close: a time that is not a number fails in
             # the loop, which names its record, and not in the sort below
             ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at + 0)
@@ -119,18 +125,24 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                     else:
                         ep.outcome = "inaccessible"
                     done.append(ep)
+                elif not (known(data["src"]) and known(data["dest"])):
+                    raise MalformedRecord(_bad_record(ev, f"src {data['src']!r} or dest "
+                                                      f"{data['dest']!r} is not a known node id"))
             elif kind == "TopologyChanged" and topo is not None:
-                topo.apply_fault(data["op"], data["target"])
+                try:
+                    topo.apply_fault(data["op"], data["target"])
+                except BottlenetError as exc:  # a node or link t lacks
+                    raise MalformedRecord(_bad_record(ev, exc)) from None
     except (TypeError, ValueError) as exc:
-        raise MalformedRecord(_bad_record(ev, exc)) from None
+        raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
 
     done.extend(open_eps.values())
     done.sort(key=lambda ep: ep.start_at)
     return _Fold(done, dict(tables), topo, sent, nbytes, eliminated)
 
 
-def _bad_record(ev: TraceEvent, exc: Exception) -> str:
-    return f"record seq {ev.seq!r} (kind {ev.kind!r}): a field of the wrong type: {exc}"
+def _bad_record(ev: TraceEvent, what: object) -> str:
+    return f"record seq {ev.seq!r} (kind {ev.kind!r}): {what}"
 
 
 def _through(events: Iterable[TraceEvent], up_to: int) -> Iterator[TraceEvent]:
@@ -140,7 +152,7 @@ def _through(events: Iterable[TraceEvent], up_to: int) -> Iterator[TraceEvent]:
             if ev.at > up_to:
                 return
         except TypeError as exc:
-            raise MalformedRecord(_bad_record(ev, exc)) from None
+            raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
         yield ev
 
 
@@ -159,19 +171,25 @@ def reconstruct_tables(trace: Trace | Iterable[TraceEvent],
 
 def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
                      t: Topology | Distances) -> float | None:
-    """Fraction of entries whose hop count equals the oracle distance."""
+    """Fraction of entries whose hop count equals the oracle distance. A
+    node t lacks raises UnknownNode, a hop count that is not one MalformedRecord."""
     snapshot = t if isinstance(t, Distances) else Distances(t)
     total = optimal = 0
     for node, entries in tables.items():
         if not entries:
             continue
-        dist = snapshot.from_source(node)
-        for dest, (_, hops) in entries.items():
-            total += 1
-            if hops == dist.get(dest):
-                optimal += 1
-            elif dest not in snapshot:  # only a missed entry can name an unknown node
-                raise UnknownNode(f"node {dest} not in topology")
+        try:
+            dist = snapshot.from_source(node)
+            for dest, (_, hops) in entries.items():
+                total += 1
+                if hops == dist.get(dest):
+                    optimal += 1
+                elif dest not in dist and dest not in snapshot:  # no optimal entry gets here
+                    raise UnknownNode(f"dest {dest!r} not in topology")
+                elif type(hops) is not int or hops < 1:
+                    raise MalformedRecord(f"hops {hops!r} is not a hop count")
+        except (UnknownNode, MalformedRecord) as exc:
+            raise type(exc)(f"kind 'TableUpdated' at node {node!r}: {exc}") from None
     return None if total == 0 else optimal / total
 
 

@@ -253,10 +253,11 @@ class TestSummarize:
 
     def summarize_edited(self, capsys, tmp_path, seq, edit):
         """Exit status, stdout and stderr of summarize on the two-node golden
-        trace with edit(record) applied to its record seq."""
+        trace with edit(record) applied to its record seq, or edit(records)
+        to the list of its records when seq is None."""
         records = [json.loads(line) for line in
                    (DATA / "golden_two_node.jsonl").read_text().splitlines()]
-        edit(records[seq])
+        edit(records if seq is None else records[seq])
         trace = tmp_path / "trace.jsonl"
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         capsys.readouterr()
@@ -276,6 +277,27 @@ class TestSummarize:
         status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: record {named}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seq, edit, named", [
+        (0, lambda rec: rec.update(node="0"), "record seq 0 (kind 'Sent'): node '0' "),
+        (5, lambda rec: rec["data"].update(src="0"),
+         "record seq 5 (kind 'RouteFound'): src '0' "),
+        (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
+        (2, lambda rec: rec.update(node="1"), "kind 'TableUpdated' at node '1': "),
+        (2, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
+        (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
+                                         "data": {"op": "fail_node", "target": [7]}}),
+         "record seq 9 (kind 'TopologyChanged'): node 7 "),
+    ], ids=["sent-node-str", "found-src-str", "hops-str", "table-node-str", "unknown-dest",
+            "unknown-fault-target"])
+    def test_node_or_hop_count_that_does_not_fit_is_a_clean_error(self, tmp_path, capsys,
+                                                                  seq, edit, named):
+        # each edit left the summary wrong with exit 0, or gave an error that
+        # named neither the file nor the record
+        status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: {named}")
         assert "Traceback" not in err
 
     def test_bottle_id_is_not_parsed(self, tmp_path, capsys):

@@ -107,12 +107,6 @@ def test_wire_size_and_serialize_overflow_at_65536_entries():
             size_or_pack(b)
 
 
-@given(origin=uint16, seq=uint16)
-def test_bottle_id_text_round_trip(origin, seq):
-    bid = BottleId(origin, seq)
-    assert BottleId.parse(str(bid)) == bid
-
-
 def test_next_seq_unique_until_wrap():
     node = NodeState(nid=1)
     seen = [node.next_seq() for _ in range(1000)]

@@ -542,6 +542,43 @@ class TestFaultHandling:
         assert any(ev.at >= 2000 and ev.kind == "Received" and ev.node == 17
                    and ev.data["msg"] == "data" for ev in trace.events)
 
+    def test_timers_due_while_down_fire_at_restore_in_arming_order(self, tmp_path,
+                                                                    monkeypatch):
+        # Node 0 arms a timer for 3 at t=1 and one for 2 at t=2, both due
+        # while it is down (t=3-20). The engine holds both until the restore
+        # and fires them then, after the restored node's refreshes, in the
+        # order they were armed; each request then launches its retry.
+        t = make_topology((0, 1), (1, 2), (2, 3))
+        sc = file_scenario(tmp_path, t, seed=1,
+                           protocol={"timeout": 5, "retry_limit": 1},
+                           requests=[RequestSpec(at=1, src=0, dest=3),
+                                     RequestSpec(at=2, src=0, dest=2)],
+                           faults=[FaultSpec(at=3, op="fail_node", target=(0,)),
+                                   FaultSpec(at=20, op="restore_node", target=(0,))],
+                           horizon=40)
+        log = []
+        refresh, on_timeout = Engine._on_neighbor_refresh, fsm.on_timeout
+
+        def refreshing(self, nid):
+            log.append((self.now, "refresh", nid))
+            refresh(self, nid)
+
+        def timing_out(node, dest, btl_id, now, *rest):
+            log.append((now, "timeout", node.nid, dest,
+                        dest in node.pending and node.pending[dest].btl_id == btl_id))
+            return on_timeout(node, dest, btl_id, now, *rest)
+
+        monkeypatch.setattr(Engine, "_on_neighbor_refresh", refreshing)
+        monkeypatch.setattr(fsm, "on_timeout", timing_out)
+        trace = run(sc)
+        assert [entry for entry in log if 3 <= entry[0] <= 20] == [
+            (3, "refresh", 0), (3, "refresh", 1),
+            (20, "refresh", 0), (20, "refresh", 1),
+            (20, "timeout", 0, 3, True), (20, "timeout", 0, 2, True)]
+        retries = [ev.data["dest"] for ev in trace.events if ev.at == 20
+                   and ev.kind == "Sent" and ev.data["history_len"] == 1]
+        assert retries == [3, 2]
+
     def test_restored_link_allows_rediscovery(self, tmp_path):
         t = make_topology((0, 1))
         topo_path = tmp_path / "two.json"
@@ -605,8 +642,9 @@ class TestNeighborRefresh:
                            horizon=60)
         trace = run(sc)
         node2 = [(at, down, rtab) for at, nid, down, rtab in refreshes if nid == 2]
-        assert [(at, down) for at, down, _ in node2] == [(22, True), (34, False)]
-        assert node2[1][2][0].next_hop == 1  # the route to 0 learned at t=1
+        # each fault queues its own refresh: the second one at t=22 is a no-op
+        assert [(at, down) for at, down, _ in node2] == [(22, True), (22, True), (34, False)]
+        assert node2[2][2][0].next_hop == 1  # the route to 0 learned at t=1
         assert trace.nodes[2].nbors == {3}
         assert trace.nodes[2].rtab.keys() == {3}
 

@@ -15,7 +15,6 @@ from bottlenet.fsm import (
     handle_bottle,
     handle_route_request,
     on_delivery_failure,
-    on_restore,
     on_timeout,
     purge_routes,
 )
@@ -148,7 +147,7 @@ class TestHandleBottle:
         node = make_node(0, {7, 12})
         pkt = DataPacket(0, 8, path=[0])
         node.pending[8] = PendingRequest(
-            btl_id=BottleId(0, 0), retries_used=0, deadline=120, queued_packets=[pkt])
+            btl_id=BottleId(0, 0), retries_used=0, queued_packets=[pkt])
         b = Bottle(0, 8, BottleId(0, 0), rf=True, history=list(walk))
         actions = handle_bottle(node, b, 20, cfg, rng)
         assert node.rtab[8] == RouteEntry(7, len(walk) - 1)
@@ -159,7 +158,7 @@ class TestHandleBottle:
         node = make_node(0, {7})
         pkt = DataPacket(0, 8, path=[0])
         node.pending[8] = PendingRequest(
-            btl_id=BottleId(0, 3), retries_used=3, deadline=500, queued_packets=[pkt])
+            btl_id=BottleId(0, 3), retries_used=3, queued_packets=[pkt])
         b = Bottle(0, 8, BottleId(0, 0), rf=True, history=[0, 7, 8])
         actions = handle_bottle(node, b, 20, cfg, rng)
         assert data_sends(actions) == [SendData(pkt, 7)]
@@ -198,8 +197,7 @@ class TestOnTimeout:
     def test_exhausted_retries_declare_inaccessible(self, cfg, rng):
         node = make_node(0, {4})
         node.pending[8] = PendingRequest(
-            btl_id=BottleId(0, 9), retries_used=cfg.retry_limit, deadline=500,
-            queued_packets=[])
+            btl_id=BottleId(0, 9), retries_used=cfg.retry_limit, queued_packets=[])
         actions = on_timeout(node, 8, BottleId(0, 9), 500, cfg, rng)
         assert actions == [DeclareInaccessible(8)]
         assert not node.pending
@@ -214,43 +212,20 @@ class TestOnTimeout:
         first_id = sends(first)[0].bottle.btl_id
         on_timeout(node, 8, first_id, cfg.timeout, cfg, rng)
         req = node.pending[8]
-        before = (req.btl_id, req.retries_used, req.deadline, list(req.queued_packets))
+        before = (req.btl_id, req.retries_used, list(req.queued_packets))
         assert req.btl_id != first_id
         assert on_timeout(node, 8, first_id, 2 * cfg.timeout, cfg, rng) == []
         assert node.pending == {8: req}
-        assert (req.btl_id, req.retries_used, req.deadline,
-                list(req.queued_packets)) == before
+        assert (req.btl_id, req.retries_used, list(req.queued_packets)) == before
 
     def test_passively_learned_route_flushes_without_retry(self, cfg, rng):
         node = make_node(0, {4}, rtab={8: RouteEntry(4, 2)})
         pkt = DataPacket(0, 8, path=[0])
         node.pending[8] = PendingRequest(
-            btl_id=BottleId(0, 0), retries_used=0, deadline=120, queued_packets=[pkt])
+            btl_id=BottleId(0, 0), retries_used=0, queued_packets=[pkt])
         actions = on_timeout(node, 8, BottleId(0, 0), 120, cfg, rng)
         assert actions == [SendData(pkt, 4)]
         assert not node.pending
-
-
-class TestOnRestore:
-    def test_rearms_the_overdue_requests_in_pending_order(self, cfg, rng):
-        node = make_node(0, {4})
-        # neither destinations nor bottle ids in pending order
-        for dest, seq, deadline in ((9, 2, 90), (3, 0, 130), (7, 3, 100), (5, 1, 120)):
-            node.pending[dest] = PendingRequest(btl_id=BottleId(0, seq),
-                                                retries_used=0, deadline=deadline)
-        before = dict(node.pending)
-        assert on_restore(node, 120) == [SetTimer(9, BottleId(0, 2), 120),
-                                         SetTimer(7, BottleId(0, 3), 120),
-                                         SetTimer(5, BottleId(0, 1), 120)]
-        assert node.pending == before
-
-    def test_nothing_due(self, cfg, rng):
-        node = make_node(0, {4})
-        assert on_restore(node, 50) == []
-        handle_route_request(node, DataPacket(0, 8, path=[0]), 0, cfg, rng)
-        assert on_restore(node, cfg.timeout - 1) == []
-        (timer,) = on_restore(node, cfg.timeout)
-        assert timer == SetTimer(8, node.pending[8].btl_id, cfg.timeout)
 
 
 class TestPurgeRoutes:

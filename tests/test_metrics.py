@@ -192,8 +192,13 @@ def test_trace_alone_gives_the_live_summary_and_tables(case):
     assert live.table_optimality == table_optimality(tables, trace.topology)
     for nid, rows in tables.items():
         assert {hop for hop, _ in rows.values()} <= trace.nodes[nid].nbors
-    # a request timer due by the horizon has fired at every node that is up
+    # a request timer due by the horizon has fired at every node that is up:
+    # each open attempt was launched (a bottle Sent with one history entry,
+    # or Eliminated at its source) less than a timeout before the horizon
+    launched = {ev.data["btl_id"]: ev.at for ev in trace.events
+                if ev.kind == "Sent" and ev.data.get("history_len") == 1
+                or ev.kind == "Eliminated" and "dest" in ev.data}
     for nid, node in trace.nodes.items():
         if nid not in trace.topology.down_nodes:
-            assert all(req.deadline > trace.meta["horizon"]
+            assert all(launched[str(req.btl_id)] + trace.cfg.timeout > trace.meta["horizon"]
                        for req in node.pending.values()), nid
