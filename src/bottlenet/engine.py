@@ -86,14 +86,15 @@ def _shape(kind: str, msg: str | None, fields: str) -> int:
 
 
 # Sent, Received and DeliveryFailed records name a bottle or a data packet
-# in "msg"; other kinds have no msg. Each value must be of its declared kind,
-# an int never a bool or a float: times, node ids and counts are ints because
-# ScenarioConfig.check rejects any other scenario value.
+# in "msg"; other kinds have no msg. Only a data packet has a Received record:
+# a bottle Sent at t lands at its "to" at t + per_hop_latency, unless a
+# DeliveryFailed names its xfer or that instant is past the horizon. Each
+# value must be of its declared kind, an int never a bool or a float: times,
+# node ids and counts are ints because ScenarioConfig.check rejects any other
+# scenario value.
 _SENT_BOTTLE = _shape("Sent", "bottle", "msg:name to btl_id:name src dest "
                       "rf:bool failure:bool history_len bytes xfer")
 _SENT_DATA = _shape("Sent", "data", "msg:name to src dest xfer")
-_RECEIVED_BOTTLE = _shape("Received", "bottle", "msg:name from btl_id:name src dest "
-                          "rf:bool failure:bool history_len xfer")
 _RECEIVED_DATA = _shape("Received", "data", "msg:name from src dest path:json xfer")
 _BOUNCED_BOTTLE = _shape("DeliveryFailed", "bottle", "msg:name to xfer")
 _BOUNCED_DATA = _shape("DeliveryFailed", "data", "msg:name to xfer")
@@ -277,9 +278,11 @@ def _record_error(line: str) -> str | None:
     key = (kind, data.get("msg"))
     fields = next((f for k, f in RECORD_FIELDS.items() if k == key), None)
     if fields is None:
-        if any(k == kind for k, _ in RECORD_FIELDS):
-            return f"kind {kind!r}: missing or unknown field 'msg'"
-        return f"unknown kind {kind!r}"
+        if not any(k == kind for k, _ in RECORD_FIELDS):
+            return f"unknown kind {kind!r}"
+        if "msg" not in data:
+            return f"kind {kind!r}: missing field 'msg'"
+        return f"kind {kind!r} has no msg {data['msg']!r}"
     missing = sorted(fields - data.keys())
     if missing:
         return f"kind {kind!r}: missing field '{missing[0]}'"
@@ -348,17 +351,10 @@ class Engine:
                                                   self.cfg, self._rngs[src]))
 
     def _on_bottle_arrival(self, frm: int, to: int, bottle: Bottle,
-                           xfer: int, btl_id: str) -> None:
-        # btl_id is str(bottle.btl_id), formatted once by _send_bottle
+                           xfer: int) -> None:
         if not self.topology.link_live(frm, to):
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
             return
-        self._record(to, "Received", _RECEIVED_BOTTLE, {
-            "msg": "bottle", "from": frm, "btl_id": btl_id,
-            "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
-            "failure": bottle.failure, "history_len": len(bottle.history),
-            "xfer": xfer,
-        })
         if bottle.rf and to == bottle.src:
             self._record(to, "RouteFound", _ROUTE_FOUND, {
                 "src": bottle.src, "dest": bottle.dest,
@@ -454,16 +450,15 @@ class Engine:
         self.bottle_bytes_sent += size
         xfer = self._xfer
         self._xfer += 1
-        btl_id = str(bottle.btl_id)
         self._record(frm, "Sent", _SENT_BOTTLE, {
-            "msg": "bottle", "to": to, "btl_id": btl_id,
+            "msg": "bottle", "to": to, "btl_id": str(bottle.btl_id),
             "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
             "failure": bottle.failure, "history_len": len(bottle.history),
             "bytes": size, "xfer": xfer,
         })
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
-                          self._on_bottle_arrival, (frm, to, bottle, xfer, btl_id))
+                          self._on_bottle_arrival, (frm, to, bottle, xfer))
         else:
             self._fail_delivery(frm, to, bottle, xfer, "bottle")
 

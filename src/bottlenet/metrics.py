@@ -100,8 +100,6 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     try:
         for ev in events:
             kind, data = ev.kind, ev.data
-            if kind == "Received":  # a third of the records; nothing here reads them
-                continue
             if kind == "Sent":
                 if data["msg"] == "bottle":
                     sent += 1
@@ -110,6 +108,8 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                         origin_bottle(ev, data["btl_id"], data["dest"])
             elif kind == "TableUpdated":
                 tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
+            elif kind == "Received":  # data arrivals: nothing here reads them
+                continue  # tested after the two commonest kinds, Sent and TableUpdated
             elif kind == "RouteRemoved":
                 tables[ev.node].pop(data["dest"], None)
             elif kind == "Eliminated":

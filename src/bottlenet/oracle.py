@@ -39,7 +39,7 @@ class Distances:
         if dist is not None:
             return dist
         if a not in self._index:
-            raise UnknownNode(f"node {a} not in topology")
+            raise UnknownNode(f"node {a!r} not in topology")
         dist = self._cache[a] = {}
         nodes, masks = self._nodes, self._masks
         seen = frontier = 1 << self._index[a]
@@ -60,7 +60,7 @@ class Distances:
     def between(self, a: int, b: int) -> int | None:
         """Hop count of a shortest live path from a to b; None when disconnected."""
         if b not in self._index:
-            raise UnknownNode(f"node {b} not in topology")
+            raise UnknownNode(f"node {b!r} not in topology")
         return self.from_source(a).get(b, Unreachable)
 
     def components(self) -> list[set[int]]:

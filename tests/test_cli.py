@@ -268,9 +268,9 @@ class TestSummarize:
     @pytest.mark.parametrize("seq, edit, named", [
         (0, lambda rec: rec["data"].update(bytes="x"), "seq 0 (kind 'Sent')"),
         (0, lambda rec: rec["data"].update(btl_id=["zz"]), "seq 0 (kind 'Sent')"),
-        (2, lambda rec: rec["data"].update(dest=[0]), "seq 2 (kind 'TableUpdated')"),
+        (1, lambda rec: rec["data"].update(dest=[0]), "seq 1 (kind 'TableUpdated')"),
         (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'Sent')"),
-        (5, lambda rec: rec.update(at="3"), "seq 5 (kind 'RouteFound')"),
+        (3, lambda rec: rec.update(at="3"), "seq 3 (kind 'RouteFound')"),
     ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str"])
     def test_field_of_the_wrong_type_is_a_clean_error(self, tmp_path, capsys,
                                                       seq, edit, named):
@@ -281,11 +281,12 @@ class TestSummarize:
 
     @pytest.mark.parametrize("seq, edit, named", [
         (0, lambda rec: rec.update(node="0"), "record seq 0 (kind 'Sent'): node '0' "),
-        (5, lambda rec: rec["data"].update(src="0"),
-         "record seq 5 (kind 'RouteFound'): src '0' "),
-        (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
-        (2, lambda rec: rec.update(node="1"), "kind 'TableUpdated' at node '1': "),
-        (2, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
+        (3, lambda rec: rec["data"].update(src="0"),
+         "record seq 3 (kind 'RouteFound'): src '0' "),
+        (1, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
+        (1, lambda rec: rec.update(node="1"),
+         "kind 'TableUpdated' at node '1': node '1' not in topology"),
+        (1, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
         (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
                                          "data": {"op": "fail_node", "target": [7]}}),
          "record seq 9 (kind 'TopologyChanged'): node 7 "),

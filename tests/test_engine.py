@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from bottlenet.config import (
     FaultSpec,
@@ -47,6 +47,17 @@ def two_node_scenario(tmp_path, seed=7):
     save_topology(t, str(topo_path))
     return ScenarioConfig(seed=seed, topology_file=str(topo_path),
                           requests=[RequestSpec(at=1, src=0, dest=1)])
+
+
+def landed_bottles(trace):
+    """The bottle Sent records whose bottle lands: every one that no
+    DeliveryFailed names by its xfer and whose arrival, at its "to" at its
+    "at" plus per_hop_latency, falls within the horizon."""
+    bounced = {ev.data["xfer"] for ev in trace.records("DeliveryFailed")}
+    last = trace.meta["horizon"] - trace.cfg.per_hop_latency
+    return [ev for ev in trace.records("Sent")
+            if ev.data["msg"] == "bottle" and ev.data["xfer"] not in bounced
+            and ev.at <= last]
 
 
 def generic_scenario(tmp_path, seed, requests, faults=(), protocol=None, horizon=None):
@@ -287,20 +298,19 @@ def copying_send_bottle(self, frm, send):
     bottle, to = send.bottle, send.to
     sent = Bottle(bottle.src, bottle.dest, bottle.btl_id, bottle.rf,
                   list(bottle.history), bottle.failure)
-    btl_id = str(sent.btl_id)
     size = len(serialize_bottle(sent))
     self.bottle_bytes_sent += size
     xfer = self._xfer
     self._xfer += 1
     self._record(frm, "Sent", engine._SENT_BOTTLE, {
-        "msg": "bottle", "to": to, "btl_id": btl_id,
+        "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
         "src": sent.src, "dest": sent.dest, "rf": sent.rf,
         "failure": sent.failure, "history_len": len(sent.history),
         "bytes": size, "xfer": xfer,
     })
     if self.topology.link_live(frm, to):
         self.schedule(self.now + self.cfg.per_hop_latency,
-                      self._on_bottle_arrival, (frm, to, sent, xfer, btl_id))
+                      self._on_bottle_arrival, (frm, to, sent, xfer))
     else:
         self._fail_delivery(frm, to, sent, xfer, "bottle")
 
@@ -341,9 +351,9 @@ def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
           suppress_health_check=[HealthCheck.too_slow])
 @given(fault_scenarios())
 def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
-    """fsm.handle_bottle runs once per Received bottle record, at that
-    record's node and instant, in trace order: no arrival waits for a later
-    event of its node."""
+    """fsm.handle_bottle runs once per bottle that lands (landed_bottles),
+    at its receiver and arrival instant, in the order of their Sent records:
+    no arrival waits for a later event of its node."""
     t, doc = case
     handled = []
     handle_bottle = fsm.handle_bottle
@@ -358,8 +368,52 @@ def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
         sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
         with mock.patch.object(fsm, "handle_bottle", recording):
             trace = run(sc)
-    assert handled == [(ev.at, ev.node, ev.data["btl_id"]) for ev in trace.events
-                       if ev.kind == "Received" and ev.data["msg"] == "bottle"]
+    latency = trace.cfg.per_hop_latency
+    assert handled == [(ev.at + latency, ev.data["to"], ev.data["btl_id"])
+                       for ev in landed_bottles(trace)]
+
+
+def audit_sent_records(trace, topology_file):
+    """Check every hop from its Sent record, the topology file and the
+    TopologyChanged records alone: a send that no DeliveryFailed of its
+    xfer answers at the same instant crosses a link that is live at that
+    point of the trace, and the forward sends of each bottle (neither rf
+    nor failure) carry history_len 1, 2, 3, ... in order."""
+    edges = {frozenset(e) for e in json.loads(Path(topology_file).read_text())["edges"]}
+    down: set = set()  # failed nodes and failed links (frozensets)
+    bounced_at = {(ev.at, ev.data["xfer"]) for ev in trace.records("DeliveryFailed")}
+    forward_hops: Counter = Counter()
+    for ev in trace.events:
+        data = ev.data
+        if ev.kind == "TopologyChanged":
+            target = data["target"]
+            key = target[0] if data["op"].endswith("_node") else frozenset(target)
+            (down.add if data["op"].startswith("fail_") else down.discard)(key)
+        elif ev.kind == "Sent":
+            if (ev.at, data["xfer"]) not in bounced_at:
+                link = frozenset((ev.node, data["to"]))
+                assert link in edges and not down & {ev.node, data["to"], link}, ev
+            if data["msg"] == "bottle" and not (data["rf"] or data["failure"]):
+                forward_hops[data["btl_id"]] += 1
+                assert data["history_len"] == forward_hops[data["btl_id"]], ev
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+# node 0 sends to 1 at t=2 over the link that failed at t=1: its refresh
+# is not due until its next beacon instant, t=5
+@example((make_topology((0, 1), (1, 2)),
+          {"seed": 1, "protocol": {"beacon_period": 5},
+           "requests": [{"at": 2, "src": 0, "dest": 1}],
+           "faults": [{"at": 1, "op": "fail_link", "link": [0, 1]}], "horizon": 100}))
+def test_every_hop_audited_from_its_sent_record(case):
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path = Path(tmp, "topo.json")
+        save_topology(t, str(topo_path))
+        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+        audit_sent_records(trace, topo_path)
 
 
 def test_record_fields_derived_from_the_declared_shapes():
@@ -367,7 +421,6 @@ def test_record_fields_derived_from_the_declared_shapes():
         key: frozenset(fields.split()) for key, fields in {
             ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
             ("Sent", "data"): "msg to src dest xfer",
-            ("Received", "bottle"): "msg from btl_id src dest rf failure history_len xfer",
             ("Received", "data"): "msg from src dest path xfer",
             ("DeliveryFailed", "bottle"): "msg to xfer",
             ("DeliveryFailed", "data"): "msg xfer",
@@ -437,14 +490,11 @@ class TestTraceWriter:
 
 
 def terminal_marks(trace):
-    """Per bottle id: eliminations plus found-route returns to the source."""
-    marks = Counter()
-    for ev in trace.events:
-        if ev.kind == "Eliminated":
-            marks[ev.data["btl_id"]] += 1
-        elif (ev.kind == "Received" and ev.data.get("msg") == "bottle"
-              and ev.data["rf"] and ev.node == ev.data["src"]):
-            marks[ev.data["btl_id"]] += 1
+    """Per bottle id: eliminations plus found-route returns to the source
+    (an rf bottle that lands at its src)."""
+    marks = Counter(ev.data["btl_id"] for ev in trace.records("Eliminated"))
+    marks.update(ev.data["btl_id"] for ev in landed_bottles(trace)
+                 if ev.data["rf"] and ev.data["to"] == ev.data["src"])
     return marks
 
 
@@ -460,12 +510,15 @@ class TestTraceInvariants:
     def test_sent_received_conservation(self, tmp_path):
         for seed in range(8):
             trace = self.exercise(tmp_path, seed)
-            sent = [ev.data["xfer"] for ev in trace.records("Sent")]
-            landed = [ev.data["xfer"] for ev in trace.events
-                      if ev.kind in ("Received", "DeliveryFailed")
-                      and ev.data.get("xfer") is not None]
-            assert sorted(sent) == sorted(landed)
-            assert len(set(sent)) == len(sent)
+            sent = Counter(ev.data["xfer"] for ev in trace.records("Sent"))
+            bounced = Counter(ev.data["xfer"] for ev in trace.records("DeliveryFailed")
+                              if ev.data["xfer"] is not None)
+            received = Counter(ev.data["xfer"] for ev in trace.records("Received"))
+            data_sent = {ev.data["xfer"] for ev in trace.records("Sent")
+                         if ev.data["msg"] == "data"}
+            assert set(sent.values()) <= {1}
+            assert bounced.keys() <= sent.keys() and set(bounced.values()) <= {1}
+            assert received == Counter(data_sent - bounced.keys())
 
     def test_every_bottle_ends_exactly_once(self, tmp_path):
         for seed in range(8):
@@ -495,9 +548,8 @@ class TestTraceInvariants:
                             and ev.data["src"] == found.data["src"]
                             and ev.data["dest"] == found.data["dest"]):
                         btl_id = ev.data["btl_id"]
-                receivers = [ev.node for ev in trace.records("Received")
-                             if ev.data.get("msg") == "bottle"
-                             and ev.data["btl_id"] == btl_id and ev.data["rf"]]
+                receivers = [ev.data["to"] for ev in landed_bottles(trace)
+                             if ev.data["btl_id"] == btl_id and ev.data["rf"]]
                 assert receivers == list(reversed(path))[1:]
 
     def test_simple_path_histories(self, tmp_path):
@@ -801,9 +853,18 @@ class TestMalformedTrace:
     def test_message_record_without_msg(self, tmp_path):
         line = ('{"at":1,"seq":0,"node":0,"kind":"Sent",'
                 '"data":{"to":1,"src":0,"dest":1,"xfer":0}}')
-        with pytest.raises(MalformedTrace,
-                           match="kind 'Sent': missing or unknown field 'msg'"):
+        with pytest.raises(MalformedTrace, match="kind 'Sent': missing field 'msg'"):
             self.load(tmp_path, [line])
+
+    def test_received_bottle_record_of_the_old_format(self, tmp_path):
+        # a bottle's arrival follows from its Sent record, so a trace that
+        # still has a Received bottle line is of a format no longer read
+        line = ('{"at":2,"seq":1,"node":1,"kind":"Received","data":{"msg":"bottle",'
+                '"from":0,"btl_id":"0-0","src":0,"dest":1,"rf":false,"failure":false,'
+                '"history_len":1,"xfer":0}}')
+        with pytest.raises(MalformedTrace,
+                           match=r"bad\.jsonl: line 2: kind 'Received' has no msg 'bottle'$"):
+            self.load(tmp_path, [record_line(0), line])
 
     @pytest.mark.parametrize("data, error", [
         ('{"op":"explode","target":[1]}', "unknown op 'explode'"),
@@ -827,7 +888,7 @@ class TestMalformedTrace:
     @pytest.mark.parametrize("kind, data, error", [
         ('["Sent"]', "{}", r"unknown kind \['Sent'\]"),
         ('{"k":1}', "{}", r"unknown kind \{'k': 1\}"),
-        ('"Sent"', '{"msg":["bottle"]}', "kind 'Sent': missing or unknown field 'msg'"),
+        ('"Sent"', '{"msg":["bottle"]}', r"kind 'Sent' has no msg \['bottle'\]"),
     ])
     def test_unhashable_kind_or_msg(self, tmp_path, kind, data, error):
         # a dict lookup on these raises TypeError; the line is named instead
@@ -910,13 +971,13 @@ class TestChunkedTrace:
         within and across chunks: a % in an unshaped record's kind, keys or
         values, or in a shaped record's name, is written as it is."""
         shaped = run(two_node_scenario(tmp_path)).events
-        loaded = load_trace(self.write(tmp_path, self.records(2, start=50))).events
+        loaded = load_trace(self.write(tmp_path, self.records(3, start=50))).events
         events = [loaded[0], *shaped[:2],
                   TraceEvent(3, 60, 1, "50%", {"%d": "%s", "100%": 7, "%%": None,
                                                "%(x)s": ["%", "a%%b%"]}),
                   TraceEvent(4, 61, 2, "Eliminated", {"btl_id": "%d%s", "reason": "100%"},
                              engine._ELIMINATED),
-                  *shaped[2:], loaded[1], TraceEvent(5, 62, 0, "%s%%", {"k": "%"})]
+                  loaded[1], *shaped[2:], loaded[2], TraceEvent(5, 62, 0, "%s%%", {"k": "%"})]
         assert {ev.shape is None for ev in events} == {True, False}
         assert len(events) % 3 != 0
         trace = Trace(events=events)
@@ -1155,7 +1216,7 @@ def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypa
     chunk = 128
     monkeypatch.setattr(engine, "_CHUNK_LINES", chunk)
     doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 30, "seed": 0}},
-           "random_requests": {"count": 40, "spacing": 10}}
+           "random_requests": {"count": 60, "spacing": 10}}
     events = run(scenario_from_dict(doc)).events
     assert len(events) >= 16 * chunk
     loads, writes = {}, {}

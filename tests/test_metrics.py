@@ -147,8 +147,8 @@ class TestTables:
                        [RequestSpec(at=1, src=0, dest=1)])
         records = [TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data)
                    for ev in trace.events]
-        records[2].at = "2"
-        with pytest.raises(MalformedRecord, match=r"^record seq 2 \(kind 'TableUpdated'\): "):
+        records[1].at = "2"
+        with pytest.raises(MalformedRecord, match=r"^record seq 1 \(kind 'TableUpdated'\): "):
             reconstruct_tables(records, up_to=5)
 
 
