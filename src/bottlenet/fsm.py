@@ -10,7 +10,9 @@ dispatches by its type; actions of different types never compare equal.
 A bottle has one owner at a time. A handler owns the bottle it is given
 and may extend its history in place; a ``Send`` hands the bottle to the
 engine, and from then on neither the handler nor the node keeps or reads
-it. No bottle is copied on its way from node to node.
+it. No bottle is copied on its way from node to node. A launch is the
+walk's first step, and a found bottle turns back through the return path
+that every returning bottle takes.
 
 A node's table and open discoveries change only here, in place: a harvest
 installs its routes and reports them in one ``TableUpdated`` action, in
@@ -45,12 +47,11 @@ from .domain import (
     PendingRequest,
     RouteEntry,
     RoutingTable,
-    bottle_hops,
     check_bottle,
     make_bottle,
 )
 from .config import ProtocolConfig
-from .errors import MalformedBottle, PreconditionViolation
+from .errors import MalformedBottle
 
 
 class ElimReason(Enum):
@@ -133,11 +134,11 @@ def choose_next_hop(nbors: set[NodeId], history: Sequence[NodeId],
 
 
 def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
-                              self_id: NodeId, nbors: set[NodeId],
+                              i: int, nbors: set[NodeId],
                               ) -> list[tuple[NodeId, RouteEntry]]:
     """Harvest routes to every other node on a bottle's travel history.
 
-    Looking from this node's position in the history, earlier entries are
+    Looking from this node's position i in the history, earlier entries are
     reachable through the previous hop and (on a return traversal) later
     entries through the next hop. An entry is installed only when the
     destination is new or the harvested hop count strictly improves on the
@@ -145,11 +146,6 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
     into rtab in place, as purge_routes removes them; the return value
     lists each (dest, entry) installed, in harvest order.
     """
-    try:
-        i = history.index(self_id)
-    except ValueError:
-        raise PreconditionViolation(
-            f"node {self_id} not on history {list(history)}") from None
     learned: list[tuple[NodeId, RouteEntry]] = []
     sides = []  # (via, destinations in history order, first hops, step)
     if i > 0 and history[i - 1] in nbors:
@@ -185,16 +181,21 @@ def _start_discovery(node: NodeState, dest: NodeId, now: int,
     bottle = make_bottle(node.nid, dest, node.next_seq())
     node.pending[dest] = PendingRequest(
         btl_id=bottle.btl_id, retries_used=retries_used, queued_packets=queued)
-    hop = choose_next_hop(node.nbors, bottle.history, rng)
-    actions: list[Action]
+    # A launch that dies on the spot still arms the timer, which drives
+    # the retry/inaccessible path.
+    return [_walk_on(node, bottle, rng),
+            SetTimer(dest, bottle.btl_id, now + cfg.timeout)]
+
+
+def _walk_on(node: NodeState, b: Bottle, rng: random.Random) -> Action:
+    """The walk's one step: on to a random unvisited neighbor, or dead at a
+    dead end. Only a fresh launch has a one-entry history, so only its
+    Eliminate names the destination."""
+    hop = choose_next_hop(node.nbors, b.history, rng)
     if hop is None:
-        # Nowhere to launch: the bottle dies on the spot, the timer still
-        # drives the retry/inaccessible path.
-        actions = [Eliminate(bottle.btl_id, ElimReason.DEAD_END, dest)]
-    else:
-        actions = [Send(bottle, hop)]
-    actions.append(SetTimer(dest, bottle.btl_id, now + cfg.timeout))
-    return actions
+        return Eliminate(b.btl_id, ElimReason.DEAD_END,
+                         b.dest if len(b.history) == 1 else None)
+    return Send(b, hop)
 
 
 def _failure_report(node: NodeState, pkt: DataPacket) -> list[Action]:
@@ -251,42 +252,31 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
             raise MalformedBottle(
                 f"bottle {b.btl_id} revisited node {node.nid}")
         b.history.append(node.nid)
-    elif node.nid not in b.history:
-        raise MalformedBottle(
-            f"returning bottle {b.btl_id} at node {node.nid} off its history")
+        i = len(b.history) - 1  # the bottle's hop count
+    else:
+        try:
+            i = b.history.index(node.nid)
+        except ValueError:
+            raise MalformedBottle(f"returning bottle {b.btl_id} at node "
+                                  f"{node.nid} off its history") from None
 
-    learned = update_table_from_history(node.rtab, b.history, node.nid, node.nbors)
+    learned = update_table_from_history(node.rtab, b.history, i, node.nbors)
     actions: list[Action] = [TableUpdated(learned)] if learned else []
 
-    if forward and bottle_hops(b) >= cfg.hop_limit:
-        actions.append(Eliminate(b.btl_id, ElimReason.HOP_LIMIT))
-        return actions
-
-    if forward and node.nid == b.dest:
-        b.rf = True
-        prev = b.history[-2]
-        if prev in node.nbors:
-            actions.append(Send(b, prev))
-        return actions
-
-    if not forward:
-        i = b.history.index(node.nid)
-        if i == 0:
-            if b.rf:
-                actions.extend(_complete_discovery(node, b, now, cfg, rng))
-            else:
-                actions.extend(_handle_route_failure(node, b, now, cfg, rng))
+    if forward:
+        if i >= cfg.hop_limit:
+            actions.append(Eliminate(b.btl_id, ElimReason.HOP_LIMIT))
             return actions
-        prev = b.history[i - 1]
-        if prev in node.nbors:
-            actions.append(Send(b, prev))
-        return actions
+        if node.nid != b.dest:
+            actions.append(_walk_on(node, b, rng))
+            return actions
+        b.rf = True  # found: it turns back along its history
 
-    hop = choose_next_hop(node.nbors, b.history, rng)
-    if hop is None:
-        actions.append(Eliminate(b.btl_id, ElimReason.DEAD_END))
-    else:
-        actions.append(Send(b, hop))
+    if i == 0:
+        settle = _complete_discovery if b.rf else _handle_route_failure
+        actions.extend(settle(node, b, now, cfg, rng))
+    elif b.history[i - 1] in node.nbors:
+        actions.append(Send(b, b.history[i - 1]))
     return actions
 
 
@@ -297,20 +287,23 @@ def _complete_discovery(node: NodeState, b: Bottle, now: int,
 
     Matched by destination rather than bottle id so that a slow bottle
     from an earlier attempt still completes a request that has since been
-    retried under a fresh id.
+    retried under a fresh id. If the route did not install (the previous
+    hop is no longer a neighbor), the resend opens a fresh discovery.
     """
-    actions: list[Action] = []
     req = node.pending.pop(b.dest, None)
     if req is None:
-        return actions
-    entry = node.rtab.get(b.dest)
-    for pkt in req.queued_packets:
-        if entry is not None:
-            actions.append(SendData(pkt, entry.next_hop))
-        else:
-            # Route did not install (previous hop no longer a neighbor);
-            # go around again with the packet still queued.
-            actions.extend(handle_route_request(node, pkt, now, cfg, rng))
+        return []
+    return _resend(node, req.queued_packets, now, cfg, rng)
+
+
+def _resend(node: NodeState, packets: list[DataPacket], now: int,
+            cfg: ProtocolConfig, rng: random.Random) -> list[Action]:
+    """Hand a closed request's queued packets back to handle_route_request,
+    which sends each over an installed route or queues it behind a fresh
+    discovery."""
+    actions: list[Action] = []
+    for pkt in packets:
+        actions.extend(handle_route_request(node, pkt, now, cfg, rng))
     return actions
 
 
@@ -332,10 +325,8 @@ def on_timeout(node: NodeState, dest: NodeId, btl_id: BottleId, now: int,
     if req is None or req.btl_id != btl_id:
         return []
     del node.pending[dest]  # before a retry reopens it: pending keeps arming order
-    entry = node.rtab.get(dest)
-    if entry is not None:
-        # Route learned passively from another bottle while waiting.
-        return [SendData(pkt, entry.next_hop) for pkt in req.queued_packets]
+    if dest in node.rtab:  # learned passively from another bottle while waiting
+        return _resend(node, req.queued_packets, now, cfg, rng)
     if req.retries_used < cfg.retry_limit:
         return _start_discovery(node, dest, now, cfg, rng,
                                 queued=req.queued_packets,

@@ -26,9 +26,10 @@ def edge_key(a: NodeId, b: NodeId) -> Edge:
 class Topology:
     """Nodes, undirected edges, and the nodes and edges currently down.
 
-    An edge passed to the constructor or to add_edge adds its endpoints to
-    nodes, may not be a self-loop, and enters the adjacency index, which
-    link_live and live_neighbors read; one written to edges directly does not.
+    An edge passed to the constructor or to add_edge is stored as its
+    edge_key, adds its endpoints to nodes, may not be a self-loop, and
+    enters the adjacency index, which link_live and live_neighbors read; one
+    written to edges directly does not.
     """
 
     nodes: set[NodeId] = field(default_factory=set)
@@ -40,12 +41,9 @@ class Topology:
 
     def __post_init__(self) -> None:
         self._adj = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            if a == b:
-                raise ConfigError(f"self-loop at node {a}")
-            self._adj.setdefault(a, set()).add(b)
-            self._adj.setdefault(b, set()).add(a)
-        self.nodes.update(self._adj)
+        edges, self.edges = self.edges, set()
+        for a, b in edges:
+            self.add_edge(a, b)
 
     def add_edge(self, a: NodeId, b: NodeId) -> None:
         if a == b:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottlenet.domain import NodePhase, RouteEntry
-from bottlenet.errors import PreconditionViolation
 from bottlenet.fsm import (
     choose_next_hop,
     next_state,
@@ -75,12 +74,13 @@ class TestChooseNextHop:
         assert choose_next_hop(set(), [0], rng) is None
 
 
-def harvest(rtab, history, self_id, nbors):
-    """update_table_from_history, checked against reference_harvest taken
-    before the call: the same table and the same learned pairs in the same
-    order. Returns the table, changed in place, and the learned pairs."""
-    expected = reference_harvest(rtab, history, self_id, nbors)
-    learned = update_table_from_history(rtab, history, self_id, nbors)
+def harvest(rtab, history, i, nbors):
+    """update_table_from_history at position i, checked against
+    reference_harvest taken before the call: the same table and the same
+    learned pairs in the same order. Returns the table, changed in place,
+    and the learned pairs."""
+    expected = reference_harvest(rtab, history, i, nbors)
+    learned = update_table_from_history(rtab, history, i, nbors)
     assert (rtab, learned) == expected
     assert all(type(entry) is RouteEntry for _, entry in learned)
     return rtab, learned
@@ -88,32 +88,32 @@ def harvest(rtab, history, self_id, nbors):
 
 class TestTableHarvest:
     def test_empty_table_learns_whole_path(self):
-        table, learned = harvest({}, ["A", "B", "C"], "C", {"B"})
+        table, learned = harvest({}, ["A", "B", "C"], 2, {"B"})
         assert table == {"A": RouteEntry("B", 2), "B": RouteEntry("B", 1)}
         assert learned == [("A", RouteEntry("B", 2)), ("B", RouteEntry("B", 1))]
 
     def test_shorter_existing_route_kept(self):
         rtab = {"A": RouteEntry("X", 1)}
-        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], 2, {"B", "X"})
         assert table["A"] == RouteEntry("X", 1)
         assert learned == [("B", RouteEntry("B", 1))]
 
     def test_longer_existing_route_improved(self):
         rtab = {"A": RouteEntry("X", 5)}
-        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], 2, {"B", "X"})
         assert table["A"] == RouteEntry("B", 2)
         assert learned == [("A", RouteEntry("B", 2)), ("B", RouteEntry("B", 1))]
 
     def test_tie_keeps_existing_entry(self):
         rtab = {"A": RouteEntry("X", 2)}
-        table, learned = harvest(rtab, ["A", "B", "C"], "C", {"B", "X"})
+        table, learned = harvest(rtab, ["A", "B", "C"], 2, {"B", "X"})
         assert table["A"] == RouteEntry("X", 2)
         assert learned == [("B", RouteEntry("B", 1))]
 
     def test_return_traversal_harvests_both_directions(self):
         # Middle of the history on the way back: earlier nodes via B,
         # later ones via D.
-        table, learned = harvest({}, ["A", "B", "C", "D", "E"], "C", {"B", "D"})
+        table, learned = harvest({}, ["A", "B", "C", "D", "E"], 2, {"B", "D"})
         assert table == {
             "A": RouteEntry("B", 2), "B": RouteEntry("B", 1),
             "D": RouteEntry("D", 1), "E": RouteEntry("D", 2),
@@ -121,7 +121,7 @@ class TestTableHarvest:
         assert [dest for dest, _ in learned] == ["A", "B", "D", "E"]
 
     def test_vanished_previous_hop_installs_nothing(self):
-        table, learned = harvest({}, ["A", "B", "C"], "C", {"Z"})
+        table, learned = harvest({}, ["A", "B", "C"], 2, {"Z"})
         assert table == {} and learned == []
 
     def test_source_position_harvests_forward(self):
@@ -137,33 +137,29 @@ class TestTableHarvest:
             setattr(entry, name, 2)
         assert entry == RouteEntry("X", 1)
 
-    def test_off_history_node_rejected(self):
-        with pytest.raises(PreconditionViolation):
-            update_table_from_history({}, ["A", "B"], "Q", {"A"})
-
     def test_table_changed_in_place(self):
         rtab = {"A": RouteEntry("X", 5), "Q": RouteEntry("X", 4)}
         kept = rtab["Q"]
-        learned = update_table_from_history(rtab, ["A", "B", "C"], "C", {"B"})
+        learned = update_table_from_history(rtab, ["A", "B", "C"], 2, {"B"})
         assert rtab == {"A": RouteEntry("B", 2), "Q": RouteEntry("X", 4),
                         "B": RouteEntry("B", 1)}
         assert rtab["Q"] is kept
         assert learned == [("A", rtab["A"]), ("B", rtab["B"])]
-        assert update_table_from_history(rtab, ["A", "B", "C"], "C", {"B"}) == []
+        assert update_table_from_history(rtab, ["A", "B", "C"], 2, {"B"}) == []
 
 
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=30, unique=True),
        st.data())
 def test_harvested_hops_match_history_positions(history, data):
-    self_id = data.draw(st.sampled_from(history))
-    i = history.index(self_id)
+    i = data.draw(st.integers(0, len(history) - 1))
+    self_id = history[i]
     nbors = set()
     if i > 0:
         nbors.add(history[i - 1])
     if i + 1 < len(history):
         nbors.add(history[i + 1])
     table = {}
-    learned = update_table_from_history(table, history, self_id, nbors)
+    learned = update_table_from_history(table, history, i, nbors)
     assert dict(learned) == table
     for dest, entry in table.items():
         j = history.index(dest)
@@ -172,11 +168,10 @@ def test_harvested_hops_match_history_positions(history, data):
     assert self_id not in table
 
 
-def reference_harvest(rtab, history, self_id, nbors):
-    """The harvest as first written: a copy of the whole table, one closure
-    call per history entry. update_table_from_history must agree with it,
-    table and learned (dest, entry) pairs in order."""
-    i = history.index(self_id)
+def reference_harvest(rtab, history, i, nbors):
+    """The harvest at position i as first written: a copy of the whole
+    table, one closure call per history entry. update_table_from_history
+    must agree with it, table and learned (dest, entry) pairs in order."""
     table = dict(rtab)
     learned = []
 
@@ -206,10 +201,10 @@ node_ids = st.integers(0, 12)
        nbors=st.sets(node_ids, max_size=6),
        data=st.data())
 def test_harvest_matches_reference(rtab, history, nbors, data):
-    self_id = data.draw(st.sampled_from(history))
+    i = data.draw(st.integers(0, len(history) - 1))
     before = dict(rtab)
-    expected = reference_harvest(rtab, history, self_id, nbors)
-    learned = update_table_from_history(rtab, history, self_id, nbors)
+    expected = reference_harvest(rtab, history, i, nbors)
+    learned = update_table_from_history(rtab, history, i, nbors)
     assert (rtab, learned) == expected
     assert all(type(entry) is RouteEntry for _, entry in learned)
     # in place: what was not learned is the entry that was there

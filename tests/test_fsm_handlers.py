@@ -170,6 +170,31 @@ class TestHandleBottle:
         with pytest.raises(MalformedBottle):
             handle_bottle(node, b, 3, cfg, rng)
 
+    @pytest.mark.parametrize("rf", [True, False])
+    def test_returning_bottle_off_its_history_is_malformed(self, cfg, rng, rf):
+        node = make_node(4, {0, 7})
+        b = Bottle(0, 8, BottleId(0, 0), rf=rf, failure=not rf, history=[0, 7, 8])
+        with pytest.raises(MalformedBottle, match="node 4 off its history"):
+            handle_bottle(node, b, 3, cfg, rng)
+
+    def test_found_route_that_did_not_install_opens_a_fresh_discovery(self, cfg, rng):
+        # The way back's first hop, 7, is no longer a neighbor, so the
+        # harvest installs nothing and the queued packets go around again.
+        node = make_node(0, {4})
+        first, second = DataPacket(0, 8, path=[0]), DataPacket(0, 8, path=[0])
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 5), retries_used=2, queued_packets=[first, second])
+        b = Bottle(0, 8, BottleId(0, 5), rf=True, history=[0, 7, 8])
+        actions = handle_bottle(node, b, 20, cfg, rng)
+        assert node.rtab == {}
+        req = node.pending[8]
+        assert req.btl_id != BottleId(0, 5) and req.retries_used == 0
+        assert req.queued_packets == [first, second]
+        (send,) = sends(actions)
+        assert send.to == 4 and send.bottle.history == [0]
+        assert send.bottle.btl_id == req.btl_id
+        assert actions == [send, SetTimer(8, req.btl_id, 20 + cfg.timeout)]
+
     def test_failure_bottle_at_source_purges_and_retries(self, cfg, rng):
         node = make_node(0, {7, 3}, rtab={8: RouteEntry(7, 3)})
         b = Bottle(0, 8, BottleId(5, 0), failure=True, history=[0, 7, 5])

@@ -4,8 +4,10 @@ against a full edge scan."""
 import pytest
 from hypothesis import given, strategies as st
 
+from bottlenet.dotexport import export_dot
 from bottlenet.errors import ConfigError
-from bottlenet.network import Topology, edge_key, topology_from_dict
+from bottlenet.network import (
+    Topology, edge_key, load_topology, save_topology, topology_from_dict)
 from bottlenet.oracle import Distances
 
 
@@ -85,3 +87,19 @@ def test_constructor_adds_missing_endpoints_as_add_edge_does():
 def test_constructor_rejects_a_self_loop():
     with pytest.raises(ConfigError, match="self-loop at node 0"):
         Topology(nodes={0}, edges={(0, 0)})
+
+
+def test_constructor_stores_an_edge_as_its_key():
+    t = Topology({3, 5}, {(5, 3)})
+    assert t.edges == {(3, 5)}
+    assert "3 -- 5 [color=red, penwidth=2]" in export_dot(t, [3, 5])
+    assert t.apply_fault("fail_link", (3, 5)) == (3, 5)
+    assert not t.link_live(5, 3)
+
+
+def test_constructor_keeps_one_edge_for_both_directions(tmp_path):
+    t = Topology({1, 2}, {(1, 2), (2, 1)})
+    assert t.edges == {(1, 2)}
+    path = str(tmp_path / "t.json")
+    save_topology(t, path)
+    assert load_topology(path) == t
