@@ -559,7 +559,7 @@ def run(scenario: ScenarioConfig) -> Trace:
     for at, src, dest in requests:
         engine.schedule(at, engine._on_app_request, (src, dest))
     # faults change only what is down, so one copy checks them all
-    probe = Topology(set(topology.nodes), set(topology.edges))
+    probe = topology.copy_without_faults()
     for i, fault in enumerate(scenario.faults):
         try:
             probe.apply_fault(fault.op, fault.target)

@@ -75,14 +75,15 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     its use, or a node or link t lacks, raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
-    topo = None if t is None else Topology(set(t.nodes), set(t.edges))
+    topo = None if t is None else t.copy_without_faults()
     open_eps: dict[tuple[int, int], Episode] = {}
     done: list[Episode] = []
     tables: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
     eliminated: dict[str, int] = {}
     sent = nbytes = 0
 
-    known = is_node_id if topo is None else topo.nodes.__contains__
+    def known(n: object) -> bool:  # a bool or a float would key as the int it equals
+        return is_node_id(n) and (topo is None or n in topo.nodes)
 
     def origin_bottle(ev: TraceEvent, btl_id: str, dest: int) -> None:
         ep = open_eps.get((ev.node, dest))
@@ -117,7 +118,11 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                 if "dest" in data:  # origin-side: a bottle that never launched
                     origin_bottle(ev, data["btl_id"], data["dest"])
             elif kind == "RouteFound" or kind == "Inaccessible":
-                ep = open_eps.pop((data["src"], data["dest"]), None)
+                src, dest = data["src"], data["dest"]
+                if not (known(src) and known(dest)):
+                    raise MalformedRecord(_bad_record(
+                        ev, f"src {src!r} or dest {dest!r} is not a known node id"))
+                ep = open_eps.pop((src, dest), None)
                 if ep is not None:
                     ep.end_at = ev.at + 0
                     if kind == "RouteFound":
@@ -125,9 +130,6 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                     else:
                         ep.outcome = "inaccessible"
                     done.append(ep)
-                elif not (known(data["src"]) and known(data["dest"])):
-                    raise MalformedRecord(_bad_record(ev, f"src {data['src']!r} or dest "
-                                                      f"{data['dest']!r} is not a known node id"))
             elif kind == "TopologyChanged" and topo is not None:
                 try:
                     topo.apply_fault(data["op"], data["target"])
@@ -174,20 +176,21 @@ def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
     """Fraction of entries whose hop count equals the oracle distance. A
     node t lacks raises UnknownNode, a hop count that is not one MalformedRecord."""
     snapshot = t if isinstance(t, Distances) else Distances(t)
+    index = snapshot.index
     total = optimal = 0
     for node, entries in tables.items():
         if not entries:
             continue
         try:
-            dist = snapshot.from_source(node)
+            shells = snapshot.shells[snapshot.position(node)]
             for dest, (_, hops) in entries.items():
-                total += 1
-                if hops == dist.get(dest):
-                    optimal += 1
-                elif dest not in dist and dest not in snapshot:  # no optimal entry gets here
+                if type(dest) is not int or dest not in index:
                     raise UnknownNode(f"dest {dest!r} not in topology")
-                elif type(hops) is not int or hops < 1:
+                if type(hops) is not int or hops < 1:
                     raise MalformedRecord(f"hops {hops!r} is not a hop count")
+                if hops < len(shells) and shells[hops] >> index[dest] & 1:
+                    optimal += 1
+            total += len(entries)
         except (UnknownNode, MalformedRecord) as exc:
             raise type(exc)(f"kind 'TableUpdated' at node {node!r}: {exc}") from None
     return None if total == 0 else optimal / total

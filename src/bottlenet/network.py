@@ -54,6 +54,13 @@ class Topology:
         self._adj.setdefault(a, set()).add(b)
         self._adj.setdefault(b, set()).add(a)
 
+    def copy_without_faults(self) -> Topology:
+        """Same nodes, edges and adjacency index, nothing down; no edge is re-added."""
+        copy = Topology()
+        copy.nodes, copy.edges, copy._adj = (set(self.nodes), set(self.edges),
+                                             {n: set(m) for n, m in self._adj.items()})
+        return copy
+
     def link_live(self, a: NodeId, b: NodeId) -> bool:
         """True when a and b share an edge and neither it nor either end is down."""
         if b not in self._adj.get(a, ()):

@@ -2,12 +2,14 @@
 
 Used only by tests and metrics as an independent check on what the
 protocol discovers; deliberately shares nothing with the FSM. A
-``Distances`` snapshot costs O(V + E) to build: node i (in sorted order)
-gets an int bitmask of its live links. Each source then costs one cached
-bit-parallel BFS, each level the OR of the frontier's masks minus the nodes
-seen (Beamer, Asanovic & Patterson, SC 2012). Many-query callers keep one
-snapshot; the two module functions build one per call. A snapshot does not
-follow faults applied after it is built.
+``Distances`` snapshot costs O(V + E) to build: a tuple of live neighbour
+indices per node (sorted order). The first distance asked of it runs one
+multi-source bit-parallel sweep (Then et al., PVLDB 2014; Beamer, Asanovic
+& Patterson, SC 2012) that keeps ``shells[v][k]``, the bitmask of the nodes
+exactly k hops from v: sum_v ecc(v) * deg(v) big-int ORs, sum_v ecc(v)
+masks. ``components`` runs no sweep; ``bfs_distance`` builds one for a
+single pair and suits tests only. A snapshot does not follow faults
+applied after it is built.
 """
 
 from __future__ import annotations
@@ -23,54 +25,71 @@ class Distances:
 
     def __init__(self, t: Topology) -> None:
         self._nodes = sorted(t.nodes)
-        self._index = {n: i for i, n in enumerate(self._nodes)}
-        self._masks = [sum(1 << self._index[m] for m in t.live_neighbors(n))
-                       for n in self._nodes]
-        self._live = [n for n in self._nodes if n not in t.down_nodes]
-        self._cache: dict[int, dict[int, int]] = {}
+        self.index = {n: i for i, n in enumerate(self._nodes)}  # node -> its bit
+        self._nbrs = [tuple(map(self.index.__getitem__, t.live_neighbors(n)))
+                      for n in self._nodes]
+        self._live = [v for v, n in enumerate(self._nodes) if n not in t.down_nodes]
+        self._shells: list[list[int]] | None = None
 
-    def __contains__(self, n: object) -> bool:
-        return n in self._index
+    @property
+    def shells(self) -> list[list[int]]:
+        """shells[v][k] for node index v and k up to v's eccentricity. The ball
+        of v at level k+1 is the OR of the level-k balls of v and its
+        neighbours; a level steps only the nodes whose ball grew at the last,
+        since a ball that stops growing covers v's whole component."""
+        if self._shells is None:
+            nbrs = self._nbrs
+            ball = [1 << v for v in range(len(nbrs))]
+            self._shells = [[b] for b in ball]
+            active = [v for v, vn in enumerate(nbrs) if vn]
+            while active:
+                grew = []
+                for v in active:
+                    b = ball[v]
+                    for u in nbrs[v]:
+                        b |= ball[u]
+                    if b != ball[v]:
+                        grew.append((v, b))
+                for v, b in grew:  # after the level: each reads level-k balls only
+                    self._shells[v].append(b ^ ball[v])
+                    ball[v] = b
+                active = [v for v, _ in grew]
+        return self._shells
+
+    def position(self, n: int) -> int:
+        """n's index; UnknownNode unless n is a node (a bool would index as 0 or 1)."""
+        if type(n) is not int or n not in self.index:
+            raise UnknownNode(f"node {n!r} not in topology")
+        return self.index[n]
 
     def from_source(self, a: int) -> dict[int, int]:
-        """Hop count of a shortest live path from a to each node it reaches,
-        a at 0; cached, so callers must not mutate it."""
-        dist = self._cache.get(a)
-        if dist is not None:
-            return dist
-        if a not in self._index:
-            raise UnknownNode(f"node {a!r} not in topology")
-        dist = self._cache[a] = {}
-        nodes, masks = self._nodes, self._masks
-        seen = frontier = 1 << self._index[a]
-        hops = 0
-        while frontier:
-            reach = 0
-            while frontier:  # peel the frontier's bits, lowest first
-                low = frontier & -frontier
-                i = low.bit_length() - 1
-                dist[nodes[i]] = hops
-                reach |= masks[i]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-            hops += 1
+        """Hop count of a shortest live path from a to each node it reaches, a at 0."""
+        dist, nodes = {}, self._nodes
+        for hops, shell in enumerate(self.shells[self.position(a)]):
+            while shell:  # peel the shell's bits, lowest first
+                low = shell & -shell
+                dist[nodes[low.bit_length() - 1]] = hops
+                shell ^= low
         return dist
 
     def between(self, a: int, b: int) -> int | None:
         """Hop count of a shortest live path from a to b; None when disconnected."""
-        if b not in self._index:
-            raise UnknownNode(f"node {b!r} not in topology")
-        return self.from_source(a).get(b, Unreachable)
+        bit = 1 << self.position(b)
+        return next((hops for hops, shell in enumerate(self.shells[self.position(a)])
+                     if shell & bit), Unreachable)
 
     def components(self) -> list[set[int]]:
         """Components over live nodes, largest first, ties by smallest node."""
-        out, placed = [], set()
-        for n in self._live:
-            if n not in placed:
-                comp = set(self.from_source(n))
-                placed |= comp
-                out.append(comp)
+        out, placed, nbrs = [], [False] * len(self._nodes), self._nbrs
+        for v in self._live:
+            if not placed[v]:
+                placed[v], comp = True, [v]
+                for w in comp:  # grows as it is read: one traversal
+                    for u in nbrs[w]:
+                        if not placed[u]:
+                            placed[u] = True
+                            comp.append(u)
+                out.append({self._nodes[w] for w in comp})
         return sorted(out, key=len, reverse=True)
 
 

@@ -290,8 +290,17 @@ class TestSummarize:
         (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
                                          "data": {"op": "fail_node", "target": [7]}}),
          "record seq 9 (kind 'TopologyChanged'): node 7 "),
+        # a bool or a float hashes and compares equal to the int it stands for
+        (0, lambda rec: rec.update(node=False), "record seq 0 (kind 'Sent'): node False "),
+        (1, lambda rec: rec["data"].update(hops=True),
+         "kind 'TableUpdated' at node 1: hops True is not a hop count"),
+        (1, lambda rec: rec["data"].update(hops=1.0),
+         "kind 'TableUpdated' at node 1: hops 1.0 is not a hop count"),
+        (3, lambda rec: rec["data"].update(src=False),
+         "record seq 3 (kind 'RouteFound'): src False "),
     ], ids=["sent-node-str", "found-src-str", "hops-str", "table-node-str", "unknown-dest",
-            "unknown-fault-target"])
+            "unknown-fault-target", "sent-node-bool", "hops-bool", "hops-float",
+            "found-src-bool"])
     def test_node_or_hop_count_that_does_not_fit_is_a_clean_error(self, tmp_path, capsys,
                                                                   seq, edit, named):
         # each edit left the summary wrong with exit 0, or gave an error that

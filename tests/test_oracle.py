@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from bottlenet.errors import UnknownNode
+from bottlenet.errors import MalformedRecord, UnknownNode
+from bottlenet.metrics import table_optimality
 from bottlenet.network import Topology
 from bottlenet.oracle import (
     Distances,
@@ -142,9 +143,8 @@ def test_distance_symmetry_and_triangle_inequality(pairs):
             assert ac is not Unreachable and ac <= ab + bc
 
 
-@given(graph_strategy, st.sets(st.integers(0, 9), max_size=3), st.data())
-def test_oracle_agrees_with_networkx(pairs, down, data):
-    """networkx on the live subgraph is a second oracle, independent of ours."""
+def faulted(pairs, down, data) -> Topology:
+    """The graph of pairs with the nodes in down, and up to four drawn links, failed."""
     t = Topology()
     for a, b in pairs:
         t.add_edge(a, b)
@@ -153,6 +153,13 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     for a, b in data.draw(st.sets(st.sampled_from(sorted(t.edges)), max_size=4)
                           if t.edges else st.just(set())):
         t.apply_fault("fail_link", (a, b))
+    return t
+
+
+@given(graph_strategy, st.sets(st.integers(0, 9), max_size=3), st.data())
+def test_oracle_agrees_with_networkx(pairs, down, data):
+    """networkx on the live subgraph is a second oracle, independent of ours."""
+    t = faulted(pairs, down, data)
     g = nx.Graph()
     g.add_nodes_from(n for n in t.nodes if n not in t.down_nodes)
     g.add_edges_from(e for e in t.edges if t.link_live(*e))
@@ -167,3 +174,36 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     got = components(t)
     assert sorted(map(sorted, got)) == sorted(map(sorted, nx.connected_components(g)))
     assert [len(c) for c in got] == sorted((len(c) for c in got), reverse=True)
+
+
+@given(graph_strategy, st.sets(st.integers(0, 9), max_size=3), st.data())
+def test_table_optimality_and_between_agree_with_floyd_warshall(pairs, down, data):
+    """Tables over a faulted graph hold unreachable dests and hop counts past
+    the source's eccentricity (up to 11 on at most 10 nodes), and at times one
+    hop count that is no hop count at all, which must raise."""
+    t = faulted(pairs, down, data)
+    if not t.nodes:
+        return
+    nodes = sorted(t.nodes)
+    truth, snapshot = brute_force_distances(t), Distances(t)
+    for a, b in itertools.product(nodes, repeat=2):
+        want = truth[a, b]
+        assert snapshot.between(a, b) == (Unreachable if want == float("inf") else want)
+    entry = st.tuples(st.sampled_from(nodes), st.integers(1, 11))
+    tables = data.draw(st.dictionaries(
+        st.sampled_from(nodes), st.dictionaries(st.sampled_from(nodes), entry, max_size=6),
+        max_size=6))
+    filled = sorted(node for node, entries in tables.items() if entries)
+    bad = data.draw(st.none() | st.sampled_from([0, -1, -11, True, False, 1.0]))
+    if bad is not None and filled:
+        node = data.draw(st.sampled_from(filled))
+        dest = data.draw(st.sampled_from(sorted(tables[node])))
+        tables[node][dest] = (tables[node][dest][0], bad)
+        with pytest.raises(MalformedRecord, match=f"hops {bad!r} is not a hop count"):
+            table_optimality(tables, t)
+        return
+    rows = [(node, dest, hops) for node, entries in tables.items()
+            for dest, (_, hops) in entries.items()]
+    want = (sum(hops == truth[node, dest] for node, dest, hops in rows) / len(rows)
+            if rows else None)
+    assert table_optimality(tables, t) == table_optimality(tables, snapshot) == want

@@ -103,3 +103,19 @@ def test_constructor_keeps_one_edge_for_both_directions(tmp_path):
     path = str(tmp_path / "t.json")
     save_topology(t, path)
     assert load_topology(path) == t
+
+
+def test_copy_without_faults_has_the_index_and_nothing_down_and_shares_no_set():
+    t = Topology(nodes={0, 1, 2, 3}, edges={(0, 1), (1, 2)})
+    t.apply_fault("fail_node", (1,))
+    t.apply_fault("fail_link", (0, 1))
+    copy = t.copy_without_faults()
+    assert (copy.nodes, copy.edges) == (t.nodes, t.edges)
+    assert copy.down_nodes == copy.down_edges == set()
+    assert [copy.live_neighbors(n) for n in range(4)] == [{1}, {0, 2}, {1}, set()]
+    copy.apply_fault("fail_link", (1, 2))
+    copy.add_edge(2, 3)
+    copy.add_edge(4, 0)
+    assert (t.nodes, t.edges) == ({0, 1, 2, 3}, {(0, 1), (1, 2)})
+    assert (t.down_nodes, t.down_edges) == ({1}, {(0, 1)})
+    assert not t.link_live(2, 3) and t.live_neighbors(0) == set()
