@@ -42,7 +42,7 @@ def main() -> None:
         nodes = sorted(t.nodes)
         while True:
             src, dest = pick.sample(nodes, 2)
-            if truth.between(src, dest) is not oracle.Unreachable:
+            if truth.between(src, dest) is not None:
                 break
 
         sc = ScenarioConfig(seed=args.seed, topology_file=str(topo_path),

@@ -14,15 +14,15 @@ from .domain import (
     NodePhase,
     NodeState,
     RouteEntry,
-    bottle_hops,
     deserialize_bottle,
     make_bottle,
     serialize_bottle,
 )
-from .engine import Trace, TraceEvent, run
+from .engine import run
 from .metrics import RunSummary, summarize
 from .network import Topology, load_topology, save_topology
 from .topogen import generate_topology
+from .trace import Trace, TraceEvent
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "Topology",
     "Trace",
     "TraceEvent",
-    "bottle_hops",
     "deserialize_bottle",
     "generate_topology",
     "load_scenario",

@@ -16,6 +16,7 @@ from .dotexport import export_dot
 from .errors import BottlenetError, ConfigError, MalformedRecord, UnknownNode
 from .network import load_topology, save_topology
 from .topogen import KINDS, generate_topology
+from .trace import iter_trace  # by name: _cmd_run has a local called trace
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -50,7 +51,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     try:
-        summary = metrics.summarize(engine.iter_trace(args.trace),
+        summary = metrics.summarize(iter_trace(args.trace),
                                     load_topology(args.topology))
     except (MalformedRecord, UnknownNode) as exc:  # past the reader: add the file
         raise MalformedRecord(f"{args.trace}: {exc}") from None

@@ -130,10 +130,6 @@ def make_bottle(src: NodeId, dest: NodeId, seq: int) -> Bottle:
     return Bottle(src=src, dest=dest, btl_id=BottleId(src, seq), history=[src])
 
 
-def bottle_hops(b: Bottle) -> int:
-    return len(b.history) - 1
-
-
 def check_bottle(b: Bottle) -> None:
     """Raise MalformedBottle unless all structural invariants hold."""
     if not b.history:

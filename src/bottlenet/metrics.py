@@ -2,8 +2,9 @@
 
 Everything here is recomputed from trace records alone (plus the nodes and
 edges of the topology for oracle distances), so the numbers double as an
-independent audit of the engine's own counters. One fold over the records
-serves every function, so a live trace and its file summarize alike.
+independent audit of the engine's own counters; nothing here imports the
+engine or the fsm. One fold over the records serves every function, so a
+live trace and its file summarize alike.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from statistics import fmean
 from typing import Iterable, Iterator, NamedTuple
 
 from .domain import is_node_id
-from .engine import Trace, TraceEvent
 from .errors import BottlenetError, MalformedRecord, UnknownNode
 from .network import Topology
 from .oracle import Distances
 from .oracle import bfs_distance  # not called here; bound for perfbench/tracer.py
+from .trace import Trace, TraceEvent
 
 
 class IncompleteTrace(BottlenetError):
@@ -112,7 +113,11 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
             elif kind == "Received":  # data arrivals: nothing here reads them
                 continue  # tested after the two commonest kinds, Sent and TableUpdated
             elif kind == "RouteRemoved":
-                tables[ev.node].pop(data["dest"], None)
+                # a bool or a float pops the entry of the int it equals;
+                # only a removal is checked, so a miss costs nothing more
+                dest = data["dest"]
+                if tables[ev.node].pop(dest, None) is not None and type(dest) is not int:
+                    raise MalformedRecord(_bad_record(ev, f"dest {dest!r} is not a node id"))
             elif kind == "Eliminated":
                 eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
                 if "dest" in data:  # origin-side: a bottle that never launched

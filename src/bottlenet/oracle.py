@@ -17,8 +17,6 @@ from __future__ import annotations
 from .errors import UnknownNode
 from .network import Topology
 
-Unreachable = None
-
 
 class Distances:
     """Shortest live-path hop counts over t as it stands when built."""
@@ -62,21 +60,11 @@ class Distances:
             raise UnknownNode(f"node {n!r} not in topology")
         return self.index[n]
 
-    def from_source(self, a: int) -> dict[int, int]:
-        """Hop count of a shortest live path from a to each node it reaches, a at 0."""
-        dist, nodes = {}, self._nodes
-        for hops, shell in enumerate(self.shells[self.position(a)]):
-            while shell:  # peel the shell's bits, lowest first
-                low = shell & -shell
-                dist[nodes[low.bit_length() - 1]] = hops
-                shell ^= low
-        return dist
-
     def between(self, a: int, b: int) -> int | None:
         """Hop count of a shortest live path from a to b; None when disconnected."""
         bit = 1 << self.position(b)
         return next((hops for hops, shell in enumerate(self.shells[self.position(a)])
-                     if shell & bit), Unreachable)
+                     if shell & bit), None)
 
     def components(self) -> list[set[int]]:
         """Components over live nodes, largest first, ties by smallest node."""

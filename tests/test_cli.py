@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from bottlenet import engine, topogen
+from bottlenet import topogen
+from bottlenet import trace as codec
 from bottlenet.cli import main
-from bottlenet.engine import load_trace
 from bottlenet.network import load_topology
+from bottlenet.trace import load_trace
 
 
 DATA = Path(__file__).parent / "data"
@@ -218,7 +219,7 @@ class TestSummarize:
 
     def test_bad_line_in_the_last_chunk_of_a_streamed_trace(self, tmp_path, monkeypatch,
                                                              generated_topology, capsys):
-        monkeypatch.setattr(engine, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(codec, "_CHUNK_LINES", 4)
         config = write_scenario(tmp_path, {
             "seed": 11,
             "topology": {"file": generated_topology},
@@ -298,9 +299,16 @@ class TestSummarize:
          "kind 'TableUpdated' at node 1: hops 1.0 is not a hop count"),
         (3, lambda rec: rec["data"].update(src=False),
          "record seq 3 (kind 'RouteFound'): src False "),
+        # each removes node 0's entry for dest 1, seq 4's
+        (None, lambda recs: recs.append({"at": 5, "seq": 7, "node": 0, "kind": "RouteRemoved",
+                                         "data": {"dest": True, "reason": "neighbor_lost"}}),
+         "record seq 7 (kind 'RouteRemoved'): dest True is not a node id"),
+        (None, lambda recs: recs.append({"at": 5, "seq": 7, "node": 0, "kind": "RouteRemoved",
+                                         "data": {"dest": 1.0, "reason": "neighbor_lost"}}),
+         "record seq 7 (kind 'RouteRemoved'): dest 1.0 is not a node id"),
     ], ids=["sent-node-str", "found-src-str", "hops-str", "table-node-str", "unknown-dest",
             "unknown-fault-target", "sent-node-bool", "hops-bool", "hops-float",
-            "found-src-bool"])
+            "found-src-bool", "removed-dest-bool", "removed-dest-float"])
     def test_node_or_hop_count_that_does_not_fit_is_a_clean_error(self, tmp_path, capsys,
                                                                   seq, edit, named):
         # each edit left the summary wrong with exit 0, or gave an error that

@@ -5,7 +5,6 @@ from bottlenet.domain import (
     Bottle,
     BottleId,
     NodeState,
-    bottle_hops,
     check_bottle,
     deserialize_bottle,
     make_bottle,
@@ -13,6 +12,8 @@ from bottlenet.domain import (
     wire_size,
 )
 from bottlenet.errors import InvalidRequest, MalformedBottle, WireOverflow
+from bottlenet.oracle import Distances
+from conftest import make_topology
 
 
 class TestMakeBottle:
@@ -33,15 +34,24 @@ class TestMakeBottle:
 
 
 class TestBottleHops:
+    """A bottle's hop count is its history's length less one: over the links
+    it walked, the oracle distance from its source to its last node."""
+
+    def hops(self, b):
+        history = b.history
+        walked = make_topology(*zip(history, history[1:]), extra_nodes=(b.src,))
+        assert Distances(walked).between(b.src, history[-1]) == len(history) - 1
+        return len(history) - 1
+
     def test_fresh(self):
-        assert bottle_hops(Bottle(0, 8, BottleId(0, 0), history=[0])) == 0
+        assert self.hops(Bottle(0, 8, BottleId(0, 0), history=[0])) == 0
 
     def test_two_hops(self):
-        assert bottle_hops(Bottle(0, 9, BottleId(0, 0), history=[0, 7, 9])) == 2
+        assert self.hops(Bottle(0, 9, BottleId(0, 0), history=[0, 7, 9])) == 2
 
     def test_fifteen_node_walk(self):
         walk = [3, 93, 49, 60, 88, 57, 32, 76, 27, 12, 61, 33, 80, 39, 19]
-        assert bottle_hops(Bottle(3, 19, BottleId(3, 0), history=walk)) == 14
+        assert self.hops(Bottle(3, 19, BottleId(3, 0), history=walk)) == 14
 
 
 class TestWireFormat:

@@ -21,16 +21,11 @@ from bottlenet.config import (
     ScenarioConfig,
     scenario_from_dict,
 )
-from bottlenet import engine, fsm
+from bottlenet import fsm
+from bottlenet import trace as codec
 from bottlenet.domain import Bottle, BottleId, serialize_bottle
-from bottlenet.engine import (
-    Engine,
-    Trace,
-    TraceEvent,
-    iter_trace,
-    load_trace,
-    run,
-)
+from bottlenet.engine import Engine, run
+from bottlenet.trace import Trace, TraceEvent, iter_trace, load_trace
 from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.domain import MAX_NODE_ID
 from bottlenet.network import FAULT_OPS, save_topology
@@ -302,7 +297,7 @@ def copying_send_bottle(self, frm, send):
     self.bottle_bytes_sent += size
     xfer = self._xfer
     self._xfer += 1
-    self._record(frm, "Sent", engine._SENT_BOTTLE, {
+    self._record(frm, codec.SENT_BOTTLE, {
         "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
         "src": sent.src, "dest": sent.dest, "rf": sent.rf,
         "failure": sent.failure, "history_len": len(sent.history),
@@ -312,7 +307,7 @@ def copying_send_bottle(self, frm, send):
         self.schedule(self.now + self.cfg.per_hop_latency,
                       self._on_bottle_arrival, (frm, to, sent, xfer))
     else:
-        self._fail_delivery(frm, to, sent, xfer, "bottle")
+        self._fail_delivery(frm, to, sent, xfer, codec.BOUNCED_BOTTLE)
 
 
 @settings(max_examples=30, deadline=None,
@@ -417,7 +412,7 @@ def test_every_hop_audited_from_its_sent_record(case):
 
 
 def test_record_fields_derived_from_the_declared_shapes():
-    assert engine.RECORD_FIELDS == {
+    assert codec.RECORD_FIELDS == {
         key: frozenset(fields.split()) for key, fields in {
             ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
             ("Sent", "data"): "msg to src dest xfer",
@@ -903,7 +898,7 @@ class TestChunkedTrace:
 
     @pytest.fixture(autouse=True)
     def three_line_chunks(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(codec, "_CHUNK_LINES", 3)
 
     def write(self, tmp_path, lines):
         path = tmp_path / "chunked.jsonl"
@@ -961,7 +956,7 @@ class TestChunkedTrace:
         lines = [""] + self.records(3) + [""] + self.records(3, start=3) + [""]
         path = tmp_path / "blank.jsonl"
         path.write_bytes("".join(line + "\r\n" for line in lines).encode())
-        with mock.patch.object(engine.json, "loads", wraps=json.loads) as loads:
+        with mock.patch.object(codec.json, "loads", wraps=json.loads) as loads:
             events = load_trace(str(path)).events
         assert [ev.seq for ev in events] == list(range(6))
         assert loads.call_count == 3
@@ -976,7 +971,7 @@ class TestChunkedTrace:
                   TraceEvent(3, 60, 1, "50%", {"%d": "%s", "100%": 7, "%%": None,
                                                "%(x)s": ["%", "a%%b%"]}),
                   TraceEvent(4, 61, 2, "Eliminated", {"btl_id": "%d%s", "reason": "100%"},
-                             engine._ELIMINATED),
+                             codec.ELIMINATED),
                   loaded[1], *shaped[2:], loaded[2], TraceEvent(5, 62, 0, "%s%%", {"k": "%"})]
         assert {ev.shape is None for ev in events} == {True, False}
         assert len(events) % 3 != 0
@@ -1023,7 +1018,7 @@ def engine_record_lines():
 
 # replacement values for a record's kind and data, and its data's msg, op and target
 RECORD_EDITS = {
-    "kind": sorted({kind for kind, _ in engine.RECORD_FIELDS}) + ["Lost", ["Sent"], 1],
+    "kind": sorted({kind for kind, _ in codec.RECORD_FIELDS}) + ["Lost", ["Sent"], 1],
     "data": [[], "data", None],
     "msg": ["bottle", "data", None, ["data"], {"m": 1}],
     "op": [*FAULT_OPS, "explode", ["fail_node"], None],
@@ -1074,7 +1069,7 @@ def test_the_line_path_names_every_line_it_rejects(line):
     message for a line _decode_chunk rejects: that message is never None,
     and a line it accepts is exactly one record, the line's own."""
     assume(line.strip())
-    decoded, error = engine._decode_chunk([line]), engine._record_error(line)
+    decoded, error = codec._decode_chunk([line]), codec._record_error(line)
     assert (decoded is None) == (error is not None), (line, error)
     if decoded is not None:
         rec = json.loads(line)
@@ -1116,9 +1111,9 @@ def chunk_lines(draw):
 def test_a_chunk_is_accepted_only_as_its_lines_alone(lines):
     """_decode_chunk accepts a chunk of several lines only if each line
     alone is accepted, and then gives the records the lines give alone."""
-    decoded = engine._decode_chunk(lines)
+    decoded = codec._decode_chunk(lines)
     if decoded is not None:
-        alone = [engine._decode_chunk([line]) for line in lines]
+        alone = [codec._decode_chunk([line]) for line in lines]
         assert None not in alone, lines
         assert decoded == [ev for events in alone for ev in events]
 
@@ -1138,7 +1133,7 @@ class TestCollectorPause:
 
     @pytest.fixture(autouse=True)
     def three_line_chunks(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(codec, "_CHUNK_LINES", 3)
 
     def watch(self, monkeypatch, owner, name, fail=False):
         """Wrap owner.name to note whether the collector is on at each call."""
@@ -1175,7 +1170,7 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
     def test_load_trace(self, tmp_path, monkeypatch, collector):
-        seen = self.watch(monkeypatch, engine, "TraceEvent")
+        seen = self.watch(monkeypatch, codec, "TraceEvent")
         assert len(load_trace(self.trace_file(tmp_path)).events) == 10
         assert len(seen) == 10 and not any(seen)
         assert gc.isenabled() is collector
@@ -1214,7 +1209,7 @@ def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypa
     behind stays about one chunk's worth: a trace four times as long costs
     under 1.5 times as much. Whole-file text would cost about 4 times."""
     chunk = 128
-    monkeypatch.setattr(engine, "_CHUNK_LINES", chunk)
+    monkeypatch.setattr(codec, "_CHUNK_LINES", chunk)
     doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 30, "seed": 0}},
            "random_requests": {"count": 60, "spacing": 10}}
     events = run(scenario_from_dict(doc)).events

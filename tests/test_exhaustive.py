@@ -34,7 +34,8 @@ import pytest
 
 from bottlenet import engine, fsm
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig
-from bottlenet.engine import Trace, iter_trace, run
+from bottlenet.engine import run
+from bottlenet.trace import Trace, iter_trace
 from bottlenet.metrics import episodes, summarize
 from bottlenet.network import Topology, load_topology, save_topology
 from conftest import make_topology

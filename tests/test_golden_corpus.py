@@ -15,8 +15,8 @@ on purpose re-pins the values and says why in CHANGES.md; any other
 change must leave them as they are. Each case also goes through the
 trace file: the bytes written, the records loaded back and their encoding
 must match the live run and the pinned hash, and every record must carry
-the data fields engine.RECORD_FIELDS requires of its kind. The corpus holds
-a record of every shape the engine declares, so the hashes pin the bytes
+the data fields trace.RECORD_FIELDS requires of its kind. The corpus holds
+a record of every shape trace declares, so the hashes pin the bytes
 of each declared format.
 """
 
@@ -27,9 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from bottlenet import engine
 from bottlenet.config import scenario_from_dict
-from bottlenet.engine import RECORD_FIELDS, load_trace, run
+from bottlenet.engine import run
+from bottlenet.trace import RECORD_FIELDS, SHAPES, load_trace
 from bottlenet.metrics import summarize
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
@@ -66,7 +66,8 @@ def test_every_record_conforms_to_the_field_table(case):
 def test_corpus_pins_the_bytes_of_every_declared_shape():
     shapes = {ev.shape for case in CORPUS
               for ev in run(scenario_from_dict(case["scenario"], source=case["name"])).events}
-    assert shapes == set(range(len(engine._SHAPES)))
+    # no two declared shapes are equal, so each has records of its own
+    assert shapes == set(SHAPES) and len(SHAPES) == len(set(SHAPES))
 
 
 def test_readme_trace_format_lists_the_field_table():

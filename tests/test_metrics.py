@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
-from bottlenet import engine
-from bottlenet.engine import TraceEvent, iter_trace, load_trace, run
+from bottlenet import trace as codec
+from bottlenet.engine import run
+from bottlenet.trace import TraceEvent, iter_trace, load_trace
 from bottlenet.errors import MalformedRecord, UnknownNode
 from bottlenet.metrics import (
     IncompleteTrace,
@@ -174,7 +175,7 @@ def test_format_summary_lists_every_field(tmp_path):
 def test_trace_alone_gives_the_live_summary_and_tables(case):
     t, doc = case
     # seven-line chunks, so that most traces span several
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(engine, "_CHUNK_LINES", 7):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(codec, "_CHUNK_LINES", 7):
         topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
         save_topology(t, str(topo_path))
         trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))

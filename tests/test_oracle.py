@@ -7,12 +7,7 @@ from hypothesis import given, strategies as st
 from bottlenet.errors import MalformedRecord, UnknownNode
 from bottlenet.metrics import table_optimality
 from bottlenet.network import Topology
-from bottlenet.oracle import (
-    Distances,
-    Unreachable,
-    bfs_distance,
-    components,
-)
+from bottlenet.oracle import Distances, bfs_distance, components
 from bottlenet.topogen import generate_topology
 from conftest import make_topology
 
@@ -44,7 +39,7 @@ class TestBfsDistance:
 
     def test_disjoint_triangles_unreachable(self):
         t = make_topology((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
-        assert bfs_distance(t, 0, 4) is Unreachable
+        assert bfs_distance(t, 0, 4) is None
 
     def test_unknown_node(self, path3):
         with pytest.raises(UnknownNode):
@@ -77,7 +72,8 @@ class TestComponents:
 
     def test_component_of(self):
         t = make_topology((0, 1), (3, 4))
-        assert set(Distances(t).from_source(3)) == {3, 4}
+        truth = Distances(t)
+        assert {n for n in t.nodes if truth.between(3, n) is not None} == {3, 4}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partitioned_graph_largest_first_ties_by_smallest_node(self, seed):
@@ -99,13 +95,13 @@ class TestDistancesSnapshot:
         with pytest.raises(UnknownNode):
             truth.between(9, 0)
         with pytest.raises(UnknownNode):
-            truth.from_source(9)
+            truth.between(9, 9)
 
     def test_later_faults_are_not_seen(self, path3):
         truth = Distances(path3)
         path3.apply_fault("fail_node", (1,))
         assert truth.between(0, 2) == 2
-        assert Distances(path3).between(0, 2) is Unreachable
+        assert Distances(path3).between(0, 2) is None
 
 
 graph_strategy = st.sets(
@@ -123,7 +119,7 @@ def test_bfs_agrees_with_floyd_warshall(pairs):
         expected = truth[(a, b)]
         got = bfs_distance(t, a, b)
         if expected == float("inf"):
-            assert got is Unreachable
+            assert got is None
         else:
             assert got == expected
 
@@ -139,8 +135,8 @@ def test_distance_symmetry_and_triangle_inequality(pairs):
     for a, b, c in itertools.combinations(nodes, 3):
         ab, bc, ac = (bfs_distance(t, a, b), bfs_distance(t, b, c),
                       bfs_distance(t, a, c))
-        if ab is not Unreachable and bc is not Unreachable:
-            assert ac is not Unreachable and ac <= ab + bc
+        if ab is not None and bc is not None:
+            assert ac is not None and ac <= ab + bc
 
 
 def faulted(pairs, down, data) -> Topology:
@@ -166,11 +162,9 @@ def test_oracle_agrees_with_networkx(pairs, down, data):
     truth = Distances(t)
     for a in t.nodes:
         want = nx.single_source_shortest_path_length(g, a) if a in g else {a: 0}
-        assert truth.from_source(a) == want
-        assert Distances(t).from_source(a) == want
         for b in t.nodes:
-            assert truth.between(a, b) == want.get(b, Unreachable)
-            assert bfs_distance(t, a, b) == want.get(b, Unreachable)
+            assert truth.between(a, b) == want.get(b)
+            assert bfs_distance(t, a, b) == want.get(b)
     got = components(t)
     assert sorted(map(sorted, got)) == sorted(map(sorted, nx.connected_components(g)))
     assert [len(c) for c in got] == sorted((len(c) for c in got), reverse=True)
@@ -188,7 +182,7 @@ def test_table_optimality_and_between_agree_with_floyd_warshall(pairs, down, dat
     truth, snapshot = brute_force_distances(t), Distances(t)
     for a, b in itertools.product(nodes, repeat=2):
         want = truth[a, b]
-        assert snapshot.between(a, b) == (Unreachable if want == float("inf") else want)
+        assert snapshot.between(a, b) == (None if want == float("inf") else want)
     entry = st.tuples(st.sampled_from(nodes), st.integers(1, 11))
     tables = data.draw(st.dictionaries(
         st.sampled_from(nodes), st.dictionaries(st.sampled_from(nodes), entry, max_size=6),

@@ -81,7 +81,7 @@ def test_constructor_adds_missing_endpoints_as_add_edge_does():
     t = Topology(nodes={0}, edges={(0, 1)})
     assert t.nodes == {0, 1}
     assert t.live_neighbors(1) == {0}
-    assert Distances(t).from_source(0) == {0: 0, 1: 1}  # was a raw KeyError: 1
+    assert Distances(t).between(0, 1) == 1  # was a raw KeyError: 1
 
 
 def test_constructor_rejects_a_self_loop():
