@@ -10,7 +10,7 @@ live trace and its file summarize alike.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Iterator, NamedTuple
 
@@ -36,11 +36,7 @@ class Episode:
     end_at: int | None = None
     outcome: str = "unresolved"  # success | inaccessible | unresolved
     path: list[int] | None = None
-    btl_ids: set[str] = field(default_factory=set)
-
-    @property
-    def bottles(self) -> int:
-        return len(self.btl_ids)
+    bottles: int = 0  # created at the source for it: the first and each retry
 
     @property
     def found_hops(self) -> int | None:
@@ -95,7 +91,9 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
             # + 0 here and at the close: a time that is not a number fails in
             # the loop, which names its record, and not in the sort below
             ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at + 0)
-        ep.btl_ids.add(btl_id)
+        if type(btl_id) is not str:  # only counted, yet an id of another type is bad
+            raise MalformedRecord(_bad_record(ev, f"btl_id {btl_id!r} is not a string"))
+        ep.bottles += 1
 
     if up_to is not None:
         events = _through(events, up_to)

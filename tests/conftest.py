@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +11,15 @@ from bottlenet.config import ProtocolConfig
 from bottlenet.domain import NodeState
 from bottlenet.network import Topology
 from bottlenet.topogen import generate_topology
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """python *args in a new process that imports bottlenet from this
+    checkout; its stdout and stderr are captured as bytes."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def make_topology(*edges: tuple[int, int], extra_nodes: tuple[int, ...] = ()) -> Topology:

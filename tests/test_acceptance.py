@@ -6,6 +6,7 @@ computation, not a flaky sample.
 """
 
 import random
+import runpy
 import time
 from pathlib import Path
 from statistics import fmean, median
@@ -15,7 +16,6 @@ import pytest
 from bottlenet import oracle
 from bottlenet.config import (
     FaultSpec,
-    RandomRequests,
     RequestSpec,
     ScenarioConfig,
     load_scenario,
@@ -23,11 +23,12 @@ from bottlenet.config import (
 from bottlenet.domain import NodePhase
 from bottlenet.engine import run
 from bottlenet.fsm import next_state
-from bottlenet.metrics import episodes, reconstruct_tables, summarize, table_optimality
+from bottlenet.metrics import episodes, summarize
 from bottlenet.network import Topology, save_topology
 from bottlenet.topogen import generate_topology
 
 DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 SPARSE_RETRY_LIMIT = 149  # sequential random walks need a deep retry budget at n=100
 
@@ -39,9 +40,10 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def connected_pair(t: Topology, tag: str, want_connected: bool) -> tuple[int, int]:
     pick = random.Random(tag)
     nodes = sorted(t.nodes)
+    truth = oracle.Distances(t)
     while True:
         src, dest = pick.sample(nodes, 2)
-        if (oracle.Distances(t).between(src, dest) is not None) == want_connected:
+        if (truth.between(src, dest) is not None) == want_connected:
             return src, dest
 
 
@@ -201,33 +203,13 @@ def test_criterion_4_admissibility(discovery_runs, sparse_runs):
     assert violations == 0
 
 
-def test_criterion_5_convergence(tmp_path):
-    opt10s, opt50s, early, late = [], [], [], []
-    for seed in range(20):
-        t = generate_topology("generic", 15, seed)
-        topo_path = tmp_path / f"conv{seed}.json"
-        save_topology(t, str(topo_path))
-        sc = ScenarioConfig(seed=seed, topology_file=str(topo_path),
-                            random_requests=RandomRequests(count=50))
-        trace = run(sc)
-        spacing = trace.meta["spacing"]
-        cutoff10 = 1 + 10 * spacing - 1
-        opt10s.append(table_optimality(reconstruct_tables(trace, up_to=cutoff10), t))
-        opt50s.append(table_optimality(reconstruct_tables(trace), t))
-        for ep in episodes(trace):
-            if ep.outcome != "success":
-                continue
-            request_index = (ep.start_at - 1) // spacing + 1
-            dist = oracle.bfs_distance(t, ep.src, ep.dest)
-            if not dist:
-                continue
-            stretch = ep.found_hops / dist
-            if 1 <= request_index <= 10:
-                early.append(stretch)
-            elif 41 <= request_index <= 50:
-                late.append(stretch)
-
-    med10, med50 = median(opt10s), median(opt50s)
+def test_criterion_5_convergence():
+    # the convergence sweep's default run: 20 seeds of 50 requests on generic/15
+    sweep = runpy.run_path(str(SCRIPTS / "convergence_sweep.py"))["sweep"]
+    windows = sweep(seeds=20, requests=50)
+    first, last = windows[0], windows[-1]  # requests 1-10 and 41-50
+    early, late = first.discovery, last.discovery
+    med10, med50 = median(first.optimality), median(last.optimality)
     mean_early, mean_late = fmean(early), fmean(late)
     ok = med50 >= med10 and mean_late <= mean_early
     report(5, ok, f"median optimality {med10:.3f} -> {med50:.3f}; "

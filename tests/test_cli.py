@@ -8,6 +8,7 @@ from bottlenet import trace as codec
 from bottlenet.cli import main
 from bottlenet.network import load_topology
 from bottlenet.trace import load_trace
+from conftest import run_python
 
 
 DATA = Path(__file__).parent / "data"
@@ -42,6 +43,13 @@ class TestGen:
     def test_writes_loadable_topology(self, generated_topology):
         t = load_topology(generated_topology)
         assert len(t.nodes) == 15
+
+    @pytest.mark.parametrize("kind", ["generic", "sparse-partitioned", "dense"])
+    def test_every_kind(self, tmp_path, kind):
+        out = tmp_path / "topo.json"
+        assert main(["gen", "--kind", kind, "--nodes", "30", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert len(load_topology(str(out)).nodes) == 30
 
     def test_same_seed_same_bytes(self, tmp_path):
         outs = []
@@ -149,13 +157,25 @@ class TestRun:
         })
         assert main(["run", "--config", config]) == 0
 
-    def test_bad_fault_op(self, tmp_path, generated_topology):
+    def test_bad_fault_op(self, tmp_path, generated_topology, capsys):
         config = write_scenario(tmp_path, {
             "seed": 1,
             "topology": {"file": generated_topology},
             "faults": [{"at": 5, "op": "explode_node", "node": 1}],
         })
         assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}: field 'faults[0]': ")
+
+    def test_request_to_self_names_the_request(self, tmp_path, generated_topology, capsys):
+        config = write_scenario(tmp_path, {
+            "seed": 1,
+            "topology": {"file": generated_topology},
+            "requests": [{"at": 1, "src": 3, "dest": 3}],
+        })
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}: field 'requests[0]': ")
 
     def test_fault_on_a_missing_edge_names_the_file_and_field(self, tmp_path,
                                                               generated_topology, capsys):
@@ -359,3 +379,14 @@ class TestNotUtf8:
         config.write_bytes(b'{"seed": 1, "topology": {"file": "t\xff.json"}}')
         err = self.errors(capsys, ["run", "--config", str(config)], 2)
         assert err.startswith(f"config error: {config}: ")
+
+
+def test_python_m_bottlenet_reports_an_error_in_one_line(tmp_path):
+    # the entry point a user types: its exit status and error line, no traceback
+    trace = tmp_path / "missing.jsonl"
+    done = run_python("-m", "bottlenet", "summarize", "--trace", str(trace),
+                      "--topology", str(DATA / "two_node_topology.json"))
+    assert (done.returncode, done.stdout) == (1, b"")
+    err = done.stderr.decode()
+    assert err.startswith("error: ") and str(trace) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
