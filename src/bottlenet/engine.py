@@ -171,6 +171,13 @@ class Engine:
         self.schedule(action.deadline, self._on_timer_fire,
                       (nid, action.dest, action.btl_id))
 
+    def _on_discovery_started(self, nid: int, action: fsm.DiscoveryStarted) -> None:
+        self._record(nid, trace.DISCOVERY_STARTED,
+                     {"dest": action.dest, "attempt": action.attempt})
+
+    def _on_discovery_resolved(self, nid: int, action: fsm.DiscoveryResolved) -> None:
+        self._record(nid, trace.DISCOVERY_RESOLVED, {"src": nid, "dest": action.dest})
+
     def _on_inaccessible(self, nid: int, action: fsm.DeclareInaccessible) -> None:
         self._record(nid, trace.INACCESSIBLE, {"src": nid, "dest": action.dest})
 
@@ -183,13 +190,8 @@ class Engine:
                          {"dest": dest, "next_hop": next_hop, "hops": hops})
 
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
-        data: dict[str, Any] = {"btl_id": str(action.btl_id),
-                                "reason": action.reason.value}
-        if action.dest is None:
-            self._record(nid, trace.ELIMINATED, data)
-        else:
-            data["dest"] = action.dest
-            self._record(nid, trace.ELIMINATED_AT_ORIGIN, data)
+        self._record(nid, trace.ELIMINATED,
+                     {"btl_id": str(action.btl_id), "reason": action.reason.value})
 
     def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no
@@ -241,6 +243,8 @@ class Engine:
         fsm.SendData: _send_data,
         fsm.Eliminate: _on_eliminate,
         fsm.SetTimer: _on_set_timer,
+        fsm.DiscoveryStarted: _on_discovery_started,
+        fsm.DiscoveryResolved: _on_discovery_resolved,
         fsm.DeclareInaccessible: _on_inaccessible,
         fsm.TableUpdated: _on_table_updated,
         fsm.RouteRemoved: _on_route_removed,

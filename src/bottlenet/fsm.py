@@ -19,9 +19,11 @@ installs its routes and reports them in one ``TableUpdated`` action, in
 harvest order (the engine writes one TableUpdated record per entry), and
 ``purge_routes`` is the one place routes leave. A source has at most one
 open discovery per destination, kept in ``NodeState.pending`` under it;
-its timer names the destination and the attempt it was armed for. The
-engine carries out actions, never reads a request, and holds a down node's
-timers until it is back, so no handler learns of a node's restore.
+its timer names the destination and the attempt it was armed for. Each
+attempt is stated (``DiscoveryStarted``), and so is each close but a found
+bottle home, which the engine records as RouteFound. The engine carries
+out actions, never reads a request, and holds a down node's timers until
+it is back, so no handler learns of a node's restore.
 
 ``next_state`` is the published per-node FSM over a packet queue and a
 bottle queue. The engine keeps no queues: it hands each arrival to
@@ -75,7 +77,6 @@ class SendData:
 class Eliminate:
     btl_id: BottleId
     reason: ElimReason
-    dest: NodeId | None = None  # set when a fresh bottle dies at its source
 
 
 @dataclass(slots=True)
@@ -83,6 +84,17 @@ class SetTimer:
     dest: NodeId
     btl_id: BottleId
     deadline: int
+
+
+@dataclass(slots=True)
+class DiscoveryStarted:
+    dest: NodeId
+    attempt: int  # 0 opens the discovery, then one more per retry
+
+
+@dataclass(slots=True)
+class DiscoveryResolved:
+    dest: NodeId  # its route was learned from another bottle while the timer ran
 
 
 @dataclass(slots=True)
@@ -104,8 +116,8 @@ class RouteRemoved:
     reason: str  # delivery_failure | route_failure | neighbor_lost
 
 
-Action = Union[Send, SendData, Eliminate, SetTimer, DeclareInaccessible,
-               TableUpdated, RouteRemoved]
+Action = Union[Send, SendData, Eliminate, SetTimer, DiscoveryStarted,
+               DiscoveryResolved, DeclareInaccessible, TableUpdated, RouteRemoved]
 
 
 def next_state(current: NodePhase, pkt_queue_empty: bool,
@@ -177,24 +189,21 @@ def _start_discovery(node: NodeState, dest: NodeId, now: int,
                      cfg: ProtocolConfig, rng: random.Random,
                      queued: list[DataPacket], retries_used: int = 0,
                      ) -> list[Action]:
-    """Open the request for dest: launch a fresh bottle and arm its timer."""
+    """Open the request for dest: state the attempt, launch, arm the timer."""
     bottle = make_bottle(node.nid, dest, node.next_seq())
     node.pending[dest] = PendingRequest(
         btl_id=bottle.btl_id, retries_used=retries_used, queued_packets=queued)
     # A launch that dies on the spot still arms the timer, which drives
     # the retry/inaccessible path.
-    return [_walk_on(node, bottle, rng),
+    return [DiscoveryStarted(dest, retries_used), _walk_on(node, bottle, rng),
             SetTimer(dest, bottle.btl_id, now + cfg.timeout)]
 
 
 def _walk_on(node: NodeState, b: Bottle, rng: random.Random) -> Action:
-    """The walk's one step: on to a random unvisited neighbor, or dead at a
-    dead end. Only a fresh launch has a one-entry history, so only its
-    Eliminate names the destination."""
+    """The walk's one step: on to a random unvisited neighbor, or dead end."""
     hop = choose_next_hop(node.nbors, b.history, rng)
     if hop is None:
-        return Eliminate(b.btl_id, ElimReason.DEAD_END,
-                         b.dest if len(b.history) == 1 else None)
+        return Eliminate(b.btl_id, ElimReason.DEAD_END)
     return Send(b, hop)
 
 
@@ -326,7 +335,7 @@ def on_timeout(node: NodeState, dest: NodeId, btl_id: BottleId, now: int,
         return []
     del node.pending[dest]  # before a retry reopens it: pending keeps arming order
     if dest in node.rtab:  # learned passively from another bottle while waiting
-        return _resend(node, req.queued_packets, now, cfg, rng)
+        return [DiscoveryResolved(dest), *_resend(node, req.queued_packets, now, cfg, rng)]
     if req.retries_used < cfg.retry_limit:
         return _start_discovery(node, dest, now, cfg, rng,
                                 queued=req.queued_packets,

@@ -1,10 +1,9 @@
 """Post-hoc trace analysis: discovery outcomes, latency, stretch, overhead.
 
-Everything here is recomputed from trace records alone (plus the nodes and
-edges of the topology for oracle distances), so the numbers double as an
-independent audit of the engine's own counters; nothing here imports the
-engine or the fsm. One fold over the records serves every function, so a
-live trace and its file summarize alike.
+Every number is read from trace records alone, each discovery from what
+the fsm states, plus the topology's nodes and edges for oracle distances;
+nothing here imports the engine or the fsm. One fold over the records
+serves every function, so a live trace and its file summarize alike.
 """
 
 from __future__ import annotations
@@ -28,15 +27,15 @@ class IncompleteTrace(BottlenetError):
 
 @dataclass
 class Episode:
-    """One route discovery from first bottle to resolution."""
+    """One route discovery from its first attempt to its close."""
 
     src: int
     dest: int
     start_at: int
     end_at: int | None = None
-    outcome: str = "unresolved"  # success | inaccessible | unresolved
-    path: list[int] | None = None
-    bottles: int = 0  # created at the source for it: the first and each retry
+    outcome: str = "unresolved"  # success | passive | inaccessible | unresolved
+    path: list[int] | None = None  # the route found, on success only
+    bottles: int = 1  # created at the source for it: the first and each retry
 
     @property
     def found_hops(self) -> int | None:
@@ -62,38 +61,30 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
           up_to: int | None = None) -> _Fold:
     """One pass over the records, up to and including instant up_to.
 
-    An episode opens at the first bottle a source creates for a destination
-    (a Sent bottle whose history holds only its sender) and closes at the
-    matching RouteFound or Inaccessible record; retry bottles belong to the
-    episode that spawned them. Tables (per node, dest -> (next_hop, hops))
-    follow TableUpdated and RouteRemoved. The topology starts from t's nodes
-    and edges with nothing down and applies each TopologyChanged in record
-    order; t itself is left as it is. A field whose JSON type does not fit
-    its use, or a node or link t lacks, raises MalformedRecord.
+    Episodes read what the fsm states. A DiscoveryStarted of attempt 0
+    opens one for its node and dest, and each later attempt adds a bottle
+    to it. The first RouteFound ("success"), DiscoveryResolved ("passive")
+    or Inaccessible ("inaccessible") whose src and dest match closes it; an
+    episode still open at the end is "unresolved". Tables (per node,
+    dest -> (next_hop, hops)) follow TableUpdated and RouteRemoved. The
+    topology starts from t's nodes and edges with nothing down and applies
+    each TopologyChanged in record order; t itself is left as it is. A field
+    whose JSON type does not fit its use, or a node or link t lacks, raises
+    MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
     topo = None if t is None else t.copy_without_faults()
+    eps: list[Episode] = []  # in the order they open
     open_eps: dict[tuple[int, int], Episode] = {}
-    done: list[Episode] = []
     tables: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
     eliminated: dict[str, int] = {}
     sent = nbytes = 0
+    # a kind that closes an open episode -> the outcome it gives
+    closes = {"RouteFound": "success", "DiscoveryResolved": "passive",
+              "Inaccessible": "inaccessible"}
 
     def known(n: object) -> bool:  # a bool or a float would key as the int it equals
         return is_node_id(n) and (topo is None or n in topo.nodes)
-
-    def origin_bottle(ev: TraceEvent, btl_id: str, dest: int) -> None:
-        ep = open_eps.get((ev.node, dest))
-        if ep is None:
-            if not (known(ev.node) and known(dest)):
-                raise MalformedRecord(_bad_record(
-                    ev, f"node {ev.node!r} or dest {dest!r} is not a known node id"))
-            # + 0 here and at the close: a time that is not a number fails in
-            # the loop, which names its record, and not in the sort below
-            ep = open_eps[ev.node, dest] = Episode(ev.node, dest, ev.at + 0)
-        if type(btl_id) is not str:  # only counted, yet an id of another type is bad
-            raise MalformedRecord(_bad_record(ev, f"btl_id {btl_id!r} is not a string"))
-        ep.bottles += 1
 
     if up_to is not None:
         events = _through(events, up_to)
@@ -104,8 +95,6 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                 if data["msg"] == "bottle":
                     sent += 1
                     nbytes += data["bytes"]
-                    if data["history_len"] == 1:
-                        origin_bottle(ev, data["btl_id"], data["dest"])
             elif kind == "TableUpdated":
                 tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
             elif kind == "Received":  # data arrivals: nothing here reads them
@@ -118,21 +107,33 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                     raise MalformedRecord(_bad_record(ev, f"dest {dest!r} is not a node id"))
             elif kind == "Eliminated":
                 eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
-                if "dest" in data:  # origin-side: a bottle that never launched
-                    origin_bottle(ev, data["btl_id"], data["dest"])
-            elif kind == "RouteFound" or kind == "Inaccessible":
+            elif kind == "DiscoveryStarted":
+                dest, attempt = data["dest"], data["attempt"]
+                ep = open_eps.get((ev.node, dest))
+                if type(attempt) is not int or attempt < 0 or (ep is None) != (attempt == 0):
+                    raise MalformedRecord(_bad_record(ev, f"attempt {attempt!r} is neither 0 "
+                                                      f"with no discovery of {dest!r} open nor "
+                                                      "a retry of an open one"))
+                if ep is not None:
+                    ep.bottles += 1
+                elif known(ev.node) and known(dest):
+                    # + 0 here and at the close: a time that is not a number fails
+                    # here, which names its record, and not later in a latency
+                    eps.append(Episode(ev.node, dest, ev.at + 0))
+                    open_eps[ev.node, dest] = eps[-1]
+                else:
+                    raise MalformedRecord(_bad_record(
+                        ev, f"node {ev.node!r} or dest {dest!r} is not a known node id"))
+            elif kind in closes:
                 src, dest = data["src"], data["dest"]
                 if not (known(src) and known(dest)):
                     raise MalformedRecord(_bad_record(
                         ev, f"src {src!r} or dest {dest!r} is not a known node id"))
                 ep = open_eps.pop((src, dest), None)
                 if ep is not None:
-                    ep.end_at = ev.at + 0
+                    ep.end_at, ep.outcome = ev.at + 0, closes[kind]
                     if kind == "RouteFound":
-                        ep.outcome, ep.path = "success", list(data["path"])
-                    else:
-                        ep.outcome = "inaccessible"
-                    done.append(ep)
+                        ep.path = list(data["path"])
             elif kind == "TopologyChanged" and topo is not None:
                 try:
                     topo.apply_fault(data["op"], data["target"])
@@ -141,9 +142,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
 
-    done.extend(open_eps.values())
-    done.sort(key=lambda ep: ep.start_at)
-    return _Fold(done, dict(tables), topo, sent, nbytes, eliminated)
+    return _Fold(eps, dict(tables), topo, sent, nbytes, eliminated)
 
 
 def _bad_record(ev: TraceEvent, what: object) -> str:
@@ -162,7 +161,7 @@ def _through(events: Iterable[TraceEvent], up_to: int) -> Iterator[TraceEvent]:
 
 
 def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:
-    """Discovery episodes, ordered by start time (see _fold)."""
+    """Discovery episodes, in the order they open (see _fold)."""
     return _fold(trace).episodes
 
 
@@ -232,13 +231,10 @@ def summarize(trace: Trace | Iterable[TraceEvent],
         raise IncompleteTrace("no topology to compute oracle distances against")
     fold = _fold(trace, t)
     eps, final = fold.episodes, Distances(fold.topology)
-    succeeded = [ep for ep in eps if ep.outcome == "success"]
+    succeeded = [ep for ep in eps if ep.outcome in ("success", "passive")]
 
-    stretches = []
-    for ep in succeeded:
-        dist = final.between(ep.src, ep.dest)
-        if dist:
-            stretches.append(ep.found_hops / dist)
+    stretches = [ep.found_hops / dist for ep in succeeded  # a passive close has no path
+                 if ep.path is not None and (dist := final.between(ep.src, ep.dest))]
 
     return RunSummary(
         discoveries_attempted=len(eps),
@@ -250,7 +246,7 @@ def summarize(trace: Trace | Iterable[TraceEvent],
         total_bottle_bytes=fold.bottle_bytes,
         table_optimality=table_optimality(fold.tables, final),
         bottles_sent=fold.bottles_sent,
-        retries=sum(max(0, ep.bottles - 1) for ep in eps),
+        retries=sum(ep.bottles - 1 for ep in eps),
         eliminated_hop_limit=fold.eliminated.get("hop_limit", 0),
         eliminated_dead_end=fold.eliminated.get("dead_end", 0),
     )

@@ -87,9 +87,10 @@ BOUNCED_BOTTLE = _shape("DeliveryFailed", "bottle", "msg:name to xfer")
 BOUNCED_DATA = _shape("DeliveryFailed", "data", "msg:name to xfer")
 HOP_CAPPED = _shape("DeliveryFailed", "data", "msg:name src dest reason:name xfer:json")
 ELIMINATED = _shape("Eliminated", None, "btl_id:name reason:name")
-ELIMINATED_AT_ORIGIN = _shape("Eliminated", None, "btl_id:name reason:name dest")
+DISCOVERY_STARTED = _shape("DiscoveryStarted", None, "dest attempt")
 ROUTE_FOUND = _shape("RouteFound", None, "src dest path:json")
 INACCESSIBLE = _shape("Inaccessible", None, "src dest")
+DISCOVERY_RESOLVED = _shape("DiscoveryResolved", None, "src dest")
 TABLE_UPDATED = _shape("TableUpdated", None, "dest next_hop hops")
 ROUTE_REMOVED = _shape("RouteRemoved", None, "dest reason:name")
 TOPOLOGY_CHANGED = _shape("TopologyChanged", None, "op:name target:json")

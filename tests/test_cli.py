@@ -260,17 +260,17 @@ class TestSummarize:
 
     def test_record_missing_a_data_field_is_a_clean_error(self, tmp_path, capsys):
         lines = (DATA / "golden_two_node.jsonl").read_text().splitlines()
-        first = json.loads(lines[0])
-        assert first["kind"] == "Sent" and first["data"]["msg"] == "bottle"
-        del first["data"]["btl_id"]
-        lines[0] = json.dumps(first)
+        sent = json.loads(lines[1])
+        assert sent["kind"] == "Sent" and sent["data"]["msg"] == "bottle"
+        del sent["data"]["btl_id"]
+        lines[1] = json.dumps(sent)
         trace = tmp_path / "trace.jsonl"
         trace.write_text("\n".join(lines) + "\n")
         assert main(["summarize", "--trace", str(trace),
                      "--topology", str(DATA / "two_node_topology.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "line 1: kind 'Sent': missing field 'btl_id'" in err
+        assert "line 2: kind 'Sent': missing field 'btl_id'" in err
 
     def summarize_edited(self, capsys, tmp_path, seq, edit):
         """Exit status, stdout and stderr of summarize on the two-node golden
@@ -286,49 +286,70 @@ class TestSummarize:
                        "--topology", str(DATA / "two_node_topology.json")])
         return (status, *capsys.readouterr())
 
+    def unedited_summary(self, capsys):
+        """The stdout of summarize on the two-node golden trace as it is."""
+        capsys.readouterr()
+        main(["summarize", "--trace", str(DATA / "golden_two_node.jsonl"),
+              "--topology", str(DATA / "two_node_topology.json")])
+        return capsys.readouterr().out
+
+    # The golden trace's records: 0 DiscoveryStarted, 1 Sent (bottle),
+    # 2 TableUpdated, 3 Sent (bottle), 4 RouteFound, 5 TableUpdated,
+    # 6 Sent (data), 7 Received.
     @pytest.mark.parametrize("seq, edit, named", [
-        (0, lambda rec: rec["data"].update(bytes="x"), "seq 0 (kind 'Sent')"),
-        (0, lambda rec: rec["data"].update(btl_id=["zz"]), "seq 0 (kind 'Sent')"),
-        (1, lambda rec: rec["data"].update(dest=[0]), "seq 1 (kind 'TableUpdated')"),
-        (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'Sent')"),
-        (3, lambda rec: rec.update(at="3"), "seq 3 (kind 'RouteFound')"),
-    ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str"])
+        (1, lambda rec: rec["data"].update(bytes="x"), "seq 1 (kind 'Sent')"),
+        # no number reads a bottle id, so a list there changes nothing
+        (1, lambda rec: rec["data"].update(btl_id=["zz"]), None),
+        (2, lambda rec: rec["data"].update(dest=[0]), "seq 2 (kind 'TableUpdated')"),
+        (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'DiscoveryStarted')"),
+        (4, lambda rec: rec.update(at="3"), "seq 4 (kind 'RouteFound')"),
+        (0, lambda rec: rec["data"].update(attempt="0"), "seq 0 (kind 'DiscoveryStarted')"),
+    ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str",
+            "attempt-str"])
     def test_field_of_the_wrong_type_is_a_clean_error(self, tmp_path, capsys,
                                                       seq, edit, named):
         status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
+        if named is None:
+            assert (status, err, out) == (0, "", self.unedited_summary(capsys))
+            return
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: record {named}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("seq, edit, named", [
-        (0, lambda rec: rec.update(node="0"), "record seq 0 (kind 'Sent'): node '0' "),
-        (3, lambda rec: rec["data"].update(src="0"),
-         "record seq 3 (kind 'RouteFound'): src '0' "),
-        (1, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
-        (1, lambda rec: rec.update(node="1"),
+        (0, lambda rec: rec.update(node="0"),
+         "record seq 0 (kind 'DiscoveryStarted'): node '0' "),
+        (4, lambda rec: rec["data"].update(src="0"),
+         "record seq 4 (kind 'RouteFound'): src '0' "),
+        (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
+        (2, lambda rec: rec.update(node="1"),
          "kind 'TableUpdated' at node '1': node '1' not in topology"),
-        (1, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
+        (2, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
         (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
                                          "data": {"op": "fail_node", "target": [7]}}),
          "record seq 9 (kind 'TopologyChanged'): node 7 "),
         # a bool or a float hashes and compares equal to the int it stands for
-        (0, lambda rec: rec.update(node=False), "record seq 0 (kind 'Sent'): node False "),
-        (1, lambda rec: rec["data"].update(hops=True),
+        (0, lambda rec: rec.update(node=False),
+         "record seq 0 (kind 'DiscoveryStarted'): node False "),
+        (2, lambda rec: rec["data"].update(hops=True),
          "kind 'TableUpdated' at node 1: hops True is not a hop count"),
-        (1, lambda rec: rec["data"].update(hops=1.0),
+        (2, lambda rec: rec["data"].update(hops=1.0),
          "kind 'TableUpdated' at node 1: hops 1.0 is not a hop count"),
-        (3, lambda rec: rec["data"].update(src=False),
-         "record seq 3 (kind 'RouteFound'): src False "),
-        # each removes node 0's entry for dest 1, seq 4's
-        (None, lambda recs: recs.append({"at": 5, "seq": 7, "node": 0, "kind": "RouteRemoved",
+        (4, lambda rec: rec["data"].update(src=False),
+         "record seq 4 (kind 'RouteFound'): src False "),
+        # each removes node 0's entry for dest 1, seq 5's
+        (None, lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteRemoved",
                                          "data": {"dest": True, "reason": "neighbor_lost"}}),
-         "record seq 7 (kind 'RouteRemoved'): dest True is not a node id"),
-        (None, lambda recs: recs.append({"at": 5, "seq": 7, "node": 0, "kind": "RouteRemoved",
+         "record seq 8 (kind 'RouteRemoved'): dest True is not a node id"),
+        (None, lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteRemoved",
                                          "data": {"dest": 1.0, "reason": "neighbor_lost"}}),
-         "record seq 7 (kind 'RouteRemoved'): dest 1.0 is not a node id"),
+         "record seq 8 (kind 'RouteRemoved'): dest 1.0 is not a node id"),
+        # a retry counts a bottle of an open discovery, and none is open
+        (0, lambda rec: rec["data"].update(attempt=1),
+         "record seq 0 (kind 'DiscoveryStarted'): attempt 1 is neither 0 "),
     ], ids=["sent-node-str", "found-src-str", "hops-str", "table-node-str", "unknown-dest",
             "unknown-fault-target", "sent-node-bool", "hops-bool", "hops-float",
-            "found-src-bool", "removed-dest-bool", "removed-dest-float"])
+            "found-src-bool", "removed-dest-bool", "removed-dest-float", "retry-unopened"])
     def test_node_or_hop_count_that_does_not_fit_is_a_clean_error(self, tmp_path, capsys,
                                                                   seq, edit, named):
         # each edit left the summary wrong with exit 0, or gave an error that
@@ -339,13 +360,10 @@ class TestSummarize:
         assert "Traceback" not in err
 
     def test_bottle_id_is_not_parsed(self, tmp_path, capsys):
-        # an episode opens on a bottle whose history holds only its sender
+        # an episode opens on the DiscoveryStarted its source states
         status, out, err = self.summarize_edited(
-            capsys, tmp_path, 0, lambda rec: rec["data"].update(btl_id="zz"))
-        assert (status, err) == (0, "")
-        main(["summarize", "--trace", str(DATA / "golden_two_node.jsonl"),
-              "--topology", str(DATA / "two_node_topology.json")])
-        assert out == capsys.readouterr().out
+            capsys, tmp_path, 1, lambda rec: rec["data"].update(btl_id="zz"))
+        assert (status, err, out) == (0, "", self.unedited_summary(capsys))
 
 
 class TestNotUtf8:

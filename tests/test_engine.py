@@ -420,8 +420,10 @@ def test_record_fields_derived_from_the_declared_shapes():
             ("DeliveryFailed", "bottle"): "msg to xfer",
             ("DeliveryFailed", "data"): "msg xfer",
             ("Eliminated", None): "btl_id reason",
+            ("DiscoveryStarted", None): "dest attempt",
             ("RouteFound", None): "src dest path",
             ("Inaccessible", None): "src dest",
+            ("DiscoveryResolved", None): "src dest",
             ("TableUpdated", None): "dest next_hop hops",
             ("RouteRemoved", None): "dest reason",
             ("TopologyChanged", None): "op target",
@@ -623,7 +625,7 @@ class TestFaultHandling:
             (20, "refresh", 0), (20, "refresh", 1),
             (20, "timeout", 0, 3, True), (20, "timeout", 0, 2, True)]
         retries = [ev.data["dest"] for ev in trace.events if ev.at == 20
-                   and ev.kind == "Sent" and ev.data["history_len"] == 1]
+                   and ev.kind == "DiscoveryStarted" and ev.data["attempt"] >= 1]
         assert retries == [3, 2]
 
     def test_restored_link_allows_rediscovery(self, tmp_path):
@@ -723,7 +725,8 @@ class TestNeighborRefresh:
                            faults=[FaultSpec(at=0, op="fail_link", target=(0, 1))],
                            horizon=50)
         trace = run(sc)
-        first = next(ev for ev in trace.events if ev.kind != "TopologyChanged")
+        first = next(ev for ev in trace.events
+                     if ev.kind not in ("TopologyChanged", "DiscoveryStarted"))
         assert (first.at, first.node, first.kind, first.data["to"]) == (1, 1, "Sent", 0)
         assert (1, 1) in [(at, nid) for at, nid, *_ in refreshes]
 

@@ -18,7 +18,9 @@ invariants:
 - the live summary equals the summary of the records read back from JSONL;
 - without faults, the request ends in RouteFound or Inaccessible;
 - no node that is up at the end keeps an open request, so a timer that
-  fell due while its node was down has fired since.
+  fell due while its node was down has fired since;
+- every discovery attempted is counted as succeeded or failed: none is
+  left unresolved.
 """
 
 from __future__ import annotations
@@ -178,7 +180,10 @@ def check_every_walk(g: nx.Graph, beacon_period: int, chooser: ScriptedChooser,
     for scenario, faulty in scenarios(topo_file, g, beacon_period):
         for trace in every_walk(scenario, chooser):
             check_records(trace, scenario.requests[0], faulty, edges, dist)
-            live.append(summarize(trace))
+            summary = summarize(trace)
+            assert summary.discoveries_attempted == (summary.discoveries_succeeded
+                                                     + summary.discoveries_failed)
+            live.append(summary)
             records += trace.events
         if len(records) >= REPLAY_BATCH:
             runs += check_replay(live, records, topology, directory)
@@ -205,18 +210,21 @@ def test_every_walk_keeps_the_invariants(g, beacon_period, chooser, tmp_path):
     assert check_every_walk(g, beacon_period, chooser, str(tmp_path)) >= 2 * n * (n - 1)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a request resolved by a route "
-                   "learned passively leaves its episode unresolved, with no record")
 def test_two_requests_on_a_path_each_resolve(chooser, tmp_path):
-    """The smallest witness: on the path 1-0-2, requests 0->1 and 1->0 at
-    t=1 leave 0->1 unresolved under some walks."""
+    """On the path 1-0-2, requests 0->1 and 1->0 at t=1: under some walks
+    0 learns its route from 1's bottle while its timer runs, and the
+    DiscoveryResolved its timer states closes 0->1."""
     topo_file = str(tmp_path / "path.json")
     save_topology(make_topology((1, 0), (0, 2)), topo_file)
     scenario = ScenarioConfig(seed=0, topology_file=topo_file,
                               requests=[RequestSpec(at=1, src=0, dest=1),
                                         RequestSpec(at=1, src=1, dest=0)])
+    passive = 0
     for trace in every_walk(scenario, chooser):
-        assert [(ep.src, ep.dest) for ep in episodes(trace) if ep.outcome == "unresolved"] == []
+        eps = episodes(trace)
+        assert [(ep.src, ep.dest) for ep in eps if ep.outcome == "unresolved"] == []
+        passive += any(ep.outcome == "passive" for ep in eps)
+    assert passive
 
 
 if __name__ == "__main__":

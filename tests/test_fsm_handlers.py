@@ -5,6 +5,8 @@ from bottlenet.domain import Bottle, BottleId, DataPacket, PendingRequest, Route
 from bottlenet.errors import MalformedBottle
 from bottlenet.fsm import (
     DeclareInaccessible,
+    DiscoveryResolved,
+    DiscoveryStarted,
     ElimReason,
     Eliminate,
     RouteRemoved,
@@ -61,9 +63,9 @@ class TestRouteRequest:
         assert any(isinstance(a, Eliminate) and a.reason is ElimReason.DEAD_END
                    for a in actions)
         assert len(node.pending) == 1
-        # the dead bottle names its destination; handle_bottle's do not
+        # the attempt is stated before its bottle dies on the spot
         btl_id = node.pending[8].btl_id
-        assert actions == [Eliminate(btl_id, ElimReason.DEAD_END, 8),
+        assert actions == [DiscoveryStarted(8, 0), Eliminate(btl_id, ElimReason.DEAD_END),
                            SetTimer(8, btl_id, 5 + cfg.timeout)]
 
     def test_second_packet_joins_open_request(self, cfg, rng):
@@ -100,7 +102,6 @@ class TestHandleBottle:
         actions = handle_bottle(node, b, 3, cfg, rng)
         assert not b.rf
         assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.HOP_LIMIT)
-        assert actions[-1].dest is None
 
     def test_intermediate_forwards_to_unvisited(self, cfg, rng):
         node = make_node(2, {0, 5, 9})
@@ -115,7 +116,6 @@ class TestHandleBottle:
         b = Bottle(0, 8, BottleId(0, 0), history=[0, 5])
         actions = handle_bottle(node, b, 3, cfg, rng)
         assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.DEAD_END)
-        assert actions[-1].dest is None
 
     def test_return_leg_relays_backwards(self, cfg, rng):
         node = make_node(5, {0, 2})
@@ -193,7 +193,7 @@ class TestHandleBottle:
         (send,) = sends(actions)
         assert send.to == 4 and send.bottle.history == [0]
         assert send.bottle.btl_id == req.btl_id
-        assert actions == [send, SetTimer(8, req.btl_id, 20 + cfg.timeout)]
+        assert actions == [DiscoveryStarted(8, 0), send, SetTimer(8, req.btl_id, 20 + cfg.timeout)]
 
     def test_failure_bottle_at_source_purges_and_retries(self, cfg, rng):
         node = make_node(0, {7, 3}, rtab={8: RouteEntry(7, 3)})
@@ -212,6 +212,7 @@ class TestOnTimeout:
         first = handle_route_request(node, DataPacket(0, 8, path=[0]), 0, cfg, rng)
         first_id = sends(first)[0].bottle.btl_id
         actions = on_timeout(node, 8, first_id, cfg.timeout, cfg, rng)
+        assert actions[0] == DiscoveryStarted(8, 1)
         (send,) = sends(actions)
         assert send.bottle.btl_id != first_id
         (req,) = node.pending.values()
@@ -249,7 +250,7 @@ class TestOnTimeout:
         node.pending[8] = PendingRequest(
             btl_id=BottleId(0, 0), retries_used=0, queued_packets=[pkt])
         actions = on_timeout(node, 8, BottleId(0, 0), 120, cfg, rng)
-        assert actions == [SendData(pkt, 4)]
+        assert actions == [DiscoveryResolved(8), SendData(pkt, 4)]
         assert not node.pending
 
 

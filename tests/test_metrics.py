@@ -148,8 +148,8 @@ class TestTables:
                        [RequestSpec(at=1, src=0, dest=1)])
         records = [TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data)
                    for ev in trace.events]
-        records[1].at = "2"
-        with pytest.raises(MalformedRecord, match=r"^record seq 1 \(kind 'TableUpdated'\): "):
+        records[2].at = "2"
+        with pytest.raises(MalformedRecord, match=r"^record seq 2 \(kind 'TableUpdated'\): "):
             reconstruct_tables(records, up_to=5)
 
 
@@ -194,12 +194,28 @@ def test_trace_alone_gives_the_live_summary_and_tables(case):
     for nid, rows in tables.items():
         assert {hop for hop, _ in rows.values()} <= trace.nodes[nid].nbors
     # a request timer due by the horizon has fired at every node that is up:
-    # each open attempt was launched (a bottle Sent with one history entry,
-    # or Eliminated at its source) less than a timeout before the horizon
-    launched = {ev.data["btl_id"]: ev.at for ev in trace.events
-                if ev.kind == "Sent" and ev.data.get("history_len") == 1
-                or ev.kind == "Eliminated" and "dest" in ev.data}
+    # each open attempt, the last one its source started for the destination,
+    # started less than a timeout before the horizon
+    started = {(ev.node, ev.data["dest"]): ev.at for ev in trace.records("DiscoveryStarted")}
     for nid, node in trace.nodes.items():
         if nid not in trace.topology.down_nodes:
-            assert all(launched[str(req.btl_id)] + trace.cfg.timeout > trace.meta["horizon"]
-                       for req in node.pending.values()), nid
+            assert all(started[nid, dest] + trace.cfg.timeout > trace.meta["horizon"]
+                       for dest in node.pending), nid
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+def test_unresolved_episodes_are_the_requests_pending_at_the_horizon(case):
+    """An episode is unresolved exactly when its source still holds the
+    request at the horizon, live and replayed from the trace file."""
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
+        save_topology(t, str(topo_path))
+        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+        trace.write(str(trace_path))
+        replayed = episodes(iter_trace(str(trace_path)))
+    pending = sorted((nid, dest) for nid, node in trace.nodes.items() for dest in node.pending)
+    for eps in (episodes(trace), replayed):
+        assert sorted((ep.src, ep.dest) for ep in eps if ep.outcome == "unresolved") == pending
