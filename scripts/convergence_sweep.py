@@ -63,7 +63,7 @@ def sweep(seeds: int, requests: int) -> list[Window]:
                     windows[idx // WINDOW].discovery.append(ep.found_hops / dist)
 
             for ev in trace.records("Received"):
-                if ev.data.get("msg") == "data" and ev.node == ev.data["dest"]:
+                if ev.node == ev.data["dest"]:
                     idx = (ev.at - 1) // spacing
                     src, dest = ev.data["src"], ev.data["dest"]
                     dist = truth.between(src, dest)

@@ -16,8 +16,8 @@ s = nid (mod beacon_period). A run without faults queues none.
 A timer that fires while its node is down waits in the engine; the node's
 restore queues each such timer again, in firing order, after its refreshes.
 
-Each record is made from a shape that ``trace`` declares, which gives the
-record its kind; ``trace`` owns the file format.
+Each record is made from a shape that ``trace`` declares (``trace`` owns
+the file format); every discovery open and close is an fsm action.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class Engine:
         if not self.topology.link_live(frm, to):
             self._fail_delivery(frm, to, bottle, xfer, trace.BOUNCED_BOTTLE)
             return
-        if bottle.rf and to == bottle.src:
-            self._record(to, trace.ROUTE_FOUND, {
-                "src": bottle.src, "dest": bottle.dest,
-                "path": list(bottle.history),
-            })
         self._apply(to, fsm.handle_bottle(self.nodes[to], bottle, self.now,
                                           self.cfg, self._rngs[to]))
 
@@ -174,6 +169,10 @@ class Engine:
     def _on_discovery_started(self, nid: int, action: fsm.DiscoveryStarted) -> None:
         self._record(nid, trace.DISCOVERY_STARTED,
                      {"dest": action.dest, "attempt": action.attempt})
+
+    def _on_route_found(self, nid: int, action: fsm.RouteFound) -> None:
+        self._record(nid, trace.ROUTE_FOUND,
+                     {"src": nid, "dest": action.dest, "path": action.path})
 
     def _on_discovery_resolved(self, nid: int, action: fsm.DiscoveryResolved) -> None:
         self._record(nid, trace.DISCOVERY_RESOLVED, {"src": nid, "dest": action.dest})
@@ -244,6 +243,7 @@ class Engine:
         fsm.Eliminate: _on_eliminate,
         fsm.SetTimer: _on_set_timer,
         fsm.DiscoveryStarted: _on_discovery_started,
+        fsm.RouteFound: _on_route_found,
         fsm.DiscoveryResolved: _on_discovery_resolved,
         fsm.DeclareInaccessible: _on_inaccessible,
         fsm.TableUpdated: _on_table_updated,

@@ -20,10 +20,10 @@ harvest order (the engine writes one TableUpdated record per entry), and
 ``purge_routes`` is the one place routes leave. A source has at most one
 open discovery per destination, kept in ``NodeState.pending`` under it;
 its timer names the destination and the attempt it was armed for. Each
-attempt is stated (``DiscoveryStarted``), and so is each close but a found
-bottle home, which the engine records as RouteFound. The engine carries
-out actions, never reads a request, and holds a down node's timers until
-it is back, so no handler learns of a node's restore.
+attempt is stated (``DiscoveryStarted``), and so is each close of an open
+request; a found bottle home after its request closed states nothing. The
+engine carries out actions, never reads a request, and holds a down node's
+timers until it is back, so no handler learns of a node's restore.
 
 ``next_state`` is the published per-node FSM over a packet queue and a
 bottle queue. The engine keeps no queues: it hands each arrival to
@@ -93,6 +93,12 @@ class DiscoveryStarted:
 
 
 @dataclass(slots=True)
+class RouteFound:
+    dest: NodeId
+    path: list[NodeId]  # the found bottle's history, source first
+
+
+@dataclass(slots=True)
 class DiscoveryResolved:
     dest: NodeId  # its route was learned from another bottle while the timer ran
 
@@ -116,7 +122,7 @@ class RouteRemoved:
     reason: str  # delivery_failure | route_failure | neighbor_lost
 
 
-Action = Union[Send, SendData, Eliminate, SetTimer, DiscoveryStarted,
+Action = Union[Send, SendData, Eliminate, SetTimer, DiscoveryStarted, RouteFound,
                DiscoveryResolved, DeclareInaccessible, TableUpdated, RouteRemoved]
 
 
@@ -292,7 +298,7 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
 def _complete_discovery(node: NodeState, b: Bottle, now: int,
                         cfg: ProtocolConfig, rng: random.Random,
                         ) -> list[Action]:
-    """A found-route bottle is home: flush waiting packets, drop the timer.
+    """A found bottle is home: state RouteFound and flush, if its request is open.
 
     Matched by destination rather than bottle id so that a slow bottle
     from an earlier attempt still completes a request that has since been
@@ -302,7 +308,7 @@ def _complete_discovery(node: NodeState, b: Bottle, now: int,
     req = node.pending.pop(b.dest, None)
     if req is None:
         return []
-    return _resend(node, req.queued_packets, now, cfg, rng)
+    return [RouteFound(b.dest, b.history), *_resend(node, req.queued_packets, now, cfg, rng)]
 
 
 def _resend(node: NodeState, packets: list[DataPacket], now: int,

@@ -1,9 +1,10 @@
 """Post-hoc trace analysis: discovery outcomes, latency, stretch, overhead.
 
-Every number is read from trace records alone, each discovery from what
-the fsm states, plus the topology's nodes and edges for oracle distances;
-nothing here imports the engine or the fsm. One fold over the records
-serves every function, so a live trace and its file summarize alike.
+Every number is read from trace records alone, each discovery's open and
+close from what the fsm states (a close with nothing open is malformed),
+plus the topology's nodes and edges for oracle distances; nothing here
+imports the engine or the fsm. One fold over the records serves every
+function, so a live trace and its file summarize alike.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
 
     Episodes read what the fsm states. A DiscoveryStarted of attempt 0
     opens one for its node and dest, and each later attempt adds a bottle
-    to it. The first RouteFound ("success"), DiscoveryResolved ("passive")
-    or Inaccessible ("inaccessible") whose src and dest match closes it; an
-    episode still open at the end is "unresolved". Tables (per node,
+    to it. A RouteFound ("success"), DiscoveryResolved ("passive") or
+    Inaccessible ("inaccessible") closes the one open for its src and dest;
+    an episode still open at the end is "unresolved". Tables (per node,
     dest -> (next_hop, hops)) follow TableUpdated and RouteRemoved. The
     topology starts from t's nodes and edges with nothing down and applies
     each TopologyChanged in record order; t itself is left as it is. A field
-    whose JSON type does not fit its use, or a node or link t lacks, raises
-    MalformedRecord.
+    whose JSON type does not fit its use, a node or link t lacks, or a close
+    with no discovery open raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
     topo = None if t is None else t.copy_without_faults()
@@ -126,14 +127,13 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
                         ev, f"node {ev.node!r} or dest {dest!r} is not a known node id"))
             elif kind in closes:
                 src, dest = data["src"], data["dest"]
-                if not (known(src) and known(dest)):
+                ep = open_eps.pop((src, dest), None) if known(src) and known(dest) else None
+                if ep is None:
                     raise MalformedRecord(_bad_record(
-                        ev, f"src {src!r} or dest {dest!r} is not a known node id"))
-                ep = open_eps.pop((src, dest), None)
-                if ep is not None:
-                    ep.end_at, ep.outcome = ev.at + 0, closes[kind]
-                    if kind == "RouteFound":
-                        ep.path = list(data["path"])
+                        ev, f"src {src!r} has no discovery of dest {dest!r} open"))
+                ep.end_at, ep.outcome = ev.at + 0, closes[kind]
+                if kind == "RouteFound":
+                    ep.path = list(data["path"])
             elif kind == "TopologyChanged" and topo is not None:
                 try:
                     topo.apply_fault(data["op"], data["target"])

@@ -294,7 +294,7 @@ class TestSummarize:
         return capsys.readouterr().out
 
     # The golden trace's records: 0 DiscoveryStarted, 1 Sent (bottle),
-    # 2 TableUpdated, 3 Sent (bottle), 4 RouteFound, 5 TableUpdated,
+    # 2 TableUpdated, 3 Sent (bottle), 4 TableUpdated, 5 RouteFound,
     # 6 Sent (data), 7 Received.
     @pytest.mark.parametrize("seq, edit, named", [
         (1, lambda rec: rec["data"].update(bytes="x"), "seq 1 (kind 'Sent')"),
@@ -302,7 +302,7 @@ class TestSummarize:
         (1, lambda rec: rec["data"].update(btl_id=["zz"]), None),
         (2, lambda rec: rec["data"].update(dest=[0]), "seq 2 (kind 'TableUpdated')"),
         (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'DiscoveryStarted')"),
-        (4, lambda rec: rec.update(at="3"), "seq 4 (kind 'RouteFound')"),
+        (5, lambda rec: rec.update(at="3"), "seq 5 (kind 'RouteFound')"),
         (0, lambda rec: rec["data"].update(attempt="0"), "seq 0 (kind 'DiscoveryStarted')"),
     ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str",
             "attempt-str"])
@@ -319,8 +319,8 @@ class TestSummarize:
     @pytest.mark.parametrize("seq, edit, named", [
         (0, lambda rec: rec.update(node="0"),
          "record seq 0 (kind 'DiscoveryStarted'): node '0' "),
-        (4, lambda rec: rec["data"].update(src="0"),
-         "record seq 4 (kind 'RouteFound'): src '0' "),
+        (5, lambda rec: rec["data"].update(src="0"),
+         "record seq 5 (kind 'RouteFound'): src '0' "),
         (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
         (2, lambda rec: rec.update(node="1"),
          "kind 'TableUpdated' at node '1': node '1' not in topology"),
@@ -335,9 +335,11 @@ class TestSummarize:
          "kind 'TableUpdated' at node 1: hops True is not a hop count"),
         (2, lambda rec: rec["data"].update(hops=1.0),
          "kind 'TableUpdated' at node 1: hops 1.0 is not a hop count"),
-        (4, lambda rec: rec["data"].update(src=False),
-         "record seq 4 (kind 'RouteFound'): src False "),
-        # each removes node 0's entry for dest 1, seq 5's
+        (5, lambda rec: rec["data"].update(src=False),
+         "record seq 5 (kind 'RouteFound'): src False "),
+        (5, lambda rec: rec["data"].update(src=0.0),
+         "record seq 5 (kind 'RouteFound'): src 0.0 "),
+        # each removes node 0's entry for dest 1, seq 4's
         (None, lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteRemoved",
                                          "data": {"dest": True, "reason": "neighbor_lost"}}),
          "record seq 8 (kind 'RouteRemoved'): dest True is not a node id"),
@@ -349,7 +351,8 @@ class TestSummarize:
          "record seq 0 (kind 'DiscoveryStarted'): attempt 1 is neither 0 "),
     ], ids=["sent-node-str", "found-src-str", "hops-str", "table-node-str", "unknown-dest",
             "unknown-fault-target", "sent-node-bool", "hops-bool", "hops-float",
-            "found-src-bool", "removed-dest-bool", "removed-dest-float", "retry-unopened"])
+            "found-src-bool", "found-src-float", "removed-dest-bool", "removed-dest-float",
+            "retry-unopened"])
     def test_node_or_hop_count_that_does_not_fit_is_a_clean_error(self, tmp_path, capsys,
                                                                   seq, edit, named):
         # each edit left the summary wrong with exit 0, or gave an error that
@@ -358,6 +361,16 @@ class TestSummarize:
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: {named}")
         assert "Traceback" not in err
+
+    def test_close_with_nothing_open_is_a_clean_error(self, tmp_path, capsys):
+        # a second RouteFound for the discovery seq 5 closed
+        status, out, err = self.summarize_edited(
+            capsys, tmp_path, None,
+            lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteFound",
+                                      "data": {"src": 0, "dest": 1, "path": [0, 1]}}))
+        assert (status, out) == (1, "")
+        assert err == (f"error: {tmp_path / 'trace.jsonl'}: record seq 8 (kind 'RouteFound'): "
+                       "src 0 has no discovery of dest 1 open\n")
 
     def test_bottle_id_is_not_parsed(self, tmp_path, capsys):
         # an episode opens on the DiscoveryStarted its source states

@@ -17,6 +17,9 @@ invariants:
 - every TableUpdated hop count is at least the fault-free BFS distance;
 - the live summary equals the summary of the records read back from JSONL;
 - without faults, the request ends in RouteFound or Inaccessible;
+- each close record (RouteFound, DiscoveryResolved, Inaccessible) closes
+  its source's open discovery, so the RouteFound records are the episodes
+  that end in success, with faults too;
 - no node that is up at the end keeps an open request, so a timer that
   fell due while its node was down has fired since;
 - every discovery attempted is counted as succeeded or failed: none is
@@ -180,7 +183,10 @@ def check_every_walk(g: nx.Graph, beacon_period: int, chooser: ScriptedChooser,
     for scenario, faulty in scenarios(topo_file, g, beacon_period):
         for trace in every_walk(scenario, chooser):
             check_records(trace, scenario.requests[0], faulty, edges, dist)
+            # summarize raises MalformedRecord on a close with nothing open
             summary = summarize(trace)
+            assert len(trace.records("RouteFound")) == sum(ep.outcome == "success"
+                                                           for ep in episodes(trace))
             assert summary.discoveries_attempted == (summary.discoveries_succeeded
                                                      + summary.discoveries_failed)
             live.append(summary)

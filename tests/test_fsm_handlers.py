@@ -9,6 +9,7 @@ from bottlenet.fsm import (
     DiscoveryStarted,
     ElimReason,
     Eliminate,
+    RouteFound,
     RouteRemoved,
     Send,
     SendData,
@@ -151,7 +152,8 @@ class TestHandleBottle:
         b = Bottle(0, 8, BottleId(0, 0), rf=True, history=list(walk))
         actions = handle_bottle(node, b, 20, cfg, rng)
         assert node.rtab[8] == RouteEntry(7, len(walk) - 1)
-        assert data_sends(actions) == [SendData(pkt, 7)]
+        # the close is stated after the harvest, before the queued packets leave
+        assert actions[1:] == [RouteFound(8, walk), SendData(pkt, 7)]
         assert not node.pending
 
     def test_slow_bottle_from_earlier_attempt_completes_request(self, cfg, rng):
@@ -193,7 +195,25 @@ class TestHandleBottle:
         (send,) = sends(actions)
         assert send.to == 4 and send.bottle.history == [0]
         assert send.bottle.btl_id == req.btl_id
-        assert actions == [DiscoveryStarted(8, 0), send, SetTimer(8, req.btl_id, 20 + cfg.timeout)]
+        assert actions == [RouteFound(8, [0, 7, 8]), DiscoveryStarted(8, 0), send,
+                           SetTimer(8, req.btl_id, 20 + cfg.timeout)]
+
+    @pytest.mark.parametrize("close", ["inaccessible", "passive"])
+    def test_found_bottle_home_after_its_request_closed_states_nothing(self, cfg, rng, close):
+        # The timer closed the request first, so the late bottle closes
+        # nothing, and its way back installs nothing new either.
+        if close == "inaccessible":
+            node = make_node(0, {4})  # 7, the way back's first hop, is gone
+            retries, closed = cfg.retry_limit, DeclareInaccessible(8)
+        else:
+            node = make_node(0, {7}, rtab={7: RouteEntry(7, 1), 8: RouteEntry(7, 2)})
+            retries, closed = 0, DiscoveryResolved(8)
+        node.pending[8] = PendingRequest(
+            btl_id=BottleId(0, 0), retries_used=retries, queued_packets=[])
+        assert on_timeout(node, 8, BottleId(0, 0), 120, cfg, rng) == [closed]
+        b = Bottle(0, 8, BottleId(0, 0), rf=True, history=[0, 7, 8])
+        assert handle_bottle(node, b, 130, cfg, rng) == []
+        assert not node.pending
 
     def test_failure_bottle_at_source_purges_and_retries(self, cfg, rng):
         node = make_node(0, {7, 3}, rtab={8: RouteEntry(7, 3)})

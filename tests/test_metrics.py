@@ -104,6 +104,20 @@ class TestEpisodes:
                 assert s.mean_stretch >= 1.0
 
 
+@pytest.mark.parametrize("kind", ["RouteFound", "DiscoveryResolved", "Inaccessible"])
+def test_close_with_nothing_open_is_malformed(kind):
+    # every close record closes its source's open discovery; this one's
+    # discovery was closed by the RouteFound before it
+    data = {"src": 0, "dest": 1, "path": [0, 1]} if kind == "RouteFound" \
+        else {"src": 0, "dest": 1}
+    records = [TraceEvent(1, 0, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}),
+               TraceEvent(3, 1, 0, "RouteFound", {"src": 0, "dest": 1, "path": [0, 1]}),
+               TraceEvent(5, 2, 0, kind, data)]
+    with pytest.raises(MalformedRecord, match=rf"^record seq 2 \(kind '{kind}'\): "
+                                              "src 0 has no discovery of dest 1 open"):
+        episodes(records)
+
+
 def final_tables(trace):
     return {nid: {d: (e.next_hop, e.hop_count) for d, e in node.rtab.items()}
             for nid, node in trace.nodes.items()}
@@ -208,7 +222,8 @@ def test_trace_alone_gives_the_live_summary_and_tables(case):
 @given(fault_scenarios())
 def test_unresolved_episodes_are_the_requests_pending_at_the_horizon(case):
     """An episode is unresolved exactly when its source still holds the
-    request at the horizon, live and replayed from the trace file."""
+    request at the horizon, and it succeeds exactly when a RouteFound
+    closes it, live and replayed from the trace file."""
     t, doc = case
     with tempfile.TemporaryDirectory() as tmp:
         topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
@@ -217,5 +232,9 @@ def test_unresolved_episodes_are_the_requests_pending_at_the_horizon(case):
         trace.write(str(trace_path))
         replayed = episodes(iter_trace(str(trace_path)))
     pending = sorted((nid, dest) for nid, node in trace.nodes.items() for dest in node.pending)
+    found = sorted((ev.data["src"], ev.data["dest"], ev.at, ev.data["path"])
+                   for ev in trace.records("RouteFound"))
     for eps in (episodes(trace), replayed):
         assert sorted((ep.src, ep.dest) for ep in eps if ep.outcome == "unresolved") == pending
+        assert sorted((ep.src, ep.dest, ep.end_at, ep.path)
+                      for ep in eps if ep.outcome == "success") == found
