@@ -13,12 +13,10 @@ Usage: python scripts/convergence_sweep.py [--seeds N] [--requests N]
 """
 
 import argparse
-import tempfile
-from pathlib import Path
 from statistics import fmean, median
 from typing import NamedTuple
 
-from bottlenet import generate_topology, oracle, run, save_topology
+from bottlenet import oracle, run
 from bottlenet.config import RandomRequests, ScenarioConfig
 from bottlenet.metrics import episodes, reconstruct_tables, table_optimality
 
@@ -38,38 +36,35 @@ def sweep(seeds: int, requests: int) -> list[Window]:
     windows = [Window([], [], []) for _ in range(requests // WINDOW)]
     counted = len(windows) * WINDOW
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in range(seeds):
-            t = generate_topology("generic", 15, seed)
-            topo_path = Path(tmp) / f"net{seed}.json"
-            save_topology(t, str(topo_path))
-            sc = ScenarioConfig(seed=seed, topology_file=str(topo_path),
-                                random_requests=RandomRequests(count=requests))
-            trace = run(sc)
-            spacing = trace.meta["spacing"]
-            truth = oracle.Distances(t)  # one snapshot serves every query below
+    for seed in range(seeds):
+        sc = ScenarioConfig(seed=seed,
+                            generator={"kind": "generic", "nodes": 15, "seed": seed},
+                            random_requests=RandomRequests(count=requests))
+        trace = run(sc)
+        spacing = trace.meta["spacing"]
+        truth = oracle.Distances(trace.topology)  # one snapshot serves every query below
 
-            for w, window in enumerate(windows):
-                cutoff = 1 + (w + 1) * WINDOW * spacing - 1
-                tables = reconstruct_tables(trace, up_to=cutoff)
-                window.optimality.append(table_optimality(tables, truth) or 0.0)
+        for w, window in enumerate(windows):
+            cutoff = 1 + (w + 1) * WINDOW * spacing - 1
+            tables = reconstruct_tables(ev for ev in trace.events if ev.at <= cutoff)
+            window.optimality.append(table_optimality(tables, truth) or 0.0)
 
-            for ep in episodes(trace):
-                if ep.outcome != "success":
-                    continue
-                idx = (ep.start_at - 1) // spacing
-                dist = truth.between(ep.src, ep.dest)
+        for ep in episodes(trace):
+            if ep.outcome != "success":
+                continue
+            idx = (ep.start_at - 1) // spacing
+            dist = truth.between(ep.src, ep.dest)
+            if dist and idx < counted:
+                windows[idx // WINDOW].discovery.append(ep.found_hops / dist)
+
+        for ev in trace.records("Received"):
+            if ev.node == ev.data["dest"]:
+                idx = (ev.at - 1) // spacing
+                src, dest = ev.data["src"], ev.data["dest"]
+                dist = truth.between(src, dest)
                 if dist and idx < counted:
-                    windows[idx // WINDOW].discovery.append(ep.found_hops / dist)
-
-            for ev in trace.records("Received"):
-                if ev.node == ev.data["dest"]:
-                    idx = (ev.at - 1) // spacing
-                    src, dest = ev.data["src"], ev.data["dest"]
-                    dist = truth.between(src, dest)
-                    if dist and idx < counted:
-                        hops = len(ev.data["path"]) - 1
-                        windows[idx // WINDOW].delivery.append(hops / dist)
+                    hops = len(ev.data["path"]) - 1
+                    windows[idx // WINDOW].delivery.append(hops / dist)
     return windows
 
 

@@ -17,7 +17,9 @@ A timer that fires while its node is down waits in the engine; the node's
 restore queues each such timer again, in firing order, after its refreshes.
 
 Each record is made from a shape that ``trace`` declares (``trace`` owns
-the file format); every discovery open and close is an fsm action.
+the file format); every discovery open and close is an fsm action, and so
+is every data packet's fate: an arrival checks its link, writes Received
+and hands the packet to the fsm, which delivers, drops or forwards it.
 """
 
 from __future__ import annotations
@@ -119,15 +121,6 @@ class Engine:
             "msg": "data", "from": frm, "src": pkt.src, "dest": pkt.dest,
             "path": list(pkt.path), "xfer": xfer,
         })
-        if to == pkt.dest:
-            return
-        if len(pkt.path) > self.cfg.hop_limit + 1:
-            # Stale tables can momentarily loop a packet; cap its journey.
-            self._record(to, trace.HOP_CAPPED, {
-                "msg": "data", "src": pkt.src, "dest": pkt.dest,
-                "reason": "hop_cap", "xfer": None,
-            })
-            return
         self._apply(to, fsm.handle_route_request(self.nodes[to], pkt, self.now,
                                                  self.cfg, self._rngs[to]))
 
@@ -190,7 +183,14 @@ class Engine:
 
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
         self._record(nid, trace.ELIMINATED,
-                     {"btl_id": str(action.btl_id), "reason": action.reason.value})
+                     {"btl_id": str(action.btl_id), "reason": action.reason})
+
+    def _on_drop_data(self, nid: int, action: fsm.DropData) -> None:
+        pkt = action.packet
+        self._record(nid, trace.HOP_CAPPED, {
+            "msg": "data", "src": pkt.src, "dest": pkt.dest,
+            "reason": action.reason, "xfer": None,
+        })
 
     def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no
@@ -240,6 +240,7 @@ class Engine:
     _actions: dict[type, Callable[["Engine", int, Any], None]] = {
         fsm.Send: _send_bottle,
         fsm.SendData: _send_data,
+        fsm.DropData: _on_drop_data,
         fsm.Eliminate: _on_eliminate,
         fsm.SetTimer: _on_set_timer,
         fsm.DiscoveryStarted: _on_discovery_started,

@@ -25,6 +25,11 @@ request; a found bottle home after its request closed states nothing. The
 engine carries out actions, never reads a request, and holds a down node's
 timers until it is back, so no handler learns of a node's restore.
 
+``handle_route_request`` decides a data packet's fate at each node it
+reaches: delivered at its destination, dropped (``DropData``) once its path
+passes the hop cap, forwarded from the table, or queued behind a discovery.
+An action's reason is the string its record carries.
+
 ``next_state`` is the published per-node FSM over a packet queue and a
 bottle queue. The engine keeps no queues: it hands each arrival to
 ``handle_bottle`` or ``handle_route_request`` at the instant it lands, and no
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Collection, Sequence, Union
 
 from .domain import (
@@ -56,11 +60,6 @@ from .config import ProtocolConfig
 from .errors import MalformedBottle
 
 
-class ElimReason(Enum):
-    HOP_LIMIT = "hop_limit"
-    DEAD_END = "dead_end"
-
-
 @dataclass(slots=True)
 class Send:
     bottle: Bottle
@@ -74,9 +73,15 @@ class SendData:
 
 
 @dataclass(slots=True)
+class DropData:
+    packet: DataPacket
+    reason: str  # hop_cap
+
+
+@dataclass(slots=True)
 class Eliminate:
     btl_id: BottleId
-    reason: ElimReason
+    reason: str  # hop_limit | dead_end
 
 
 @dataclass(slots=True)
@@ -122,8 +127,9 @@ class RouteRemoved:
     reason: str  # delivery_failure | route_failure | neighbor_lost
 
 
-Action = Union[Send, SendData, Eliminate, SetTimer, DiscoveryStarted, RouteFound,
-               DiscoveryResolved, DeclareInaccessible, TableUpdated, RouteRemoved]
+Action = Union[Send, SendData, DropData, Eliminate, SetTimer, DiscoveryStarted,
+               RouteFound, DiscoveryResolved, DeclareInaccessible, TableUpdated,
+               RouteRemoved]
 
 
 def next_state(current: NodePhase, pkt_queue_empty: bool,
@@ -209,7 +215,7 @@ def _walk_on(node: NodeState, b: Bottle, rng: random.Random) -> Action:
     """The walk's one step: on to a random unvisited neighbor, or dead end."""
     hop = choose_next_hop(node.nbors, b.history, rng)
     if hop is None:
-        return Eliminate(b.btl_id, ElimReason.DEAD_END)
+        return Eliminate(b.btl_id, "dead_end")
     return Send(b, hop)
 
 
@@ -240,9 +246,12 @@ def _loop_erased(path: Sequence[NodeId]) -> list[NodeId]:
 def handle_route_request(node: NodeState, pkt: DataPacket, now: int,
                          cfg: ProtocolConfig, rng: random.Random,
                          ) -> list[Action]:
-    """Service one packet: forward from the table or start a discovery."""
+    """Service one packet: deliver, cap, forward or queue it (see the module docstring)."""
     if pkt.dest == node.nid:
         return []
+    if len(pkt.path) > cfg.hop_limit + 1:
+        # Stale tables can momentarily loop a packet; cap its journey.
+        return [DropData(pkt, "hop_cap")]
     entry = node.rtab.get(pkt.dest)
     if entry is not None:
         return [SendData(pkt, entry.next_hop)]
@@ -280,7 +289,7 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
 
     if forward:
         if i >= cfg.hop_limit:
-            actions.append(Eliminate(b.btl_id, ElimReason.HOP_LIMIT))
+            actions.append(Eliminate(b.btl_id, "hop_limit"))
             return actions
         if node.nid != b.dest:
             actions.append(_walk_on(node, b, rng))

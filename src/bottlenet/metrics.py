@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .domain import is_node_id
 from .errors import BottlenetError, MalformedRecord, UnknownNode
@@ -58,9 +58,8 @@ class _Fold(NamedTuple):
     eliminated: dict[str, int]  # reason -> count
 
 
-def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
-          up_to: int | None = None) -> _Fold:
-    """One pass over the records, up to and including instant up_to.
+def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fold:
+    """One pass over the records.
 
     Episodes read what the fsm states. A DiscoveryStarted of attempt 0
     opens one for its node and dest, and each later attempt adds a bottle
@@ -87,8 +86,6 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None,
     def known(n: object) -> bool:  # a bool or a float would key as the int it equals
         return is_node_id(n) and (topo is None or n in topo.nodes)
 
-    if up_to is not None:
-        events = _through(events, up_to)
     try:
         for ev in events:
             kind, data = ev.kind, ev.data
@@ -149,28 +146,16 @@ def _bad_record(ev: TraceEvent, what: object) -> str:
     return f"record seq {ev.seq!r} (kind {ev.kind!r}): {what}"
 
 
-def _through(events: Iterable[TraceEvent], up_to: int) -> Iterator[TraceEvent]:
-    """The records of events up to and including instant up_to."""
-    for ev in events:
-        try:
-            if ev.at > up_to:
-                return
-        except TypeError as exc:
-            raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
-        yield ev
-
-
 def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:
     """Discovery episodes, in the order they open (see _fold)."""
     return _fold(trace).episodes
 
 
 def reconstruct_tables(trace: Trace | Iterable[TraceEvent],
-                       up_to: int | None = None,
                        ) -> dict[int, dict[int, tuple[int, int]]]:
-    """Routing tables at instant up_to (the end by default), per node:
-    dest -> (next_hop, hops), from TableUpdated and RouteRemoved records."""
-    return _fold(trace, up_to=up_to).tables
+    """Routing tables after the last record, per node: dest -> (next_hop,
+    hops), from TableUpdated and RouteRemoved records."""
+    return _fold(trace).tables
 
 
 def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],

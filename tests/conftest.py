@@ -54,7 +54,9 @@ GRAPH = st.sampled_from(["generic", "dense", "sparse-partitioned"])
 @st.composite
 def fault_scenarios(draw):
     """A generated graph of 4-25 nodes, concurrent random requests and up
-    to 12 link or node faults, as a scenario document."""
+    to 12 link or node faults, as a scenario document. A timeout of
+    1-60 lets found bottles come home after their discovery has closed,
+    and leaves timers of closed attempts to fire."""
     kind, n = draw(GRAPH), draw(st.integers(4, 25))
     t = generate_topology(kind, n, draw(st.integers(0, 3)))
     edges, nodes = sorted(t.edges), sorted(t.nodes)
@@ -68,7 +70,9 @@ def fault_scenarios(draw):
             faults.append({"at": at, "op": op,
                            "link": list(draw(st.sampled_from(edges)))})
     return t, {"seed": draw(st.integers(0, 1000)),
-               "protocol": {"beacon_period": draw(st.integers(1, 5))},
+               "protocol": {"beacon_period": draw(st.integers(1, 5)),
+                            "timeout": draw(st.integers(1, 60)),
+                            "retry_limit": draw(st.integers(0, 3))},
                "random_requests": {"count": draw(st.integers(1, 12)),
                                    "spacing": draw(st.integers(1, 40))},
                "faults": faults, "horizon": 1500}

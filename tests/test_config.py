@@ -93,6 +93,14 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="'horizon'"):
             scenario_from_dict(self.base() | {"horizon": True})
 
+    def test_topology_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"field 'topology':"):
+            scenario_from_dict({"seed": 1, "topology": 5})
+
+    def test_generator_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"field 'topology\.generator':"):
+            scenario_from_dict({"seed": 1, "topology": {"generator": 5}})
+
     def test_topology_file_must_be_a_path(self):
         with pytest.raises(ConfigError, match=r"'topology\.file'"):
             scenario_from_dict({"seed": 1, "topology": {"file": 5}})

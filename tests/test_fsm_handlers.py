@@ -7,7 +7,7 @@ from bottlenet.fsm import (
     DeclareInaccessible,
     DiscoveryResolved,
     DiscoveryStarted,
-    ElimReason,
+    DropData,
     Eliminate,
     RouteFound,
     RouteRemoved,
@@ -61,12 +61,12 @@ class TestRouteRequest:
         actions = handle_route_request(node, DataPacket(0, 8, path=[0]), 5, cfg, rng)
         assert sends(actions) == []
         assert any(isinstance(a, SetTimer) for a in actions)
-        assert any(isinstance(a, Eliminate) and a.reason is ElimReason.DEAD_END
+        assert any(isinstance(a, Eliminate) and a.reason == "dead_end"
                    for a in actions)
         assert len(node.pending) == 1
         # the attempt is stated before its bottle dies on the spot
         btl_id = node.pending[8].btl_id
-        assert actions == [DiscoveryStarted(8, 0), Eliminate(btl_id, ElimReason.DEAD_END),
+        assert actions == [DiscoveryStarted(8, 0), Eliminate(btl_id, "dead_end"),
                            SetTimer(8, btl_id, 5 + cfg.timeout)]
 
     def test_second_packet_joins_open_request(self, cfg, rng):
@@ -87,6 +87,33 @@ class TestRouteRequest:
         bounce = sends(actions)[0].bottle
         assert bounce.failure and bounce.src == 2 and bounce.history == [2, 4, 5]
 
+    def test_full_queue_drops_the_sources_own_packet(self, rng):
+        cfg = ProtocolConfig(hop_limit=60, timeout=120, queue_cap=1)
+        node = make_node(5, {4})
+        handle_route_request(node, DataPacket(5, 8, path=[5]), 5, cfg, rng)
+        assert handle_route_request(node, DataPacket(5, 8, path=[5]), 6, cfg, rng) == []
+        assert len(node.pending[8].queued_packets) == 1
+
+    def test_packet_over_the_hop_cap_is_dropped(self, rng):
+        cfg = ProtocolConfig(hop_limit=3, timeout=8)
+        node = make_node(5, {4}, rtab={9: RouteEntry(4, 2)})
+        pkt = DataPacket(src=0, dest=9, path=[0, 1, 2, 3, 5])  # hop_limit + 2 nodes
+        assert handle_route_request(node, pkt, 6, cfg, rng) == [DropData(pkt, "hop_cap")]
+        assert node.rtab == {9: RouteEntry(4, 2)} and not node.pending
+        assert handle_route_request(make_node(5, {4}), pkt, 6, cfg, rng) == [
+            DropData(pkt, "hop_cap")]  # before a discovery could open
+
+    def test_packet_at_the_hop_cap_still_forwards(self, rng):
+        cfg = ProtocolConfig(hop_limit=3, timeout=8)
+        node = make_node(5, {4}, rtab={9: RouteEntry(4, 2)})
+        pkt = DataPacket(src=0, dest=9, path=[0, 1, 2, 5])  # hop_limit + 1 nodes
+        assert handle_route_request(node, pkt, 6, cfg, rng) == [SendData(pkt, 4)]
+
+    def test_packet_at_its_destination_is_delivered_past_the_cap(self, rng):
+        cfg = ProtocolConfig(hop_limit=3, timeout=8)
+        pkt = DataPacket(src=0, dest=9, path=[0, 1, 2, 3, 9])
+        assert handle_route_request(make_node(9, {3}), pkt, 6, cfg, rng) == []
+
 
 class TestHandleBottle:
     def test_destination_marks_route_found(self, cfg, rng):
@@ -102,7 +129,7 @@ class TestHandleBottle:
         b = Bottle(0, 8, BottleId(0, 0), history=[0, 2])
         actions = handle_bottle(node, b, 3, cfg, rng)
         assert not b.rf
-        assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.HOP_LIMIT)
+        assert actions[-1] == Eliminate(BottleId(0, 0), "hop_limit")
 
     def test_intermediate_forwards_to_unvisited(self, cfg, rng):
         node = make_node(2, {0, 5, 9})
@@ -116,7 +143,7 @@ class TestHandleBottle:
         node = make_node(2, {0, 5})
         b = Bottle(0, 8, BottleId(0, 0), history=[0, 5])
         actions = handle_bottle(node, b, 3, cfg, rng)
-        assert actions[-1] == Eliminate(BottleId(0, 0), ElimReason.DEAD_END)
+        assert actions[-1] == Eliminate(BottleId(0, 0), "dead_end")
 
     def test_return_leg_relays_backwards(self, cfg, rng):
         node = make_node(5, {0, 2})

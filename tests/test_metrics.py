@@ -155,16 +155,11 @@ class TestTables:
     def test_cutoff_limits_view(self, tmp_path):
         trace = run_on(tmp_path, make_topology((0, 1)), 3,
                        [RequestSpec(at=1, src=0, dest=1)])
-        assert reconstruct_tables(trace, up_to=0) == {}
-
-    def test_cutoff_names_a_record_whose_time_is_not_a_number(self, tmp_path):
-        trace = run_on(tmp_path, make_topology((0, 1)), 3,
-                       [RequestSpec(at=1, src=0, dest=1)])
-        records = [TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data)
-                   for ev in trace.events]
-        records[2].at = "2"
-        with pytest.raises(MalformedRecord, match=r"^record seq 2 \(kind 'TableUpdated'\): "):
-            reconstruct_tables(records, up_to=5)
+        first = next(ev for ev in trace.events if ev.kind == "TableUpdated")
+        assert reconstruct_tables(ev for ev in trace.events if ev.seq < first.seq) == {}
+        entry = (first.data["next_hop"], first.data["hops"])
+        assert reconstruct_tables(trace.events[:first.seq + 1]) == {
+            first.node: {first.data["dest"]: entry}}
 
 
 def test_events_without_topology_rejected():
