@@ -36,10 +36,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         trace.write(args.trace_out)
     summary = metrics.summarize(trace)
-    if args.summary_out:
-        with open(args.summary_out, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
-            fh.write("\n")
+    _write_summary(summary, args.summary_out)
     if args.dot_out:
         found = trace.records("RouteFound")
         highlight = found[0].data["path"] if found else None
@@ -55,12 +52,16 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                                     load_topology(args.topology))
     except (MalformedRecord, UnknownNode) as exc:  # past the reader: add the file
         raise MalformedRecord(f"{args.trace}: {exc}") from None
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
-            fh.write("\n")
+    _write_summary(summary, args.json_out)
     print(metrics.format_summary(summary))
     return 0
+
+
+def _write_summary(summary: metrics.RunSummary, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
+            json.dump(summary.to_dict(), fh, indent=2)
+            fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,13 +2,13 @@
 
 Scenarios are JSON documents naming a topology (inline file path or a
 generator spec), a seed, protocol parameter overrides, the request
-schedule, fault injections, and the simulation horizon.
-"""
+schedule, fault injections, and the simulation horizon. A ScenarioConfig
+is judged once, when it is built, and cannot change after."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 from .domain import MAX_NODE_ID
@@ -74,8 +74,12 @@ class FaultSpec:
     target: tuple[int, ...]  # (node,) for a node op, (a, b) for a link op
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario whose fields meet every rule, loaded or built in code: a
+    ConfigError names the first bad field. engine.run checks the rest against
+    the topology: that each request's nodes and each fault's target exist."""
+
     seed: int
     topology_file: str | None = None
     generator: dict[str, Any] | None = None
@@ -84,15 +88,12 @@ class ScenarioConfig:
     random_requests: RandomRequests | None = None
     faults: list[FaultSpec] = field(default_factory=list)
     horizon: int | None = None  # None: sized to cover all scheduled requests
+    source: InitVar[str] = "<scenario>"
 
     def protocol_for(self, n_nodes: int) -> ProtocolConfig:
         return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
 
-    def check(self, source: str = "<scenario>") -> None:
-        """Every rule a scenario's fields must meet, for one loaded by
-        scenario_from_dict and one built in code alike: a ConfigError names
-        the first bad field. engine.run checks the rest against the topology:
-        that each request's nodes and each fault's target exist."""
+    def __post_init__(self, source: str) -> None:
         _int_field(vars(self), "seed", source)
         _check_topology(self.topology_file, self.generator, source)
         _check_protocol(self.protocol, source)
@@ -184,16 +185,16 @@ def _check_protocol(protocol: Any, source: str) -> None:
 
 
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
-    """The scenario a JSON document describes, judged by ScenarioConfig.check,
+    """The scenario a JSON document describes, judged by ScenarioConfig,
     which holds every rule on its values. Building it needs only that the
     document, random_requests and each request and fault are objects with
     their required keys, and that each fault's op picks the key of its
     target: 'node' or 'link'. A JSON null is the field's None."""
     seed, topo = _keys(doc, source, "seed", "topology")
     if not isinstance(topo, dict):
-        topo = {}  # check names the field
+        topo = {}  # ScenarioConfig names the field
     requests = doc.get("requests", [])
-    if isinstance(requests, (list, tuple)):  # else check names the field
+    if isinstance(requests, (list, tuple)):  # else ScenarioConfig names it
         requests = [RequestSpec(*_keys(req, f"{source}: field 'requests[{i}]'",
                                        "at", "src", "dest"))
                     for i, req in enumerate(requests)]
@@ -205,7 +206,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     if isinstance(faults, (list, tuple)):
         faults = [_fault(fault, f"{source}: field 'faults[{i}]'")
                   for i, fault in enumerate(faults)]
-    scenario = ScenarioConfig(
+    return ScenarioConfig(
         seed=seed,
         topology_file=topo.get("file"),
         generator=None if "file" in topo else topo.get("generator"),
@@ -214,9 +215,8 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
         random_requests=rr,
         faults=faults,
         horizon=doc.get("horizon"),
+        source=source,
     )
-    scenario.check(source)
-    return scenario
 
 
 def _keys(obj: Any, where: str, *keys: str) -> list:
@@ -232,7 +232,7 @@ def _keys(obj: Any, where: str, *keys: str) -> list:
 def _fault(fault: Any, where: str) -> FaultSpec:
     at, op = _keys(fault, where, "at", "op")
     if op not in FAULT_OPS:
-        return FaultSpec(at, op, ())  # check names the op
+        return FaultSpec(at, op, ())  # ScenarioConfig names the op
     if op.endswith("_node"):
         return FaultSpec(at, op, tuple(_keys(fault, where, "node")))
     (link,) = _keys(fault, where, "link")
@@ -240,8 +240,9 @@ def _fault(fault: Any, where: str) -> FaultSpec:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    scenario = scenario_from_dict(load_json(path), source=path)
-    if scenario.topology_file is not None and not os.path.isabs(scenario.topology_file):
-        scenario.topology_file = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                              scenario.topology_file)
-    return scenario
+    """The scenario in path; a relative topology.file is read from its directory."""
+    doc = load_json(path)
+    topo = doc.get("topology") if isinstance(doc, dict) else None
+    if isinstance(topo, dict) and isinstance(topo.get("file"), str):
+        topo["file"] = os.path.join(os.path.dirname(os.path.abspath(path)), topo["file"])
+    return scenario_from_dict(doc, source=path)

@@ -291,11 +291,9 @@ def request_schedule(scenario: ScenarioConfig, topology: Topology,
 
 
 def run(scenario: ScenarioConfig) -> Trace:
-    """Execute one scenario to completion and return its full trace.
-
-    ScenarioConfig.check judges the scenario's fields; run adds only the
-    checks that need the topology (request_schedule's and the fault probe)."""
-    scenario.check()
+    """Execute one scenario to completion and return its full trace. Its
+    fields were judged when it was built; run adds only the checks that need
+    the topology (request_schedule's and the fault probe)."""
     topology = _resolve_topology(scenario)
     cfg = scenario.protocol_for(len(topology.nodes))
     requests, spacing = request_schedule(scenario, topology, cfg)

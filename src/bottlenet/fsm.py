@@ -220,10 +220,9 @@ def _walk_on(node: NodeState, b: Bottle, rng: random.Random) -> Action:
 
 
 def _failure_report(node: NodeState, pkt: DataPacket) -> list[Action]:
-    """Bottle carrying a route-failure mark back along the packet's path."""
+    """Bottle carrying a route-failure mark back along the packet's path,
+    which started at another node and ends here."""
     path = _loop_erased(pkt.path)
-    if len(path) < 2 or path[-1] != node.nid:
-        return []
     bottle = Bottle(src=pkt.src, dest=pkt.dest,
                     btl_id=BottleId(node.nid, node.next_seq()),
                     rf=False, history=path, failure=True)

@@ -77,7 +77,7 @@ def _shape(kind: str, msg: str | None, fields: str) -> Shape:
 # a bottle Sent at t lands at its "to" at t + per_hop_latency, unless a
 # DeliveryFailed names its xfer or that instant is past the horizon. Each
 # value must be of its declared kind, an int never a bool or a float: times,
-# node ids and counts are ints because ScenarioConfig.check rejects any other
+# node ids and counts are ints because ScenarioConfig rejects any other
 # scenario value.
 SENT_BOTTLE = _shape("Sent", "bottle", "msg:name to btl_id:name src dest "
                      "rf:bool failure:bool history_len bytes xfer")

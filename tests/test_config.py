@@ -1,7 +1,16 @@
+import dataclasses
+import json
+from unittest import mock
+
 import pytest
 
-from bottlenet.config import ProtocolConfig, scenario_from_dict
+from bottlenet import config
+from bottlenet.config import (ProtocolConfig, RequestSpec, ScenarioConfig, load_scenario,
+                              scenario_from_dict)
+from bottlenet.engine import run
 from bottlenet.errors import ConfigError
+from bottlenet.network import save_topology
+from bottlenet.topogen import generate_topology
 
 
 class TestProtocolDefaults:
@@ -149,3 +158,40 @@ class TestScenarioParsing:
         doc = self.base() | {"protocol": {key: 0}}
         with pytest.raises(ConfigError, match=rf"protocol.*'{key}'.*>= 1"):
             scenario_from_dict(doc)
+
+
+class TestJudgedOnce:
+    """The scenario rules run once, when a ScenarioConfig is built, loaded or
+    in code, and the scenario cannot change after; run adds none of them."""
+
+    GENERATOR = {"kind": "generic", "nodes": 6, "seed": 0}
+
+    def judgments(self, make):
+        """How often the rules ran while make built and ran a scenario."""
+        with mock.patch.object(config, "_check_protocol",
+                               wraps=config._check_protocol) as rule:
+            run(make())
+        return rule.call_count
+
+    def code_built(self):
+        return ScenarioConfig(seed=1, generator=self.GENERATOR, horizon=50,
+                              requests=[RequestSpec(at=1, src=0, dest=5)])
+
+    def test_loaded_scenario_judged_once(self, tmp_path):
+        save_topology(generate_topology("generic", 6, 0), str(tmp_path / "g6.json"))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 1, "topology": {"file": "g6.json"},
+                                    "requests": [{"at": 1, "src": 0, "dest": 5}]}))
+        assert self.judgments(lambda: load_scenario(str(path))) == 1
+        assert load_scenario(str(path)).topology_file == str(tmp_path / "g6.json")
+
+    def test_code_built_scenario_judged_once(self):
+        assert self.judgments(self.code_built) == 1
+        scenario = self.code_built()
+        assert self.judgments(lambda: scenario) == 0
+
+    def test_fields_cannot_change(self):
+        scenario = self.code_built()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.horizon = 0
+        assert not hasattr(scenario, "check")

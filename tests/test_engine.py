@@ -162,11 +162,16 @@ class TestRun:
                             requests=[RequestSpec(at=1, src=0, dest=9)])
         with pytest.raises(ConfigError, match="dest"):
             run(sc)
+        topo_path.write_text(json.dumps({"nodes": [0], "edges": []}))
+        with pytest.raises(ConfigError, match=r"^field 'random_requests': need at least two "
+                                              r"nodes, the topology has 1$"):
+            run(ScenarioConfig(seed=1, topology_file=str(topo_path),
+                               random_requests=RandomRequests(count=1)))
 
     def test_request_to_self_rejected_in_code_built_scenario(self):
-        sc = ScenarioConfig(seed=1, generator={"kind": "generic", "nodes": 10, "seed": 0},
-                            requests=[RequestSpec(at=1, src=3, dest=3)], horizon=100)
         with pytest.raises(ConfigError, match=r"t=1: .*node 3"):
+            sc = ScenarioConfig(seed=1, generator={"kind": "generic", "nodes": 10, "seed": 0},
+                                requests=[RequestSpec(at=1, src=3, dest=3)], horizon=100)
             run(sc)
 
     @pytest.mark.parametrize("fault", [
@@ -190,8 +195,8 @@ class TestRun:
         (FaultSpec(at=5, op="fail_node", target=(0, 1)), "op 'fail_node' needs a target of 1"),
     ])
     def test_bad_fault_op_or_target_rejected_before_running(self, fault, error):
-        sc = ScenarioConfig(seed=1, generator=GENERIC10, faults=[fault], horizon=100)
         with pytest.raises(ConfigError, match=rf"faults\[0\]': {error}"):
+            sc = ScenarioConfig(seed=1, generator=GENERIC10, faults=[fault], horizon=100)
             run(sc)
 
     @pytest.mark.parametrize("fields, named", [
@@ -277,10 +282,10 @@ FAULT_SPECS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(FAULT_SPECS, max_size=4))
 def test_code_built_faults_are_rejected_or_run(faults):
-    sc = ScenarioConfig(seed=3, generator=GENERIC6,
-                        random_requests=RandomRequests(count=2, spacing=20),
-                        faults=faults, horizon=100)
     try:
+        sc = ScenarioConfig(seed=3, generator=GENERIC6,
+                            random_requests=RandomRequests(count=2, spacing=20),
+                            faults=faults, horizon=100)
         trace = run(sc)
     except ConfigError:
         return

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -74,12 +76,21 @@ class TestByteAccounting:
             assert s.total_bottle_bytes == trace.meta["bottle_bytes_sent"]
 
     def test_bytes_match_history_lengths(self, tmp_path):
-        t = generate_topology("generic", 15, 0)
-        trace = run_on(tmp_path, t, 3, [RequestSpec(at=1, src=0, dest=8)])
-        expected = sum(11 + 2 * ev.data["history_len"]
-                       for ev in trace.records("Sent")
-                       if ev.data.get("msg") == "bottle")
-        assert summarize(trace).total_bottle_bytes == expected
+        traces = [
+            run_on(tmp_path, generate_topology("generic", 15, 0), 3,
+                   [RequestSpec(at=1, src=0, dest=8)]),
+            # the found route's last link fails, so the packet sent at t=51
+            # bounces at node 2, which sends route-failure bottles
+            run_on(tmp_path, make_topology((0, 1), (1, 2), (2, 3)), 3,
+                   [RequestSpec(at=1, src=0, dest=3), RequestSpec(at=51, src=0, dest=3)],
+                   protocol={"beacon_period": 20}, horizon=400,
+                   faults=[FaultSpec(at=50, op="fail_link", target=(2, 3))]),
+        ]
+        for trace in traces:
+            sends = [ev.data for ev in trace.records("Sent") if ev.data.get("msg") == "bottle"]
+            expected = sum(11 + 2 * data["history_len"] for data in sends)
+            assert summarize(trace).total_bottle_bytes == expected
+        assert any(data["failure"] for data in sends)  # the second run's
 
 
 class TestEpisodes:
@@ -172,10 +183,14 @@ def test_format_summary_lists_every_field(tmp_path):
     save_topology(t, str(tmp_path / "t.json"))
     sc = ScenarioConfig(seed=7, topology_file=str(tmp_path / "t.json"),
                         requests=[RequestSpec(at=1, src=0, dest=1)])
-    text = format_summary(summarize(run(sc)))
+    summary = summarize(run(sc))
+    text = format_summary(summary)
     for field in ("discoveries_attempted", "mean_stretch", "total_bottle_bytes",
                   "table_optimality"):
         assert field in text
+    # a metric with nothing to average prints as a dash
+    text = format_summary(dataclasses.replace(summary, mean_stretch=None))
+    assert re.search(r"^mean_stretch +-$", text, re.MULTILINE)
 
 
 @settings(max_examples=60, deadline=None,

@@ -78,8 +78,9 @@ def mutated(doc, path, value):
 
 
 def built(doc, path, value):
-    """The scenario built in code from the base document's specs with value
-    in the field path names, or None where value does not fit in a spec."""
+    """A function that builds in code the scenario of the base document's
+    specs with value in the field path names, or None where value does not
+    fit in a spec."""
     base = scenario_from_dict(doc)
     if value is MISSING:
         return None
@@ -87,14 +88,14 @@ def built(doc, path, value):
     if not rest:
         if (name == "random_requests" and value is not None
                 or name in ("requests", "faults") and isinstance(value, list)):
-            return None  # the loader wants objects, check specs
-        return dataclasses.replace(base, **{name: value})
+            return None  # the loader wants objects, ScenarioConfig specs
+        return lambda: dataclasses.replace(base, **{name: value})
     if name == "topology":
-        return dataclasses.replace(base, topology_file=value)
+        return lambda: dataclasses.replace(base, topology_file=value)
     if name == "protocol":
-        return dataclasses.replace(base, protocol=base.protocol | {rest[0]: value})
+        return lambda: dataclasses.replace(base, protocol=base.protocol | {rest[0]: value})
     if name == "random_requests":
-        return dataclasses.replace(base, random_requests=dataclasses.replace(
+        return lambda: dataclasses.replace(base, random_requests=dataclasses.replace(
             base.random_requests, **{rest[0]: value}))
     if len(rest) == 1:
         return None  # a whole request or fault: the loader wants an object
@@ -111,7 +112,7 @@ def built(doc, path, value):
     else:
         spec = dataclasses.replace(spec, **{key: value})
     specs[i] = spec
-    return dataclasses.replace(base, **{name: specs})
+    return lambda: dataclasses.replace(base, **{name: specs})
 
 
 def outcome(make_scenario):
@@ -150,6 +151,6 @@ def test_a_document_runs_or_names_its_bad_field(doc, mutation):
     path, value = mutation
     loaded = outcome(lambda: scenario_from_dict(mutated(doc, path, value)))
     assert loaded is None or re.search(r"field '|missing field", loaded), loaded
-    scenario = built(doc, path, value)
-    if scenario is not None:
-        assert outcome(lambda: scenario) == loaded
+    build = built(doc, path, value)
+    if build is not None:
+        assert outcome(build) == loaded

@@ -142,6 +142,11 @@ class TestDotExport:
         dot = export_dot(t, highlight=[0, 1, 2])
         assert dot.count("penwidth=2") == 2
 
+    def test_unknown_highlight_node_rejected(self):
+        t = make_topology((0, 1))
+        with pytest.raises(InvalidPath, match="highlight node 5 not in topology"):
+            export_dot(t, highlight=[0, 1, 5])
+
     def test_non_adjacent_highlight_rejected(self):
         t = make_topology((0, 1), (1, 2))
         with pytest.raises(InvalidPath):
@@ -153,13 +158,15 @@ class TestDotExport:
             export_dot(t, highlight=[0, 1, 0])
 
     def test_down_highlight_step_drawn_dotted(self):
-        t = make_topology((0, 1), (1, 2), (2, 3))
+        t = make_topology((0, 1), (1, 2), (2, 3), (1, 4))
         t.apply_fault("fail_link", (0, 1))
         t.apply_fault("fail_node", (3,))
+        t.apply_fault("fail_link", (1, 4))
         dot = export_dot(t, highlight=[0, 1, 2, 3])
         assert "  0 -- 1 [color=red, penwidth=2, style=dotted];" in dot
         assert "  1 -- 2 [color=red, penwidth=2];" in dot
         assert "  2 -- 3 [color=red, penwidth=2, style=dotted];" in dot
+        assert "  1 -- 4 [style=dotted];" in dot  # down, off the highlight
 
     def test_down_node_drawn_dashed(self):
         t = make_topology((0, 1))
