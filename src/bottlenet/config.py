@@ -166,6 +166,7 @@ def _check_topology(topology_file: Any, generator: Any, source: str) -> None:
     for key in ("kind", "nodes", "seed"):
         if key not in generator:
             raise ConfigError(f"{source}: field 'topology.generator.{key}' is required")
+    _keys(generator, where, ("kind", "nodes", "seed"))  # names an unknown key
     if generator["kind"] not in KINDS:
         raise ConfigError(f"{where}: field 'kind': unknown kind {generator['kind']!r}; "
                           f"expected one of {KINDS}")
@@ -187,20 +188,25 @@ def _check_protocol(protocol: Any, source: str) -> None:
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     """The scenario a JSON document describes, judged by ScenarioConfig,
     which holds every rule on its values. Building it needs only that the
-    document, random_requests and each request and fault are objects with
-    their required keys, and that each fault's op picks the key of its
-    target: 'node' or 'link'. A JSON null is the field's None."""
-    seed, topo = _keys(doc, source, "seed", "topology")
+    document, topology, random_requests and each request and fault are
+    objects with their required keys and no unknown one, and that each
+    fault's op picks the key of its target: 'node' or 'link'. A topology
+    holds 'file' or else 'generator'. A JSON null is the field's None."""
+    seed, topo = _keys(doc, source, ("seed", "topology"),
+                       ("protocol", "requests", "random_requests", "faults", "horizon"))
     if not isinstance(topo, dict):
         topo = {}  # ScenarioConfig names the field
+    elif "file" in topo or "generator" in topo:  # else ScenarioConfig needs one
+        _keys(topo, f"{source}: field 'topology'", ("file" if "file" in topo else "generator",))
     requests = doc.get("requests", [])
     if isinstance(requests, (list, tuple)):  # else ScenarioConfig names it
         requests = [RequestSpec(*_keys(req, f"{source}: field 'requests[{i}]'",
-                                       "at", "src", "dest"))
+                                       ("at", "src", "dest")))
                     for i, req in enumerate(requests)]
     rr = doc.get("random_requests")
     if rr is not None:
-        (count,) = _keys(rr, f"{source}: field 'random_requests'", "count")
+        (count,) = _keys(rr, f"{source}: field 'random_requests'", ("count",),
+                         ("first_at", "spacing"))
         rr = RandomRequests(count, rr.get("first_at", 1), rr.get("spacing"))
     faults = doc.get("faults", [])
     if isinstance(faults, (list, tuple)):
@@ -209,7 +215,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     return ScenarioConfig(
         seed=seed,
         topology_file=topo.get("file"),
-        generator=None if "file" in topo else topo.get("generator"),
+        generator=topo.get("generator"),
         protocol=doc.get("protocol", {}),
         requests=requests,
         random_requests=rr,
@@ -219,24 +225,32 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> ScenarioConfig:
     )
 
 
-def _keys(obj: Any, where: str, *keys: str) -> list:
-    """The values of keys in obj, which must be an object holding each."""
+def _keys(obj: Any, where: str, required: tuple[str, ...],
+          optional: tuple[str, ...] = ()) -> list:
+    """The values of the required keys in obj, which must be an object
+    holding each of them and no key that is neither required nor optional."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     try:
-        return [obj[key] for key in keys]
+        values = [obj[key] for key in required]
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field '{exc.args[0]}'") from None
+    if len(obj) > len(required):
+        for key in obj:
+            if key not in required and key not in optional:
+                raise ConfigError(f"{where}: unknown field '{key}'")
+    return values
 
 
 def _fault(fault: Any, where: str) -> FaultSpec:
-    at, op = _keys(fault, where, "at", "op")
-    if op not in FAULT_OPS:
-        return FaultSpec(at, op, ())  # ScenarioConfig names the op
-    if op.endswith("_node"):
-        return FaultSpec(at, op, tuple(_keys(fault, where, "node")))
-    (link,) = _keys(fault, where, "link")
-    return FaultSpec(at, op, tuple(link) if isinstance(link, list) else link)
+    op = fault.get("op") if isinstance(fault, dict) else None
+    if op not in FAULT_OPS:  # ScenarioConfig names the op
+        return FaultSpec(*_keys(fault, where, ("at", "op"), ("node", "link")), ())
+    key = "node" if op.endswith("_node") else "link"
+    at, op, target = _keys(fault, where, ("at", "op", key))
+    if key == "node":
+        return FaultSpec(at, op, (target,))
+    return FaultSpec(at, op, tuple(target) if isinstance(target, list) else target)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

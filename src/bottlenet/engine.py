@@ -187,10 +187,8 @@ class Engine:
 
     def _on_drop_data(self, nid: int, action: fsm.DropData) -> None:
         pkt = action.packet
-        self._record(nid, trace.HOP_CAPPED, {
-            "msg": "data", "src": pkt.src, "dest": pkt.dest,
-            "reason": action.reason, "xfer": None,
-        })
+        self._record(nid, trace.DROPPED,
+                     {"src": pkt.src, "dest": pkt.dest, "reason": action.reason})
 
     def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no

@@ -1,8 +1,8 @@
 """The trace format: record shapes, the JSONL writer and the streaming reader.
 
-Each record shape the engine writes is declared once (``_shape``). A shape
-gives its records both their kind and the %-format that writes them, and
-the reader checks each record against the fields the shapes declare.
+Each record shape the engine writes is declared once (``_shape``), one per
+kind and msg. A shape gives its records both their kind and the %-format
+that writes them, and the reader checks each record against its fields.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ SHAPES: list[Shape] = []
 
 def _shape(kind: str, msg: str | None, fields: str) -> Shape:
     """Declare one record shape; fields are "name" or "name:kind" (see
-    _VALUE_KINDS), an int when no kind is given.
+    _VALUE_KINDS), an int when no kind is given. A kind and msg take one shape.
 
     Its %-format has the constant text in place; its fix-ups are (index
     from the end of values, converter to JSON text) for each value that
     needs one, where values ends with [at, seq, node, *data.values()]."""
+    if any((s.kind, s.msg) == (kind, msg) for s in SHAPES):
+        raise ValueError(f"a second shape for kind {kind!r}, msg {msg!r}")
     names, specs, fixups = [], [], []
     for i, item in enumerate(["at", "seq", "node", *fields.split()]):
         name, _, value_kind = item.partition(":")
@@ -85,7 +87,8 @@ SENT_DATA = _shape("Sent", "data", "msg:name to src dest xfer")
 RECEIVED_DATA = _shape("Received", "data", "msg:name from src dest path:json xfer")
 BOUNCED_BOTTLE = _shape("DeliveryFailed", "bottle", "msg:name to xfer")
 BOUNCED_DATA = _shape("DeliveryFailed", "data", "msg:name to xfer")
-HOP_CAPPED = _shape("DeliveryFailed", "data", "msg:name src dest reason:name xfer:json")
+# a packet the fsm drops (hop_cap): after the Received that took it over the cap
+DROPPED = _shape("Dropped", None, "src dest reason:name")
 ELIMINATED = _shape("Eliminated", None, "btl_id:name reason:name")
 DISCOVERY_STARTED = _shape("DiscoveryStarted", None, "dest attempt")
 ROUTE_FOUND = _shape("RouteFound", None, "src dest path:json")
@@ -95,12 +98,9 @@ TABLE_UPDATED = _shape("TableUpdated", None, "dest next_hop hops")
 ROUTE_REMOVED = _shape("RouteRemoved", None, "dest reason:name")
 TOPOLOGY_CHANGED = _shape("TopologyChanged", None, "op:name target:json")
 
-# (kind, msg) -> the data fields every such record carries: those that every
-# declared shape of that kind and msg has.
+# (kind, msg) -> the data fields of its shape, which every such record carries
 RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
-    (s.kind, s.msg): frozenset.intersection(*(frozenset(t.fields) for t in SHAPES
-                                              if (t.kind, t.msg) == (s.kind, s.msg)))
-    for s in SHAPES}
+    (s.kind, s.msg): frozenset(s.fields) for s in SHAPES}
 
 _FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
 

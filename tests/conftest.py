@@ -2,14 +2,17 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
 
-from bottlenet.config import ProtocolConfig
+from bottlenet.config import ProtocolConfig, ScenarioConfig, scenario_from_dict
 from bottlenet.domain import NodeState
-from bottlenet.network import Topology
+from bottlenet.network import Topology, save_topology
 from bottlenet.topogen import generate_topology
 
 
@@ -76,3 +79,15 @@ def fault_scenarios(draw):
                "random_requests": {"count": draw(st.integers(1, 12)),
                                    "spacing": draw(st.integers(1, 40))},
                "faults": faults, "horizon": 1500}
+
+
+@contextmanager
+def scenario_on_file(case) -> Iterator[tuple[ScenarioConfig, Path]]:
+    """The scenario of a fault_scenarios case, read from its document with
+    the case's topology saved to a file, and that file's path. The file and
+    its directory last until the block ends."""
+    t, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_path = Path(tmp, "topo.json")
+        save_topology(t, str(topo_path))
+        yield scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}), topo_path

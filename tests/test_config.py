@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -158,6 +159,49 @@ class TestScenarioParsing:
         doc = self.base() | {"protocol": {key: 0}}
         with pytest.raises(ConfigError, match=rf"protocol.*'{key}'.*>= 1"):
             scenario_from_dict(doc)
+
+    GENERATOR = {"kind": "generic", "nodes": 5, "seed": 0}
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"fualts": []}, "<scenario>: unknown field 'fualts'"),
+        ({"topology": {"file": "t.json", "generator": GENERATOR}},
+         "<scenario>: field 'topology': unknown field 'generator'"),
+        ({"topology": {"generator": GENERATOR | {"nodez": 7}}},
+         "<scenario>: field 'topology.generator': unknown field 'nodez'"),
+        ({"requests": [{"at": 1, "src": 0, "dest": 1, "payload_len": 64}]},
+         "<scenario>: field 'requests[0]': unknown field 'payload_len'"),
+        ({"random_requests": {"count": 3, "spaceing": 5}},
+         "<scenario>: field 'random_requests': unknown field 'spaceing'"),
+        ({"faults": [{"at": 1, "op": "fail_node", "node": 1, "link": [1, 2]}]},
+         "<scenario>: field 'faults[0]': unknown field 'link'"),
+        ({"faults": [{"at": 1, "op": "fail_link", "link": [1, 2], "node": 1}]},
+         "<scenario>: field 'faults[0]': unknown field 'node'"),
+        ({"faults": [{"at": 1, "op": "explode", "nod": 1}]},
+         "<scenario>: field 'faults[0]': unknown field 'nod'"),
+    ], ids=["document", "topology", "generator", "request", "random_requests",
+            "node-fault", "link-fault", "unknown-op-fault"])
+    def test_unknown_key_named(self, fields, error):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(self.base() | fields)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"requests": [{"at": 1, "src": 0, "payload_len": 64}]}, "missing field 'dest'"),
+        ({"topology": {"generator": {"kind": "generic", "nodez": 7, "seed": 0}}},
+         r"'topology\.generator\.nodes' is required"),
+        ({"topology": {"generatr": GENERATOR}}, "field 'topology': need 'file' or 'generator'"),
+        # an unknown op may carry either target key: the op is named
+        ({"faults": [{"at": 1, "op": "explode", "node": 1, "link": [1, 2]}]},
+         "unknown op 'explode'"),
+    ], ids=["request", "generator", "topology", "fault-op"])
+    def test_missing_key_and_unknown_op_named_before_an_unknown_key(self, fields, error):
+        with pytest.raises(ConfigError, match=error):
+            scenario_from_dict(self.base() | fields)
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        path = tmp_path / "nowhere.json"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*No such file"):
+            load_scenario(str(path))
 
 
 class TestJudgedOnce:

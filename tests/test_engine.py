@@ -1,7 +1,6 @@
 import functools
 import gc
 import json
-import tempfile
 import tracemalloc
 import typing
 import weakref
@@ -30,7 +29,7 @@ from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.domain import MAX_NODE_ID
 from bottlenet.network import FAULT_OPS, save_topology
 from bottlenet.topogen import generate_topology
-from conftest import fault_scenarios, make_topology
+from conftest import fault_scenarios, make_topology, scenario_on_file
 
 
 GENERIC10 = {"kind": "generic", "nodes": 10, "seed": 0}
@@ -319,11 +318,7 @@ def copying_send_bottle(self, frm, send):
           suppress_health_check=[HealthCheck.too_slow])
 @given(fault_scenarios())
 def test_handed_over_bottles_give_the_copying_engines_bytes(case):
-    t, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        topo_path = Path(tmp, "topo.json")
-        save_topology(t, str(topo_path))
-        sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
+    with scenario_on_file(case) as (sc, _):
         trace = run(sc)
         with mock.patch.dict(Engine._actions, {fsm.Send: copying_send_bottle}):
             reference = run(sc)
@@ -337,11 +332,8 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
 def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
     """Every record the engine writes carries its declared shape, and its
     line is the one the same record without a shape gets."""
-    t, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        topo_path = Path(tmp, "topo.json")
-        save_topology(t, str(topo_path))
-        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+    with scenario_on_file(case) as (sc, _):
+        trace = run(sc)
     for ev in trace.events:
         assert ev.shape is not None
         assert ev.to_json() == TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data).to_json()
@@ -354,7 +346,6 @@ def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
     """fsm.handle_bottle runs once per bottle that lands (landed_bottles),
     at its receiver and arrival instant, in the order of their Sent records:
     no arrival waits for a later event of its node."""
-    t, doc = case
     handled = []
     handle_bottle = fsm.handle_bottle
 
@@ -362,10 +353,7 @@ def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
         handled.append((now, node.nid, str(b.btl_id)))
         return handle_bottle(node, b, now, *args)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        topo_path = Path(tmp, "topo.json")
-        save_topology(t, str(topo_path))
-        sc = scenario_from_dict({**doc, "topology": {"file": str(topo_path)}})
+    with scenario_on_file(case) as (sc, _):
         with mock.patch.object(fsm, "handle_bottle", recording):
             trace = run(sc)
     latency = trace.cfg.per_hop_latency
@@ -408,12 +396,36 @@ def audit_sent_records(trace, topology_file):
            "requests": [{"at": 2, "src": 0, "dest": 1}],
            "faults": [{"at": 1, "op": "fail_link", "link": [0, 1]}], "horizon": 100}))
 def test_every_hop_audited_from_its_sent_record(case):
-    t, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        topo_path = Path(tmp, "topo.json")
-        save_topology(t, str(topo_path))
-        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
-        audit_sent_records(trace, topo_path)
+    with scenario_on_file(case) as (sc, topo_path):
+        audit_sent_records(run(sc), topo_path)
+
+
+# On the path 0-1-2 a request 0->2 at t=1 finds 0-1-2, and its found bottle
+# leaves node 1 for 0 at t=4. Node 1 fails at t=5 as that bottle lands, or at
+# t=7 as the first data packet it forwarded lands at 2: both bounce, and
+# each bounce is the only record node 1 writes while it is down.
+PATH3_REQUEST = {"seed": 1, "requests": [{"at": 1, "src": 0, "dest": 2}], "horizon": 100}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault_scenarios())
+@example((make_topology((0, 1), (1, 2)),
+          PATH3_REQUEST | {"faults": [{"at": 5, "op": "fail_node", "node": 1}]}))
+@example((make_topology((0, 1), (1, 2)),
+          PATH3_REQUEST | {"faults": [{"at": 7, "op": "fail_node", "node": 1}]}))
+def test_a_down_node_writes_only_its_fault_and_the_bounces_of_its_sends(case):
+    """Replaying the TopologyChanged records: every record at a node that is
+    down is that node's TopologyChanged (written at the fault's node or the
+    link's first endpoint) or a DeliveryFailed of a send it made before."""
+    with scenario_on_file(case) as (sc, _):
+        trace = run(sc)
+    down = set()
+    for ev in trace.events:
+        if ev.kind == "TopologyChanged" and ev.data["op"].endswith("_node"):
+            (down.add if ev.data["op"] == "fail_node" else down.discard)(ev.node)
+        elif ev.node in down:
+            assert ev.kind in ("TopologyChanged", "DeliveryFailed"), ev
 
 
 def test_record_fields_derived_from_the_declared_shapes():
@@ -423,7 +435,8 @@ def test_record_fields_derived_from_the_declared_shapes():
             ("Sent", "data"): "msg to src dest xfer",
             ("Received", "data"): "msg from src dest path xfer",
             ("DeliveryFailed", "bottle"): "msg to xfer",
-            ("DeliveryFailed", "data"): "msg xfer",
+            ("DeliveryFailed", "data"): "msg to xfer",
+            ("Dropped", None): "src dest reason",
             ("Eliminated", None): "btl_id reason",
             ("DiscoveryStarted", None): "dest attempt",
             ("RouteFound", None): "src dest path",
@@ -513,8 +526,7 @@ class TestTraceInvariants:
         for seed in range(8):
             trace = self.exercise(tmp_path, seed)
             sent = Counter(ev.data["xfer"] for ev in trace.records("Sent"))
-            bounced = Counter(ev.data["xfer"] for ev in trace.records("DeliveryFailed")
-                              if ev.data["xfer"] is not None)
+            bounced = Counter(ev.data["xfer"] for ev in trace.records("DeliveryFailed"))
             received = Counter(ev.data["xfer"] for ev in trace.records("Received"))
             data_sent = {ev.data["xfer"] for ev in trace.records("Sent")
                          if ev.data["msg"] == "data"}

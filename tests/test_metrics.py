@@ -1,13 +1,11 @@
 import dataclasses
 import re
-import tempfile
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig, scenario_from_dict
+from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig
 from bottlenet import trace as codec
 from bottlenet.engine import run
 from bottlenet.trace import TraceEvent, iter_trace, load_trace
@@ -23,7 +21,7 @@ from bottlenet.metrics import (
 from bottlenet.network import load_topology, save_topology
 from bottlenet.oracle import Distances, bfs_distance
 from bottlenet.topogen import generate_topology
-from conftest import fault_scenarios, make_topology
+from conftest import fault_scenarios, make_topology, scenario_on_file
 
 
 def run_on(tmp_path, t, seed, requests, **kwargs):
@@ -197,12 +195,10 @@ def test_format_summary_lists_every_field(tmp_path):
           suppress_health_check=[HealthCheck.too_slow])
 @given(fault_scenarios())
 def test_trace_alone_gives_the_live_summary_and_tables(case):
-    t, doc = case
     # seven-line chunks, so that most traces span several
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(codec, "_CHUNK_LINES", 7):
-        topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
-        save_topology(t, str(topo_path))
-        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+    with scenario_on_file(case) as (sc, topo_path), mock.patch.object(codec, "_CHUNK_LINES", 7):
+        trace_path = topo_path.with_name("trace.jsonl")
+        trace = run(sc)
         trace.write(str(trace_path))
         pristine = load_topology(str(topo_path))
         replayed = summarize(load_trace(str(trace_path)), pristine)
@@ -234,11 +230,9 @@ def test_unresolved_episodes_are_the_requests_pending_at_the_horizon(case):
     """An episode is unresolved exactly when its source still holds the
     request at the horizon, and it succeeds exactly when a RouteFound
     closes it, live and replayed from the trace file."""
-    t, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        topo_path, trace_path = Path(tmp, "topo.json"), Path(tmp, "trace.jsonl")
-        save_topology(t, str(topo_path))
-        trace = run(scenario_from_dict({**doc, "topology": {"file": str(topo_path)}}))
+    with scenario_on_file(case) as (sc, topo_path):
+        trace_path = topo_path.with_name("trace.jsonl")
+        trace = run(sc)
         trace.write(str(trace_path))
         replayed = episodes(iter_trace(str(trace_path)))
     pending = sorted((nid, dest) for nid, node in trace.nodes.items() for dest in node.pending)

@@ -145,6 +145,11 @@ class TestTopologyFile:
         with pytest.raises(ConfigError, match=f"'{field}': expected an array"):
             topology_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [[0, 1], None, 5], ids=["array", "null", "number"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ConfigError, match="^<topology>: expected an object with nodes/edges"):
+            topology_from_dict(doc)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigError, match="self-loop"):
             topology_from_dict({"nodes": [0], "edges": [[0, 0]]})

@@ -77,6 +77,12 @@ class TestGenerators:
         with pytest.raises(InvalidCount):
             generate_topology("mesh", 10, 0)
 
+    @pytest.mark.parametrize("kind", ["generic", "dense"])
+    def test_exhausted_attempts_raise(self, monkeypatch, kind):
+        monkeypatch.setattr(topogen, "_MAX_ATTEMPTS", 0)
+        with pytest.raises(InvalidCount, match=f"could not generate a {kind} graph with 10"):
+            generate_topology(kind, 10, 0)
+
     def test_node_count_capped_at_id_range_before_drawing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("generation started")

@@ -4,7 +4,8 @@ Reading a trace file, and summarizing it, must not need the event loop or
 the protocol: ``trace`` and ``metrics`` import neither ``engine`` nor
 ``fsm``, directly or under another name. A trace file a run writes under
 faults summarizes to the live run's summary, also with other line ends and
-lines of whitespace between its chunks.
+lines of whitespace between its chunks. Each kind and msg has one declared
+shape, and a record that lacks a field of its shape is refused.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 from bottlenet import trace as codec
 from bottlenet.cli import main
+from bottlenet.errors import MalformedTrace
 
 PACKAGE = Path(codec.__file__).parent
 
@@ -101,3 +103,27 @@ def test_trace_file_summarizes_as_the_live_run(faulty_run, tmp_path, monkeypatch
     assert main(["summarize", "--trace", str(copy), "--topology", str(topology),
                  "--json-out", str(replay)]) == 0
     assert replay.read_bytes() == live.read_bytes()
+
+
+def test_a_kind_and_msg_take_one_shape():
+    assert len({(s.kind, s.msg) for s in codec.SHAPES}) == len(codec.SHAPES)
+    declared = list(codec.SHAPES)
+    with pytest.raises(ValueError,
+                       match="a second shape for kind 'DeliveryFailed', msg 'data'"):
+        codec._shape("DeliveryFailed", "data", "msg:name src dest reason:name xfer:json")
+    assert codec.SHAPES == declared
+
+
+@pytest.mark.parametrize("data", [
+    '{"msg":"data","xfer":3}',
+    # a hop-capped packet as traces wrote it before it had a Dropped record
+    '{"msg":"data","src":0,"dest":3,"reason":"hop_cap","xfer":null}',
+], ids=["bare", "hop-capped"])
+def test_a_bounced_data_record_without_to_is_rejected(tmp_path, data):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"at":1,"seq":0,"node":0,"kind":"DiscoveryStarted",'
+                    '"data":{"dest":3,"attempt":0}}\n'
+                    '{"at":5,"seq":1,"node":2,"kind":"DeliveryFailed","data":%s}\n' % data)
+    with pytest.raises(MalformedTrace,
+                       match=r"old\.jsonl: line 2: kind 'DeliveryFailed': missing field 'to'$"):
+        codec.load_trace(str(path))
