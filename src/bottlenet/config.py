@@ -21,7 +21,7 @@ DEFAULT_HORIZON = 10_000
 
 # smallest value each ProtocolConfig field accepts
 _PROTOCOL_MINIMUMS = {"hop_limit": 1, "timeout": 1, "retry_limit": 0,
-                      "queue_cap": 1, "per_hop_latency": 1, "beacon_period": 1}
+                      "per_hop_latency": 1, "beacon_period": 1}
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class ProtocolConfig:
     hop_limit: int
     timeout: int
     retry_limit: int = 3
-    queue_cap: int = 16
     per_hop_latency: int = DEFAULT_PER_HOP_LATENCY
     beacon_period: int = DEFAULT_PER_HOP_LATENCY
 
@@ -89,9 +88,6 @@ class ScenarioConfig:
     faults: list[FaultSpec] = field(default_factory=list)
     horizon: int | None = None  # None: sized to cover all scheduled requests
     source: InitVar[str] = "<scenario>"
-
-    def protocol_for(self, n_nodes: int) -> ProtocolConfig:
-        return ProtocolConfig.defaults_for(n_nodes, **self.protocol)
 
     def __post_init__(self, source: str) -> None:
         _int_field(vars(self), "seed", source)

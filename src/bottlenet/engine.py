@@ -293,7 +293,7 @@ def run(scenario: ScenarioConfig) -> Trace:
     fields were judged when it was built; run adds only the checks that need
     the topology (request_schedule's and the fault probe)."""
     topology = _resolve_topology(scenario)
-    cfg = scenario.protocol_for(len(topology.nodes))
+    cfg = ProtocolConfig.defaults_for(len(topology.nodes), **scenario.protocol)
     requests, spacing = request_schedule(scenario, topology, cfg)
 
     horizon = scenario.horizon

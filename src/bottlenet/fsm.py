@@ -17,13 +17,13 @@ that every returning bottle takes.
 A node's table and open discoveries change only here, in place: a harvest
 installs its routes and reports them in one ``TableUpdated`` action, in
 harvest order (the engine writes one TableUpdated record per entry), and
-``purge_routes`` is the one place routes leave. A source has at most one
-open discovery per destination, kept in ``NodeState.pending`` under it;
-its timer names the destination and the attempt it was armed for. Each
-attempt is stated (``DiscoveryStarted``), and so is each close of an open
-request; a found bottle home after its request closed states nothing. The
-engine carries out actions, never reads a request, and holds a down node's
-timers until it is back, so no handler learns of a node's restore.
+routes leave by ``purge_routes`` or ``_handle_route_failure``. A source has
+at most one open discovery per destination, kept in ``NodeState.pending``
+under it; its timer names the destination and the attempt it was armed for.
+Each attempt is stated (``DiscoveryStarted``), and so is each close of an
+open request; a found bottle home after its request closed states nothing.
+The engine carries out actions, never reads a request, and holds a down
+node's timers until it is back, so no handler learns of a node's restore.
 
 ``handle_route_request`` decides a data packet's fate at each node it
 reaches: delivered at its destination, dropped (``DropData``) once its path
@@ -186,12 +186,9 @@ def update_table_from_history(rtab: RoutingTable, history: Sequence[NodeId],
     return learned
 
 
-def purge_routes(node: NodeState, lost: Collection[NodeId], reason: str,
-                 dest: NodeId | None = None) -> list[Action]:
-    """Drop every route through a lost neighbor, and the route to dest when
-    one is given; one RouteRemoved per entry dropped."""
-    dropped = [d for d, entry in node.rtab.items()
-               if entry.next_hop in lost or d == dest]
+def purge_routes(node: NodeState, lost: Collection[NodeId], reason: str) -> list[Action]:
+    """Drop every route through a lost neighbor; one RouteRemoved per entry dropped."""
+    dropped = [d for d, entry in node.rtab.items() if entry.next_hop in lost]
     for d in dropped:
         del node.rtab[d]
     return [RouteRemoved(d, reason) for d in dropped]
@@ -242,6 +239,9 @@ def _loop_erased(path: Sequence[NodeId]) -> list[NodeId]:
     return out
 
 
+QUEUE_CAP = 16  # packets a source holds behind one open discovery
+
+
 def handle_route_request(node: NodeState, pkt: DataPacket, now: int,
                          cfg: ProtocolConfig, rng: random.Random,
                          ) -> list[Action]:
@@ -256,7 +256,7 @@ def handle_route_request(node: NodeState, pkt: DataPacket, now: int,
         return [SendData(pkt, entry.next_hop)]
     req = node.pending.get(pkt.dest)
     if req is not None:
-        if len(req.queued_packets) >= cfg.queue_cap:
+        if len(req.queued_packets) >= QUEUE_CAP:
             if pkt.src != node.nid:
                 return _failure_report(node, pkt)
             return []
@@ -333,8 +333,9 @@ def _resend(node: NodeState, packets: list[DataPacket], now: int,
 def _handle_route_failure(node: NodeState, b: Bottle, now: int,
                           cfg: ProtocolConfig, rng: random.Random,
                           ) -> list[Action]:
-    """Route-failure bottle reached the packet's source: purge and retry."""
-    actions = purge_routes(node, (), "route_failure", dest=b.dest)
+    """Route-failure bottle reached the packet's source: drop its route and retry."""
+    had_route = node.rtab.pop(b.dest, None) is not None
+    actions: list[Action] = [RouteRemoved(b.dest, "route_failure")] if had_route else []
     if b.dest not in node.pending:
         actions.extend(_start_discovery(node, b.dest, now, cfg, rng, queued=[]))
     return actions

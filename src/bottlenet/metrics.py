@@ -159,10 +159,9 @@ def reconstruct_tables(trace: Trace | Iterable[TraceEvent],
 
 
 def table_optimality(tables: dict[int, dict[int, tuple[int, int]]],
-                     t: Topology | Distances) -> float | None:
-    """Fraction of entries whose hop count equals the oracle distance. A
-    node t lacks raises UnknownNode, a hop count that is not one MalformedRecord."""
-    snapshot = t if isinstance(t, Distances) else Distances(t)
+                     snapshot: Distances) -> float | None:
+    """Fraction of entries whose hop count equals the snapshot's distance. A
+    node it lacks raises UnknownNode, a hop count that is not one MalformedRecord."""
     index = snapshot.index
     total = optimal = 0
     for node, entries in tables.items():

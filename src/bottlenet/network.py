@@ -24,7 +24,7 @@ def edge_key(a: NodeId, b: NodeId) -> Edge:
 
 @dataclass
 class Topology:
-    """Nodes, undirected edges, and the nodes and edges currently down.
+    """Nodes, undirected edges, and the nodes and edges apply_fault put down.
 
     An edge passed to the constructor or to add_edge is stored as its
     edge_key, adds its endpoints to nodes, may not be a self-loop, and
@@ -34,8 +34,8 @@ class Topology:
 
     nodes: set[NodeId] = field(default_factory=set)
     edges: set[Edge] = field(default_factory=set)
-    down_nodes: set[NodeId] = field(default_factory=set)
-    down_edges: set[Edge] = field(default_factory=set)
+    down_nodes: set[NodeId] = field(default_factory=set, init=False)
+    down_edges: set[Edge] = field(default_factory=set, init=False)
     # node -> every node it shares an edge with, live or not
     _adj: dict[NodeId, set[NodeId]] = field(init=False, repr=False, compare=False)
 

@@ -103,6 +103,8 @@ RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
     (s.kind, s.msg): frozenset(s.fields) for s in SHAPES}
 
 _FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
+_TABLE_FIELDS = RECORD_FIELDS["TableUpdated", None]
+_NOT_IDS = (bool, float)  # no node id: each would key a table as the int it equals
 
 
 @dataclass(slots=True)
@@ -143,7 +145,7 @@ class Trace:
     always gives the same bytes. ``write`` (one %-format per chunk) and
     ``iter_trace``, which streams it back, each hold one chunk of text at a
     time; ``iter_trace`` rejects all but exactly one such object per
-    non-blank line, and any record whose data does not fit its kind.
+    non-blank line, and any record that ``_record_error`` finds fault with.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -228,21 +230,22 @@ _LIST_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
     """Every record of lines, decoded in one call with each line wrapped in a
     list of its own, or None unless that gives one list per line, each
-    holding one record that fits its kind, or nothing for a line of JSON
-    whitespace. Several lines whose text holds a _LIST_BREAK give None."""
+    holding one record that _record_error finds no fault with, or nothing for
+    a line of JSON whitespace. Several lines whose text holds a _LIST_BREAK give None."""
     if len(lines) > 1 and _LIST_BREAK.search("".join(lines)):
         return None
     events: list[TraceEvent] = []
-    append, get_fields, fault_fields = events.append, RECORD_FIELDS.get, _FAULT_FIELDS
+    append, get_fields = events.append, RECORD_FIELDS.get
     with suppress(ValueError, TypeError, KeyError, AttributeError):
         if len(items := json.loads("[[" + "],[".join(lines) + "]]")) == len(lines):
             for (rec,) in filter(None, items):
-                kind, data = rec["kind"], rec["data"]
+                kind, data, node = rec["kind"], rec["data"], rec["node"]
                 fields = get_fields((kind, data.get("msg")))
-                if (fields is None or not data.keys() >= fields
-                        or fields is fault_fields and fault_error(data["op"], data["target"])):
+                if (fields is None or not data.keys() >= fields or type(node) in _NOT_IDS
+                        or fields is _TABLE_FIELDS and type(data["dest"]) in _NOT_IDS
+                        or fields is _FAULT_FIELDS and fault_error(data["op"], data["target"])):
                     break
-                append(TraceEvent(rec["at"], rec["seq"], rec["node"], kind, data))
+                append(TraceEvent(rec["at"], rec["seq"], node, kind, data))
             else:
                 return events
     return None
@@ -259,6 +262,8 @@ def _record_error(line: str) -> str | None:
     missing = [key for key in ("at", "seq", "node", "kind", "data") if key not in rec]
     if missing:
         return f"missing field '{missing[0]}'"
+    if type(rec["node"]) in _NOT_IDS:
+        return f"node {rec['node']!r} is not a node id"
     kind, data = rec["kind"], rec["data"]
     if not isinstance(data, dict):
         return "field 'data' is not an object"
@@ -274,5 +279,7 @@ def _record_error(line: str) -> str | None:
     missing = sorted(fields - data.keys())
     if missing:
         return f"kind {kind!r}: missing field '{missing[0]}'"
+    if fields is _TABLE_FIELDS and type(data["dest"]) in _NOT_IDS:
+        return f"kind {kind!r}: dest {data['dest']!r} is not a node id"
     error = fields is _FAULT_FIELDS and fault_error(data["op"], data["target"])
     return f"kind {kind!r}: {error}" if error else None

@@ -329,8 +329,7 @@ class TestSummarize:
                                          "data": {"op": "fail_node", "target": [7]}}),
          "record seq 9 (kind 'TopologyChanged'): node 7 "),
         # a bool or a float hashes and compares equal to the int it stands for
-        (0, lambda rec: rec.update(node=False),
-         "record seq 0 (kind 'DiscoveryStarted'): node False "),
+        (0, lambda rec: rec.update(node=False), "line 1: node False is not a node id"),
         (2, lambda rec: rec["data"].update(hops=True),
          "kind 'TableUpdated' at node 1: hops True is not a hop count"),
         (2, lambda rec: rec["data"].update(hops=1.0),

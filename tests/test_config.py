@@ -35,6 +35,16 @@ class TestProtocolDefaults:
         with pytest.raises(ConfigError):
             ProtocolConfig(hop_limit=10, timeout=10, beacon_period=0)
 
+    def test_a_run_takes_its_protocol_from_defaults_for_alone(self, tmp_path):
+        path = str(tmp_path / "g6.json")
+        save_topology(generate_topology("generic", 6, 0), path)
+        sc = ScenarioConfig(seed=1, topology_file=path, protocol={"hop_limit": 5})
+        assert run(sc).cfg == ProtocolConfig.defaults_for(6, hop_limit=5)
+        assert not hasattr(sc, "protocol_for")
+        # the queue's cap is fsm.QUEUE_CAP, not a setting
+        with pytest.raises(TypeError, match="queue_cap"):
+            ProtocolConfig(hop_limit=5, timeout=10, queue_cap=16)
+
 
 class TestScenarioParsing:
     def base(self):
@@ -153,8 +163,8 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"topology\.generator.*'kind'"):
             scenario_from_dict(self.generator_doc(kind="ring"))
 
-    @pytest.mark.parametrize("key", ["hop_limit", "timeout", "queue_cap",
-                                     "per_hop_latency", "beacon_period"])
+    @pytest.mark.parametrize("key", ["hop_limit", "timeout", "per_hop_latency",
+                                     "beacon_period"])
     def test_protocol_below_minimum_rejected(self, key):
         doc = self.base() | {"protocol": {key: 0}}
         with pytest.raises(ConfigError, match=rf"protocol.*'{key}'.*>= 1"):
@@ -178,8 +188,11 @@ class TestScenarioParsing:
          "<scenario>: field 'faults[0]': unknown field 'node'"),
         ({"faults": [{"at": 1, "op": "explode", "nod": 1}]},
          "<scenario>: field 'faults[0]': unknown field 'nod'"),
+        # a constant of the fsm (QUEUE_CAP), not a setting
+        ({"protocol": {"queue_cap": 16}},
+         "<scenario>: field 'protocol.queue_cap': unknown parameter"),
     ], ids=["document", "topology", "generator", "request", "random_requests",
-            "node-fault", "link-fault", "unknown-op-fault"])
+            "node-fault", "link-fault", "unknown-op-fault", "queue_cap"])
     def test_unknown_key_named(self, fields, error):
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict(self.base() | fields)

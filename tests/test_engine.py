@@ -1026,7 +1026,7 @@ class TestChunkedTrace:
 def engine_record_lines():
     """One line of each record shape a faulty 12-node run writes."""
     doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 12, "seed": 0}},
-           "protocol": {"queue_cap": 1, "retry_limit": 1},
+           "protocol": {"retry_limit": 1},
            "random_requests": {"count": 20, "spacing": 2},
            "faults": [{"at": 3, "op": "fail_node", "node": 2},
                       {"at": 4, "op": "fail_link", "link": [0, 3]},
@@ -1036,10 +1036,13 @@ def engine_record_lines():
     return tuple(sorted(lines.values()))
 
 
-# replacement values for a record's kind and data, and its data's msg, op and target
+# replacement values for a record's kind, node and data, and its data's msg,
+# dest, op and target
 RECORD_EDITS = {
     "kind": sorted({kind for kind, _ in codec.RECORD_FIELDS}) + ["Lost", ["Sent"], 1],
+    "node": [True, 1.0, "1"],
     "data": [[], "data", None],
+    "dest": [False, 0.0, [0]],
     "msg": ["bottle", "data", None, ["data"], {"m": 1}],
     "op": [*FAULT_OPS, "explode", ["fail_node"], None],
     "target": [[1], [1, 2], [], [1, 2, 3], ["a"], 1, [MAX_NODE_ID + 1], None],
@@ -1050,7 +1053,7 @@ LINE_TOKENS = ["],[", ",", "[", "]", "{", "}", '"', ":", '"msg":"data",', '"at":
 
 @st.composite
 def mutated_record_lines(draw):
-    """An engine record line with its kind, data, msg, op or target replaced
+    """An engine record line with its kind, node, data, msg, dest, op or target replaced
     or a key deleted, then ],[, commas, brackets, quotes, keys or another
     record inserted into its text or cut out of it, or the line wrapped in a
     list."""
@@ -1062,7 +1065,7 @@ def mutated_record_lines(draw):
             key = draw(st.sampled_from([*rec, *data]))
             (rec if key in rec else data).pop(key, None)
         else:
-            owner = rec if field in ("kind", "data") else data
+            owner = rec if field in ("kind", "node", "data") else data
             owner[field] = draw(st.sampled_from(RECORD_EDITS[field]))
     line = json.dumps(rec, separators=(",", ":"))
     for _ in range(draw(st.integers(0, 3))):

@@ -4,6 +4,7 @@ from bottlenet.config import ProtocolConfig
 from bottlenet.domain import Bottle, BottleId, DataPacket, PendingRequest, RouteEntry
 from bottlenet.errors import MalformedBottle
 from bottlenet.fsm import (
+    QUEUE_CAP,
     DeclareInaccessible,
     DiscoveryResolved,
     DiscoveryStarted,
@@ -77,22 +78,23 @@ class TestRouteRequest:
         (req,) = node.pending.values()
         assert len(req.queued_packets) == 2
 
-    def test_full_queue_reports_failure_for_forwarded_packet(self, rng):
-        cfg = ProtocolConfig(hop_limit=60, timeout=120, queue_cap=1)
+    def test_full_queue_reports_failure_for_forwarded_packet(self, cfg, rng):
         node = make_node(5, {4})
-        handle_route_request(node, DataPacket(5, 8, path=[5]), 5, cfg, rng)
+        for _ in range(QUEUE_CAP):
+            handle_route_request(node, DataPacket(5, 8, path=[5]), 5, cfg, rng)
         foreign = DataPacket(src=2, dest=8, path=[2, 4, 5])
         actions = handle_route_request(node, foreign, 6, cfg, rng)
         assert len(sends(actions)) == 1
         bounce = sends(actions)[0].bottle
         assert bounce.failure and bounce.src == 2 and bounce.history == [2, 4, 5]
 
-    def test_full_queue_drops_the_sources_own_packet(self, rng):
-        cfg = ProtocolConfig(hop_limit=60, timeout=120, queue_cap=1)
+    def test_full_queue_drops_the_sources_own_packet(self, cfg, rng):
         node = make_node(5, {4})
-        handle_route_request(node, DataPacket(5, 8, path=[5]), 5, cfg, rng)
+        for _ in range(QUEUE_CAP):
+            handle_route_request(node, DataPacket(5, 8, path=[5]), 5, cfg, rng)
         assert handle_route_request(node, DataPacket(5, 8, path=[5]), 6, cfg, rng) == []
-        assert len(node.pending[8].queued_packets) == 1
+        assert len(node.pending[8].queued_packets) == QUEUE_CAP
+        assert QUEUE_CAP == 16  # as the README states; no golden scenario fills a queue
 
     def test_packet_over_the_hop_cap_is_dropped(self, rng):
         cfg = ProtocolConfig(hop_limit=3, timeout=8)
@@ -308,15 +310,27 @@ class TestPurgeRoutes:
         assert node.rtab == {2: RouteEntry(6, 1)}
         assert actions == [RouteRemoved(9, "neighbor_lost")]
 
-    def test_route_to_dest_dropped_whatever_its_next_hop(self):
+    def test_route_to_dest_dropped_whatever_its_next_hop(self, cfg, rng):
+        # a route-failure bottle home at its source; 6 stays a neighbor
         node = make_node(1, {4, 6}, rtab={9: RouteEntry(4, 5), 2: RouteEntry(6, 1)})
-        actions = purge_routes(node, (), "route_failure", dest=2)
-        assert node.rtab == {9: RouteEntry(4, 5)}
-        assert actions == [RouteRemoved(2, "route_failure")]
+        b = Bottle(1, 2, BottleId(3, 0), failure=True, history=[1, 6, 3])
+        actions = handle_bottle(node, b, 9, cfg, rng)
+        assert [a for a in actions if isinstance(a, RouteRemoved)] == [
+            RouteRemoved(2, "route_failure")]
+        assert 2 not in node.rtab and node.rtab[9] == RouteEntry(4, 5)
 
-    def test_nothing_to_drop(self):
+    def test_nothing_to_drop(self, cfg, rng):
         node = make_node(1, {4}, rtab={9: RouteEntry(4, 5)})
-        assert purge_routes(node, {6}, "neighbor_lost", dest=3) == []
+        assert purge_routes(node, {6}, "neighbor_lost") == []
+        b = Bottle(1, 3, BottleId(4, 0), failure=True, history=[1, 4])
+        actions = handle_bottle(node, b, 9, cfg, rng)
+        assert not any(isinstance(a, RouteRemoved) for a in actions)
+        assert node.rtab == {9: RouteEntry(4, 5), 4: RouteEntry(4, 1)}
+
+    def test_takes_no_dest(self):
+        node = make_node(1, {4}, rtab={9: RouteEntry(4, 5)})
+        with pytest.raises(TypeError, match="dest"):
+            purge_routes(node, (), "route_failure", dest=9)
         assert node.rtab == {9: RouteEntry(4, 5)}
 
 

@@ -151,15 +151,15 @@ class TestTables:
         trace = run_on(tmp_path, make_topology((0, 1), (1, 2)), 3,
                        [RequestSpec(at=1, src=0, dest=2)])
         tables = reconstruct_tables(trace)
-        assert table_optimality(tables, trace.topology) == 1.0
+        assert table_optimality(tables, Distances(trace.topology)) == 1.0
 
     def test_optimality_takes_a_snapshot_and_rejects_unknown_nodes(self):
         t = make_topology((0, 1), (1, 2))
         tables = {0: {1: (1, 1), 2: (1, 3)}}
-        assert table_optimality(tables, t) == table_optimality(tables, Distances(t)) == 0.5
+        assert table_optimality(tables, Distances(t)) == 0.5
         for bad in ({0: {9: (1, 1)}}, {9: {0: (1, 1)}}):
             with pytest.raises(UnknownNode):
-                table_optimality(bad, t)
+                table_optimality(bad, Distances(t))
 
     def test_cutoff_limits_view(self, tmp_path):
         trace = run_on(tmp_path, make_topology((0, 1)), 3,
@@ -210,7 +210,7 @@ def test_trace_alone_gives_the_live_summary_and_tables(case):
     assert {nid: rows for nid, rows in reconstruct_tables(trace).items() if rows} \
         == {nid: rows for nid, rows in tables.items() if rows}
     # measured against the topology the faults left, as the run ended
-    assert live.table_optimality == table_optimality(tables, trace.topology)
+    assert live.table_optimality == table_optimality(tables, Distances(trace.topology))
     for nid, rows in tables.items():
         assert {hop for hop, _ in rows.values()} <= trace.nodes[nid].nbors
     # a request timer due by the horizon has fired at every node that is up:

@@ -112,6 +112,13 @@ class TestFaults:
             path3.apply_fault(op, target)
         assert not path3.down_nodes and not path3.down_edges
 
+    @pytest.mark.parametrize("down", [{"down_nodes": {0}}, {"down_edges": {(0, 1)}}],
+                             ids=["node", "edge"])
+    def test_only_apply_fault_marks_a_node_or_link_down(self, down):
+        # the constructor would skip apply_fault's target checks
+        with pytest.raises(TypeError, match=next(iter(down))):
+            Topology(nodes={0, 1}, edges={(0, 1)}, **down)
+
 
 @given(st.sets(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40))
 def test_neighbor_symmetry(pairs):

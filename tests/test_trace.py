@@ -127,3 +127,34 @@ def test_a_bounced_data_record_without_to_is_rejected(tmp_path, data):
     with pytest.raises(MalformedTrace,
                        match=r"old\.jsonl: line 2: kind 'DeliveryFailed': missing field 'to'$"):
         codec.load_trace(str(path))
+
+
+GOLDEN_TWO_NODE = Path(__file__).parent / "data" / "golden_two_node.jsonl"
+
+
+@pytest.mark.parametrize("record, error", [
+    ('{"at":5,"seq":8,"node":0,"kind":"TableUpdated","data":{"dest":true,"next_hop":1,"hops":2}}',
+     "kind 'TableUpdated': dest True is not a node id"),
+    ('{"at":5,"seq":8,"node":0,"kind":"TableUpdated","data":{"dest":1.0,"next_hop":1,"hops":2}}',
+     "kind 'TableUpdated': dest 1.0 is not a node id"),
+    ('{"at":5,"seq":8,"node":true,"kind":"TableUpdated","data":{"dest":0,"next_hop":1,"hops":2}}',
+     "node True is not a node id"),
+    ('{"at":5,"seq":8,"node":true,"kind":"RouteRemoved","data":{"dest":0,'
+     '"reason":"neighbor_lost"}}', "node True is not a node id"),
+    ('{"at":5,"seq":8,"node":1.0,"kind":"Sent","data":{"msg":"data","to":0,"src":1,"dest":0,'
+     '"xfer":3}}', "node 1.0 is not a node id"),
+], ids=["table-dest-bool", "table-dest-float", "table-node-bool", "removed-node-bool",
+        "sent-node-float"])
+@pytest.mark.parametrize("chunk_lines", [2048, 1], ids=["chunk", "line"])
+def test_a_bool_or_float_node_id_is_named_by_its_line(tmp_path, monkeypatch, record, error,
+                                                      chunk_lines):
+    """A bool or a float node, or TableUpdated dest, would key a table as
+    the int it equals and summarize to wrong numbers. The reader refuses
+    the record by its line, whether the line came in a chunk or alone."""
+    monkeypatch.setattr(codec, "_CHUNK_LINES", chunk_lines)
+    path = tmp_path / "trace.jsonl"
+    lines = GOLDEN_TWO_NODE.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + [record] + lines[4:]) + "\n")
+    with pytest.raises(MalformedTrace) as exc:
+        codec.load_trace(str(path))
+    assert str(exc.value) == f"{path}: line 5: {error}"
