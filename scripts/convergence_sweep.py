@@ -58,12 +58,12 @@ def sweep(seeds: int, requests: int) -> list[Window]:
                 windows[idx // WINDOW].discovery.append(ep.found_hops / dist)
 
         for ev in trace.records("Received"):
-            if ev.node == ev.data["dest"]:
+            data = ev.data  # a new dict on each access
+            if ev.node == data["dest"]:
                 idx = (ev.at - 1) // spacing
-                src, dest = ev.data["src"], ev.data["dest"]
-                dist = truth.between(src, dest)
+                dist = truth.between(data["src"], data["dest"])
                 if dist and idx < counted:
-                    hops = len(ev.data["path"]) - 1
+                    hops = len(data["path"]) - 1
                     windows[idx // WINDOW].delivery.append(hops / dist)
     return windows
 

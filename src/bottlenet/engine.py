@@ -77,11 +77,11 @@ class Engine:
 
     # -- trace -------------------------------------------------------------
 
-    def _record(self, node: int, shape: trace.Shape, data: dict[str, Any]) -> None:
-        """Append one record of shape's kind; data holds shape's fields in
+    def _record(self, node: int, shape: trace.Shape, values: tuple) -> None:
+        """Append one record of shape; values are its fields' values, in
         their declared order (see trace._shape)."""
         records = self.trace
-        records.append(TraceEvent(self.now, len(records), node, shape.kind, data, shape))
+        records.append(TraceEvent(self.now, len(records), node, shape, values))
 
     # -- main loop ---------------------------------------------------------
 
@@ -117,10 +117,8 @@ class Engine:
             self._fail_delivery(frm, to, pkt, xfer, trace.BOUNCED_DATA)
             return
         pkt.path.append(to)
-        self._record(to, trace.RECEIVED_DATA, {
-            "msg": "data", "from": frm, "src": pkt.src, "dest": pkt.dest,
-            "path": list(pkt.path), "xfer": xfer,
-        })
+        self._record(to, trace.RECEIVED_DATA,
+                     ("data", frm, pkt.src, pkt.dest, list(pkt.path), xfer))
         self._apply(to, fsm.handle_route_request(self.nodes[to], pkt, self.now,
                                                  self.cfg, self._rngs[to]))
 
@@ -140,7 +138,7 @@ class Engine:
 
     def _on_fault(self, op: str, target: tuple) -> None:
         # run() has checked every fault against the topology
-        self._record(target[0], trace.TOPOLOGY_CHANGED, {"op": op, "target": list(target)})
+        self._record(target[0], trace.TOPOLOGY_CHANGED, (op, list(target)))
         now, period = self.now, self.cfg.beacon_period
         for nid in self.topology.apply_fault(op, target):
             self.schedule(now + (nid - now) % period, self._on_neighbor_refresh, (nid,))
@@ -160,35 +158,30 @@ class Engine:
                       (nid, action.dest, action.btl_id))
 
     def _on_discovery_started(self, nid: int, action: fsm.DiscoveryStarted) -> None:
-        self._record(nid, trace.DISCOVERY_STARTED,
-                     {"dest": action.dest, "attempt": action.attempt})
+        self._record(nid, trace.DISCOVERY_STARTED, (action.dest, action.attempt))
 
     def _on_route_found(self, nid: int, action: fsm.RouteFound) -> None:
-        self._record(nid, trace.ROUTE_FOUND,
-                     {"src": nid, "dest": action.dest, "path": action.path})
+        self._record(nid, trace.ROUTE_FOUND, (nid, action.dest, action.path))
 
     def _on_discovery_resolved(self, nid: int, action: fsm.DiscoveryResolved) -> None:
-        self._record(nid, trace.DISCOVERY_RESOLVED, {"src": nid, "dest": action.dest})
+        self._record(nid, trace.DISCOVERY_RESOLVED, (nid, action.dest))
 
     def _on_inaccessible(self, nid: int, action: fsm.DeclareInaccessible) -> None:
-        self._record(nid, trace.INACCESSIBLE, {"src": nid, "dest": action.dest})
+        self._record(nid, trace.INACCESSIBLE, (nid, action.dest))
 
     def _on_route_removed(self, nid: int, action: fsm.RouteRemoved) -> None:
-        self._record(nid, trace.ROUTE_REMOVED, {"dest": action.dest, "reason": action.reason})
+        self._record(nid, trace.ROUTE_REMOVED, (action.dest, action.reason))
 
     def _on_table_updated(self, nid: int, action: fsm.TableUpdated) -> None:
         for dest, (next_hop, hops) in action.entries:
-            self._record(nid, trace.TABLE_UPDATED,
-                         {"dest": dest, "next_hop": next_hop, "hops": hops})
+            self._record(nid, trace.TABLE_UPDATED, (dest, next_hop, hops))
 
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
-        self._record(nid, trace.ELIMINATED,
-                     {"btl_id": str(action.btl_id), "reason": action.reason})
+        self._record(nid, trace.ELIMINATED, (str(action.btl_id), action.reason))
 
     def _on_drop_data(self, nid: int, action: fsm.DropData) -> None:
         pkt = action.packet
-        self._record(nid, trace.DROPPED,
-                     {"src": pkt.src, "dest": pkt.dest, "reason": action.reason})
+        self._record(nid, trace.DROPPED, (pkt.src, pkt.dest, action.reason))
 
     def _send_bottle(self, frm: int, send: fsm.Send) -> None:
         # The bottle goes on the wire as it is: its sender keeps no
@@ -198,12 +191,9 @@ class Engine:
         self.bottle_bytes_sent += size
         xfer = self._xfer
         self._xfer += 1
-        self._record(frm, trace.SENT_BOTTLE, {
-            "msg": "bottle", "to": to, "btl_id": str(bottle.btl_id),
-            "src": bottle.src, "dest": bottle.dest, "rf": bottle.rf,
-            "failure": bottle.failure, "history_len": len(bottle.history),
-            "bytes": size, "xfer": xfer,
-        })
+        self._record(frm, trace.SENT_BOTTLE, (
+            "bottle", to, str(bottle.btl_id), bottle.src, bottle.dest, bottle.rf,
+            bottle.failure, len(bottle.history), size, xfer))
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
                           self._on_bottle_arrival, (frm, to, bottle, xfer))
@@ -214,10 +204,7 @@ class Engine:
         pkt, to = send.packet, send.to
         xfer = self._xfer
         self._xfer += 1
-        self._record(frm, trace.SENT_DATA, {
-            "msg": "data", "to": to, "src": pkt.src, "dest": pkt.dest,
-            "xfer": xfer,
-        })
+        self._record(frm, trace.SENT_DATA, ("data", to, pkt.src, pkt.dest, xfer))
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,
                           self._on_data_arrival, (frm, to, pkt, xfer))
@@ -226,7 +213,7 @@ class Engine:
 
     def _fail_delivery(self, frm: int, to: int, item: Bottle | DataPacket,
                        xfer: int, bounced: trace.Shape) -> None:
-        self._record(frm, bounced, {"msg": bounced.msg, "to": to, "xfer": xfer})
+        self._record(frm, bounced, (bounced.msg, to, xfer))
         if frm in self.topology.down_nodes:
             return
         actions = fsm.on_delivery_failure(self.nodes[frm], item, to, self.now,

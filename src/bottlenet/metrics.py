@@ -19,7 +19,11 @@ from .errors import BottlenetError, MalformedRecord, UnknownNode
 from .network import Topology
 from .oracle import Distances
 from .oracle import bfs_distance  # not called here; bound for perfbench/tracer.py
-from .trace import Trace, TraceEvent
+from .trace import (DISCOVERY_RESOLVED, DISCOVERY_STARTED, ELIMINATED, INACCESSIBLE,
+                    ROUTE_FOUND, ROUTE_REMOVED, SENT_BOTTLE, TABLE_UPDATED,
+                    TOPOLOGY_CHANGED, Trace, TraceEvent)
+
+_BYTES = SENT_BOTTLE.fields.index("bytes")  # a bottle Sent's byte count, in its values
 
 
 class IncompleteTrace(BottlenetError):
@@ -79,63 +83,67 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
     tables: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
     eliminated: dict[str, int] = {}
     sent = nbytes = 0
-    # a kind that closes an open episode -> the outcome it gives
-    closes = {"RouteFound": "success", "DiscoveryResolved": "passive",
-              "Inaccessible": "inaccessible"}
+    # the shapes, as locals, most common first
+    sent_bottle, table_updated, route_removed, eliminated_, started, topology_changed = (
+        SENT_BOTTLE, TABLE_UPDATED, ROUTE_REMOVED, ELIMINATED, DISCOVERY_STARTED,
+        TOPOLOGY_CHANGED)
+    # a shape that closes an open episode -> the outcome it gives
+    closes = {ROUTE_FOUND: "success", DISCOVERY_RESOLVED: "passive",
+              INACCESSIBLE: "inaccessible"}
 
     def known(n: object) -> bool:  # a bool or a float would key as the int it equals
         return is_node_id(n) and (topo is None or n in topo.nodes)
 
     try:
         for ev in events:
-            kind, data = ev.kind, ev.data
-            if kind == "Sent":
-                if data["msg"] == "bottle":
-                    sent += 1
-                    nbytes += data["bytes"]
-            elif kind == "TableUpdated":
-                tables[ev.node][data["dest"]] = (data["next_hop"], data["hops"])
-            elif kind == "Received":  # data arrivals: nothing here reads them
-                continue  # tested after the two commonest kinds, Sent and TableUpdated
-            elif kind == "RouteRemoved":
+            shape = ev.shape  # read first: a branch reads the slots it needs
+            if shape is sent_bottle:
+                sent += 1
+                nbytes += ev.values[_BYTES]
+            elif shape is table_updated:
+                dest, next_hop, hops = ev.values
+                tables[ev.node][dest] = (next_hop, hops)
+            elif shape is route_removed:
                 # a bool or a float pops the entry of the int it equals;
                 # only a removal is checked, so a miss costs nothing more
-                dest = data["dest"]
+                dest = ev.values[0]
                 if tables[ev.node].pop(dest, None) is not None and type(dest) is not int:
                     raise MalformedRecord(_bad_record(ev, f"dest {dest!r} is not a node id"))
-            elif kind == "Eliminated":
-                eliminated[data["reason"]] = eliminated.get(data["reason"], 0) + 1
-            elif kind == "DiscoveryStarted":
-                dest, attempt = data["dest"], data["attempt"]
-                ep = open_eps.get((ev.node, dest))
+            elif shape is eliminated_:
+                reason = ev.values[1]
+                eliminated[reason] = eliminated.get(reason, 0) + 1
+            elif shape is started:
+                node, (dest, attempt) = ev.node, ev.values
+                ep = open_eps.get((node, dest))
                 if type(attempt) is not int or attempt < 0 or (ep is None) != (attempt == 0):
                     raise MalformedRecord(_bad_record(ev, f"attempt {attempt!r} is neither 0 "
                                                       f"with no discovery of {dest!r} open nor "
                                                       "a retry of an open one"))
                 if ep is not None:
                     ep.bottles += 1
-                elif known(ev.node) and known(dest):
+                elif known(node) and known(dest):
                     # + 0 here and at the close: a time that is not a number fails
                     # here, which names its record, and not later in a latency
-                    eps.append(Episode(ev.node, dest, ev.at + 0))
-                    open_eps[ev.node, dest] = eps[-1]
+                    eps.append(Episode(node, dest, ev.at + 0))
+                    open_eps[node, dest] = eps[-1]
                 else:
                     raise MalformedRecord(_bad_record(
-                        ev, f"node {ev.node!r} or dest {dest!r} is not a known node id"))
-            elif kind in closes:
-                src, dest = data["src"], data["dest"]
+                        ev, f"node {node!r} or dest {dest!r} is not a known node id"))
+            elif shape in closes:
+                src, dest = ev.values[:2]
                 ep = open_eps.pop((src, dest), None) if known(src) and known(dest) else None
                 if ep is None:
                     raise MalformedRecord(_bad_record(
                         ev, f"src {src!r} has no discovery of dest {dest!r} open"))
-                ep.end_at, ep.outcome = ev.at + 0, closes[kind]
-                if kind == "RouteFound":
-                    ep.path = list(data["path"])
-            elif kind == "TopologyChanged" and topo is not None:
+                ep.end_at, ep.outcome = ev.at + 0, closes[shape]
+                if shape is ROUTE_FOUND:
+                    ep.path = list(ev.values[2])
+            elif shape is topology_changed and topo is not None:
                 try:
-                    topo.apply_fault(data["op"], data["target"])
+                    topo.apply_fault(*ev.values)
                 except BottlenetError as exc:  # a node or link t lacks
                     raise MalformedRecord(_bad_record(ev, exc)) from None
+            # Sent data, Received, DeliveryFailed and Dropped: nothing here reads them
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
 

@@ -13,6 +13,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .config import ProtocolConfig
@@ -34,15 +35,18 @@ _VALUE_KINDS: dict[str, tuple[str, Any]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Shape:
-    """One declared record shape (see _shape)."""
+    """One declared record shape (see _shape); shapes compare by identity."""
 
     kind: str
     msg: str | None
     fields: tuple[str, ...]  # data field names, in the order the engine fills them
     fmt: str  # the record's line as a %-format
     fixups: tuple[tuple[int, Callable[[Any], str]], ...]
+    # a data dict -> its fields' values in order, a tuple as every shape has
+    # two fields or more; KeyError names a missing one
+    pick: Callable[[dict[str, Any]], tuple]
 
 
 # Every record shape the engine writes, in declaration order.
@@ -69,7 +73,7 @@ def _shape(kind: str, msg: str | None, fields: str) -> Shape:
     fmt = '{%s,%s,%s,"kind":%s,"data":{%s}}' % (*specs[:3], _encode(kind),
                                                  ",".join(specs[3:]))
     shape = Shape(kind, msg, tuple(names[3:]), fmt,
-                  tuple((i - len(names), c) for i, c in fixups))
+                  tuple((i - len(names), c) for i, c in fixups), itemgetter(*names[3:]))
     SHAPES.append(shape)
     return shape
 
@@ -98,54 +102,68 @@ TABLE_UPDATED = _shape("TableUpdated", None, "dest next_hop hops")
 ROUTE_REMOVED = _shape("RouteRemoved", None, "dest reason:name")
 TOPOLOGY_CHANGED = _shape("TopologyChanged", None, "op:name target:json")
 
+# (kind, msg) -> its declared shape
+SHAPE_OF: dict[tuple[str, str | None], Shape] = {(s.kind, s.msg): s for s in SHAPES}
 # (kind, msg) -> the data fields of its shape, which every such record carries
 RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
-    (s.kind, s.msg): frozenset(s.fields) for s in SHAPES}
+    key: frozenset(s.fields) for key, s in SHAPE_OF.items()}
 
-_FAULT_FIELDS = RECORD_FIELDS["TopologyChanged", None]
-_TABLE_FIELDS = RECORD_FIELDS["TableUpdated", None]
 _NOT_IDS = (bool, float)  # no node id: each would key a table as the int it equals
 
 
 @dataclass(slots=True)
 class TraceEvent:
+    """One record: its declared shape and its data values, in the shape's
+    field order. ``kind`` and ``data`` are views of the two."""
+
     at: int
     seq: int
     node: int
-    kind: str
-    data: dict[str, Any]
-    # the record's declared shape, set by the engine; None for a record
-    # loaded or built in code
-    shape: Shape | None = field(default=None, compare=False, repr=False)
+    shape: Shape
+    values: tuple
+    # a record loaded or built in code (see record): _fill encodes its data view
+    loaded: bool = field(default=False, compare=False, repr=False)
 
-    def to_json(self) -> str:
-        """The record as one line of compact JSON, as ``_encode`` writes it."""
-        values: list = []
-        return self._fill(values) % tuple(values)
+    @property
+    def kind(self) -> str:
+        return self.shape.kind
+
+    @property
+    def data(self) -> dict[str, Any]:
+        """The data fields by name, in a new dict on each access."""
+        return dict(zip(self.shape.fields, self.values))
 
     def _fill(self, values: list) -> str:
         """The record's %-format, after adding the values that fill it to values."""
         shape = self.shape
-        if shape is None:
+        if self.loaded:
             return _encode({"at": self.at, "seq": self.seq, "node": self.node,
-                            "kind": self.kind, "data": self.data}).replace("%", "%%")
-        values += (self.at, self.seq, self.node, *self.data.values())
+                            "kind": shape.kind, "data": self.data}).replace("%", "%%")
+        values += (self.at, self.seq, self.node, *self.values)
         for i, convert in shape.fixups:
             values[i] = convert(values[i])
         return shape.fmt
+
+
+def record(at: int, seq: int, node: int, kind: str, data: dict[str, Any]) -> TraceEvent:
+    """The record of kind and data, loaded from a file or built in code. It
+    keeps the fields of its shape only; a kind and msg with no shape, or
+    data that lacks a field, raises KeyError."""
+    shape = SHAPE_OF[kind, data.get("msg")]
+    return TraceEvent(at, seq, node, shape, shape.pick(data), True)
 
 
 @dataclass
 class Trace:
     """Everything a finished run produced, trace records first among equals.
 
-    The JSONL form (``to_jsonl``, ``write``) holds one record per line: a
-    compact JSON object (no spaces, ASCII only) with the keys ``at``,
-    ``seq``, ``node``, ``kind`` and ``data`` in that order, so a given run
-    always gives the same bytes. ``write`` (one %-format per chunk) and
-    ``iter_trace``, which streams it back, each hold one chunk of text at a
-    time; ``iter_trace`` rejects all but exactly one such object per
-    non-blank line, and any record that ``_record_error`` finds fault with.
+    The JSONL form (``write``) holds one record per line: a compact JSON
+    object (no spaces, ASCII only) with the keys ``at``, ``seq``, ``node``,
+    ``kind`` and ``data`` in that order, so a given run always gives the
+    same bytes. ``write`` (one %-format per chunk) and ``iter_trace``,
+    which streams it back, each hold one chunk of text at a time;
+    ``iter_trace`` rejects all but exactly one such object per non-blank
+    line, and any record that ``_record_error`` finds fault with.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -155,16 +173,13 @@ class Trace:
     cfg: ProtocolConfig | None = None
 
     def records(self, kind: str) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.kind == kind]
+        return [ev for ev in self.events if ev.shape.kind == kind]
 
     def _jsonl_chunks(self) -> Iterator[str]:
         for i in range(0, len(self.events), _CHUNK_LINES):
             values: list = []
             fmts = [ev._fill(values) for ev in self.events[i:i + _CHUNK_LINES]]
             yield ("\n".join(fmts) + "\n") % tuple(values)
-
-    def to_jsonl(self) -> str:
-        return "".join(self._jsonl_chunks())
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -235,17 +250,17 @@ def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
     if len(lines) > 1 and _LIST_BREAK.search("".join(lines)):
         return None
     events: list[TraceEvent] = []
-    append, get_fields = events.append, RECORD_FIELDS.get
+    append = events.append
     with suppress(ValueError, TypeError, KeyError, AttributeError):
         if len(items := json.loads("[[" + "],[".join(lines) + "]]")) == len(lines):
             for (rec,) in filter(None, items):
-                kind, data, node = rec["kind"], rec["data"], rec["node"]
-                fields = get_fields((kind, data.get("msg")))
-                if (fields is None or not data.keys() >= fields or type(node) in _NOT_IDS
-                        or fields is _TABLE_FIELDS and type(data["dest"]) in _NOT_IDS
-                        or fields is _FAULT_FIELDS and fault_error(data["op"], data["target"])):
+                ev = record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
+                shape, values = ev.shape, ev.values
+                if (type(ev.node) in _NOT_IDS
+                        or shape is TABLE_UPDATED and type(values[0]) in _NOT_IDS
+                        or shape is TOPOLOGY_CHANGED and fault_error(*values)):
                     break
-                append(TraceEvent(rec["at"], rec["seq"], node, kind, data))
+                append(ev)
             else:
                 return events
     return None
@@ -269,17 +284,17 @@ def _record_error(line: str) -> str | None:
         return "field 'data' is not an object"
     # compared, not hashed: kind or msg may be a list
     key = (kind, data.get("msg"))
-    fields = next((f for k, f in RECORD_FIELDS.items() if k == key), None)
-    if fields is None:
-        if not any(k == kind for k, _ in RECORD_FIELDS):
+    shape = next((s for k, s in SHAPE_OF.items() if k == key), None)
+    if shape is None:
+        if not any(k == kind for k, _ in SHAPE_OF):
             return f"unknown kind {kind!r}"
         if "msg" not in data:
             return f"kind {kind!r}: missing field 'msg'"
         return f"kind {kind!r} has no msg {data['msg']!r}"
-    missing = sorted(fields - data.keys())
+    missing = sorted(set(shape.fields) - data.keys())
     if missing:
         return f"kind {kind!r}: missing field '{missing[0]}'"
-    if fields is _TABLE_FIELDS and type(data["dest"]) in _NOT_IDS:
+    if shape is TABLE_UPDATED and type(data["dest"]) in _NOT_IDS:
         return f"kind {kind!r}: dest {data['dest']!r} is not a node id"
-    error = fields is _FAULT_FIELDS and fault_error(data["op"], data["target"])
+    error = shape is TOPOLOGY_CHANGED and fault_error(data["op"], data["target"])
     return f"kind {kind!r}: {error}" if error else None

@@ -14,6 +14,7 @@ from bottlenet.config import ProtocolConfig, ScenarioConfig, scenario_from_dict
 from bottlenet.domain import NodeState
 from bottlenet.network import Topology, save_topology
 from bottlenet.topogen import generate_topology
+from bottlenet.trace import Trace, TraceEvent
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -23,6 +24,13 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def jsonl(records: Trace | list[TraceEvent]) -> str:
+    """The text Trace.write writes for a trace, or for a list of records as
+    a trace's events: the writer's own chunk encoder, without a file."""
+    events = records.events if isinstance(records, Trace) else records
+    return "".join(Trace(events=events)._jsonl_chunks())
 
 
 def make_topology(*edges: tuple[int, int], extra_nodes: tuple[int, ...] = ()) -> Topology:

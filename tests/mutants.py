@@ -36,8 +36,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("metrics.py", 'nbytes += data["bytes"]',
-           'nbytes += 0 if data["failure"] else data["bytes"]',
+    Mutant("metrics.py", "nbytes += ev.values[_BYTES]",
+           'nbytes += 0 if ev.values[SENT_BOTTLE.fields.index("failure")] else ev.values[_BYTES]',
            "route-failure bottles left out of total_bottle_bytes",
            ("tests/test_metrics.py::TestByteAccounting::test_bytes_match_history_lengths",)),
     Mutant("engine.py",
@@ -66,8 +66,9 @@ MUTANTS = [
             "tests/test_fsm_handlers.py::TestPurgeRoutes::"
             "test_route_to_dest_dropped_whatever_its_next_hop")),
     Mutant("trace.py",
-           ' or type(node) in _NOT_IDS\n'
-           '                        or fields is _TABLE_FIELDS and type(data["dest"]) in _NOT_IDS',
+           "type(ev.node) in _NOT_IDS\n"
+           "                        or shape is TABLE_UPDATED and type(values[0]) in _NOT_IDS\n"
+           "                        or ",
            "",
            "a chunk of lines decoded in one call takes a bool or a float node id",
            ("tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line",
@@ -79,6 +80,21 @@ MUTANTS = [
            "",
            "the line path, which names a rejected line, finds nothing wrong with a bool node",
            ("tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line",)),
+    Mutant("metrics.py", 'SENT_BOTTLE.fields.index("bytes")',
+           'SENT_BOTTLE.fields.index("history_len")',
+           "the fold reads a bottle's byte count from its history_len value",
+           ("tests/test_metrics.py::TestByteAccounting::test_bytes_match_history_lengths",)),
+    Mutant("trace.py", "itemgetter(*names[3:])", "itemgetter(*names[3:-1])",
+           "the reader's getter skips a shape's last field, so the chunk path takes a "
+           "record that lacks it",
+           ("tests/test_engine.py::TestMalformedTrace::test_missing_data_field",
+            "tests/test_engine.py::TestChunkedTrace::"
+            "test_loaded_values_keep_their_json_text_and_extra_keys_go")),
+    Mutant("trace.py", "        if self.loaded:\n", "        if False:\n",
+           "the writer fills a loaded record's shape format, which rewrites a value of "
+           "another JSON type",
+           ("tests/test_engine.py::TestChunkedTrace::"
+            "test_loaded_values_keep_their_json_text_and_extra_keys_go",)),
 ]
 
 

@@ -26,6 +26,7 @@ from bottlenet.fsm import next_state
 from bottlenet.metrics import episodes, summarize
 from bottlenet.network import Topology, save_topology
 from bottlenet.topogen import generate_topology
+from conftest import jsonl
 
 DATA = Path(__file__).parent / "data"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -288,9 +289,9 @@ def test_criterion_8_determinism_golden():
     golden_path = DATA / "golden_two_node.jsonl"
     first = run(load_scenario(str(scenario_path)))
     second = run(load_scenario(str(scenario_path)))
-    same = first.to_jsonl() == second.to_jsonl()
+    same = jsonl(first) == jsonl(second)
     golden = golden_path.read_text()
-    matches = first.to_jsonl() == golden
+    matches = jsonl(first) == golden
     ok = same and matches
     report(8, ok, f"repeat run byte-identical: {same}; matches committed "
                   f"golden trace ({len(first.events)} records): {matches}")

@@ -24,12 +24,12 @@ from bottlenet import fsm
 from bottlenet import trace as codec
 from bottlenet.domain import Bottle, BottleId, serialize_bottle
 from bottlenet.engine import Engine, run
-from bottlenet.trace import Trace, TraceEvent, iter_trace, load_trace
+from bottlenet.trace import Trace, TraceEvent, iter_trace, load_trace, record
 from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.domain import MAX_NODE_ID
 from bottlenet.network import FAULT_OPS, save_topology
 from bottlenet.topogen import generate_topology
-from conftest import fault_scenarios, make_topology, scenario_on_file
+from conftest import fault_scenarios, jsonl, make_topology, scenario_on_file
 
 
 GENERIC10 = {"kind": "generic", "nodes": 10, "seed": 0}
@@ -134,12 +134,12 @@ class TestRun:
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         sc = two_node_scenario(tmp_path)
-        assert run(sc).to_jsonl() == run(sc).to_jsonl()
+        assert jsonl(run(sc)) == jsonl(run(sc))
 
     def test_seed_changes_the_walk(self, tmp_path):
         _, sc_a = generic_scenario(tmp_path, 1, [RequestSpec(at=1, src=0, dest=8)])
         _, sc_b = generic_scenario(tmp_path, 2, [RequestSpec(at=1, src=0, dest=8)])
-        assert run(sc_a).to_jsonl() != run(sc_b).to_jsonl()
+        assert jsonl(run(sc_a)) != jsonl(run(sc_b))
 
     def test_trace_file_round_trip(self, tmp_path):
         trace = run(two_node_scenario(tmp_path))
@@ -150,7 +150,7 @@ class TestRun:
     def test_trace_file_skips_blank_lines(self, tmp_path):
         trace = run(two_node_scenario(tmp_path))
         out = tmp_path / "trace.jsonl"
-        out.write_text("\n" + trace.to_jsonl().replace("\n", "\n \n"))
+        out.write_text("\n" + jsonl(trace).replace("\n", "\n \n"))
         assert load_trace(str(out)).events == trace.events
 
     def test_unknown_request_node_rejected(self, tmp_path):
@@ -301,12 +301,9 @@ def copying_send_bottle(self, frm, send):
     self.bottle_bytes_sent += size
     xfer = self._xfer
     self._xfer += 1
-    self._record(frm, codec.SENT_BOTTLE, {
-        "msg": "bottle", "to": to, "btl_id": str(sent.btl_id),
-        "src": sent.src, "dest": sent.dest, "rf": sent.rf,
-        "failure": sent.failure, "history_len": len(sent.history),
-        "bytes": size, "xfer": xfer,
-    })
+    self._record(frm, codec.SENT_BOTTLE, (
+        "bottle", to, str(sent.btl_id), sent.src, sent.dest, sent.rf,
+        sent.failure, len(sent.history), size, xfer))
     if self.topology.link_live(frm, to):
         self.schedule(self.now + self.cfg.per_hop_latency,
                       self._on_bottle_arrival, (frm, to, sent, xfer))
@@ -322,7 +319,7 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
         trace = run(sc)
         with mock.patch.dict(Engine._actions, {fsm.Send: copying_send_bottle}):
             reference = run(sc)
-    assert trace.to_jsonl() == reference.to_jsonl()
+    assert jsonl(trace) == jsonl(reference)
     assert trace.meta == reference.meta
 
 
@@ -330,13 +327,16 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
           suppress_health_check=[HealthCheck.too_slow])
 @given(fault_scenarios())
 def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
-    """Every record the engine writes carries its declared shape, and its
-    line is the one the same record without a shape gets."""
+    """Every record the engine writes is written from its shape's format, and
+    its line is the compact encoder's text of the same record, which is what
+    the same record built in code gets."""
     with scenario_on_file(case) as (sc, _):
         trace = run(sc)
     for ev in trace.events:
-        assert ev.shape is not None
-        assert ev.to_json() == TraceEvent(ev.at, ev.seq, ev.node, ev.kind, ev.data).to_json()
+        built = record(ev.at, ev.seq, ev.node, ev.kind, ev.data)
+        assert built == ev and built.loaded and not ev.loaded
+        line = dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
+        assert jsonl([ev]) == jsonl([built]) == line
 
 
 @settings(max_examples=20, deadline=None,
@@ -476,32 +476,86 @@ kinds = st.sampled_from(["Sent", "Received", "TableUpdated"]) | awkward_text | (
 envelope_ints = st.integers() | st.booleans() | st.sampled_from(Level)
 
 
+# the value kind of each data field the shapes declare, where it is not an
+# int (see trace._shape), and a strategy for each value kind
+FIELD_KINDS = {"msg": "name", "btl_id": "name", "reason": "name", "op": "name",
+               "rf": "bool", "failure": "bool", "path": "json", "target": "json"}
+KIND_VALUES = {"int": st.integers(), "name": st.text(alphabet="%ab_0-", max_size=6),
+               "bool": st.booleans(), "json": values}
+
+
+def of_declared_kinds(data):
+    """Whether each value of data is of the JSON type its field declares."""
+    types = {"int": int, "name": str, "bool": bool, "json": list}
+    return all(type(v) is types[FIELD_KINDS.get(k, "int")] for k, v in data.items())
+
+
+@st.composite
+def shaped_data(draw, declared):
+    """A declared shape and a data dict of its fields, msg the shape's own:
+    each value of its field's declared kind, or of any kind."""
+    shape = draw(st.sampled_from(codec.SHAPES))
+    data = {name: draw(KIND_VALUES[FIELD_KINDS.get(name, "int")] if declared else values)
+            for name in shape.fields}
+    if shape.msg is not None:
+        data["msg"] = shape.msg
+    return shape, data
+
+
+def made_and_loaded(kind, datas):
+    """A record of kind built in code for each data, and before it one the
+    engine made of the same values, where they are of their declared kinds."""
+    events = []
+    for seq, data in enumerate(datas):
+        if of_declared_kinds(data):
+            events.append(TraceEvent(5, seq, 2, codec.SHAPE_OF[kind, data.get("msg")],
+                                     tuple(data.values())))
+        events.append(record(5, seq, 2, kind, data))
+    return events
+
+
 class TestTraceWriter:
-    """TraceEvent.to_json writes exactly what the compact encoder writes."""
+    """Every record is written as the compact encoder writes its kind and
+    data view: one the engine made from its shape's format, one loaded or
+    built in code by the encoder itself, whatever its values' JSON types."""
 
     @settings(max_examples=100, deadline=None)
-    @given(envelope_ints, envelope_ints, envelope_ints, kinds,
-           st.dictionaries(keys, values, max_size=5))
-    def test_same_text_as_the_compact_encoder(self, at, seq, node, kind, data):
-        expected = dumps(at, seq, node, kind, data)
-        assert TraceEvent(at, seq, node, kind, data).to_json() == expected
+    @given(envelope_ints, envelope_ints, envelope_ints, shaped_data(declared=False),
+           st.integers(), shaped_data(declared=True))
+    def test_same_text_as_the_compact_encoder(self, at, seq, node, built, n, made):
+        (shape, data), (made_shape, made_data) = built, made
+        events = [record(at, seq, node, shape.kind, data),
+                  TraceEvent(n, n, n, made_shape, tuple(made_data.values()))]
+        assert jsonl(events) == (dumps(at, seq, node, shape.kind, data) + "\n"
+                                 + dumps(n, n, n, made_shape.kind, made_data) + "\n")
 
     @pytest.mark.parametrize("datas", [
         # 0, 0.0 and False compare and hash equal
-        [{False: 0}, {0: 0}, {0.0: 0}, {False: False}],
+        ("TableUpdated", [{"dest": 1, "next_hop": 2, "hops": hops}
+                          for hops in (0, 0.0, False, 0)]),
         # a bool is an int, and "%d" % True is "1"
-        [{"rf": True}, {"rf": 1}, {"rf": False}, {"rf": 0}],
-        [{"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": 3},
-         {"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": None},
-         {"msg": "data", "src": 0, "dest": 1, "reason": "hop_cap", "xfer": 4}],
+        ("Sent", [{"msg": "bottle", "to": 1, "btl_id": "0:1", "src": 0, "dest": 3,
+                   "rf": rf, "failure": False, "history_len": 1, "bytes": 12, "xfer": 0}
+                  for rf in (True, 1, False, 0)]),
+        ("DeliveryFailed", [{"msg": "data", "to": 1, "xfer": xfer} for xfer in (3, None, 4)]),
     ])
     def test_shapes_that_compare_equal_keep_their_own_format(self, datas):
-        for seq, data in enumerate(datas):
-            assert TraceEvent(5, seq, 2, "K", data).to_json() == dumps(5, seq, 2, "K", data)
+        """Values that compare equal but are of other JSON types keep their
+        own text, in records made by the engine or built in code."""
+        kind, datas = datas
+        events = made_and_loaded(kind, datas)
+        assert {ev.loaded for ev in events} == {True, False}
+        assert jsonl(events) == "".join(dumps(ev.at, ev.seq, ev.node, kind, ev.data) + "\n"
+                                        for ev in events)
 
-    def test_percent_signs_in_kind_and_keys(self):
-        data = {"%d": "%s", "100%": 7, "%%": None}
-        assert TraceEvent(1, 2, 3, "50%", data).to_json() == dumps(1, 2, 3, "50%", data)
+    def test_percent_signs_in_values_and_names(self):
+        events = (made_and_loaded("Eliminated", [{"btl_id": "%d%s", "reason": "100%"}])
+                  + made_and_loaded("TopologyChanged",
+                                    [{"op": "%%", "target": ["%", "a%%b%", {"%(x)s": "%"}]}])
+                  + made_and_loaded("RouteRemoved", [{"dest": "%d", "reason": "%s%%"}]))
+        assert len(events) == 5
+        assert jsonl(events) == "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
+                                        for ev in events)
 
 
 def terminal_marks(trace):
@@ -786,8 +840,7 @@ class TestNeighborRefresh:
 
 
 def record_line(seq):
-    return TraceEvent(1, seq, 0, "RouteFound",
-                      {"src": 0, "dest": 2, "path": [0, 1, 2]}).to_json()
+    return jsonl([record(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})])[:-1]
 
 
 def split_record(inside, seq=0):
@@ -962,7 +1015,7 @@ class TestChunkedTrace:
             path = tmp_path / "spaced.jsonl"
             path.write_bytes("".join(line + newline for line in lines).encode())
             assert load_trace(str(path)).events == [
-                TraceEvent(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})
+                record(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})
                 for seq in range(7)]
             path.write_bytes("".join(line + newline for line in lines + ['{"at": 1}'])
                              .encode())
@@ -982,26 +1035,42 @@ class TestChunkedTrace:
         assert loads.call_count == 3
 
     def test_writer_fills_one_format_per_chunk_to_each_records_bytes(self, tmp_path):
-        """Engine-shaped and unshaped records, loaded or built in code, mixed
-        within and across chunks: a % in an unshaped record's kind, keys or
-        values, or in a shaped record's name, is written as it is."""
+        """Engine records and records loaded or built in code, mixed within
+        and across chunks: a % in a value of either is written as it is, and
+        a value built in code keeps the text of its JSON type."""
         shaped = run(two_node_scenario(tmp_path)).events
         loaded = load_trace(self.write(tmp_path, self.records(3, start=50))).events
         events = [loaded[0], *shaped[:2],
-                  TraceEvent(3, 60, 1, "50%", {"%d": "%s", "100%": 7, "%%": None,
-                                               "%(x)s": ["%", "a%%b%"]}),
-                  TraceEvent(4, 61, 2, "Eliminated", {"btl_id": "%d%s", "reason": "100%"},
-                             codec.ELIMINATED),
-                  loaded[1], *shaped[2:], loaded[2], TraceEvent(5, 62, 0, "%s%%", {"k": "%"})]
-        assert {ev.shape is None for ev in events} == {True, False}
+                  record(3, 60, 1, "TopologyChanged", {"op": "%d", "target": ["%", "a%%b%"]}),
+                  TraceEvent(4, 61, 2, codec.ELIMINATED, ("%d%s", "100%")),
+                  loaded[1], *shaped[2:], loaded[2],
+                  record(5, 62, 0, "TableUpdated", {"dest": "%s%%", "next_hop": True,
+                                                    "hops": 1.5})]
+        assert {ev.loaded for ev in events} == {True, False}
         assert len(events) % 3 != 0
         trace = Trace(events=events)
         path = tmp_path / "mixed.jsonl"
         trace.write(str(path))
-        expected = "".join(ev.to_json() + "\n" for ev in events)
-        assert path.read_text() == trace.to_jsonl() == expected
-        assert expected == "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
-                                   for ev in events)
+        expected = "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
+                           for ev in events)
+        assert path.read_text() == expected == "".join(jsonl([ev]) for ev in events)
+
+    def test_loaded_values_keep_their_json_text_and_extra_keys_go(self, tmp_path):
+        """A loaded value of a JSON type its field does not declare is written
+        back as it was read; a data key no field declares is not kept."""
+        lines = ['{"at":1,"seq":0,"node":0,"kind":"TableUpdated",'
+                 '"data":{"dest":2,"next_hop":1,"hops":true}}',
+                 '{"at":1,"seq":1,"node":0,"kind":"RouteRemoved","data":{"dest":2,"reason":5}}',
+                 '{"at":2,"seq":2,"node":1,"kind":"DiscoveryStarted",'
+                 '"data":{"dest":3,"extra":[1],"attempt":0}}']
+        trace = load_trace(self.write(tmp_path, lines))
+        assert [ev.data for ev in trace.events] == [
+            {"dest": 2, "next_hop": 1, "hops": True}, {"dest": 2, "reason": 5},
+            {"dest": 3, "attempt": 0}]
+        path = tmp_path / "back.jsonl"
+        trace.write(str(path))
+        lines[2] = lines[2].replace('"extra":[1],', "")
+        assert path.read_text() == "".join(line + "\n" for line in lines)
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, [])
@@ -1016,8 +1085,8 @@ class TestChunkedTrace:
         assert len(trace.events) > 3 * 3
         path = tmp_path / "trace.jsonl"
         trace.write(str(path))
-        assert path.read_text() == trace.to_jsonl()
-        assert trace.to_jsonl() == "".join(ev.to_json() + "\n" for ev in trace.events)
+        assert path.read_text() == jsonl(trace)
+        assert jsonl(trace) == "".join(jsonl([ev]) for ev in trace.events)
         assert load_trace(str(path)).events == trace.events
         assert list(iter_trace(str(path))) == trace.events
 
@@ -1031,7 +1100,7 @@ def engine_record_lines():
            "faults": [{"at": 3, "op": "fail_node", "node": 2},
                       {"at": 4, "op": "fail_link", "link": [0, 3]},
                       {"at": 30, "op": "restore_node", "node": 2}]}
-    lines = {ev.shape: ev.to_json() for ev in run(scenario_from_dict(doc)).events}
+    lines = {ev.shape: jsonl([ev])[:-1] for ev in run(scenario_from_dict(doc)).events}
     assert len(lines) >= 8
     return tuple(sorted(lines.values()))
 
@@ -1096,8 +1165,7 @@ def test_the_line_path_names_every_line_it_rejects(line):
     assert (decoded is None) == (error is not None), (line, error)
     if decoded is not None:
         rec = json.loads(line)
-        assert decoded == [TraceEvent(rec["at"], rec["seq"], rec["node"], rec["kind"],
-                                      rec["data"])]
+        assert decoded == [record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])]
 
 
 @st.composite
@@ -1193,8 +1261,9 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
     def test_load_trace(self, tmp_path, monkeypatch, collector):
+        path = self.trace_file(tmp_path)  # its lines are built from records too
         seen = self.watch(monkeypatch, codec, "TraceEvent")
-        assert len(load_trace(self.trace_file(tmp_path)).events) == 10
+        assert len(load_trace(path).events) == 10
         assert len(seen) == 10 and not any(seen)
         assert gc.isenabled() is collector
 
@@ -1247,3 +1316,22 @@ def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypa
         assert loaded.events == trace.events
     assert loads[16] < 1.5 * loads[4], loads
     assert writes[16] < 1.5 * writes[4], writes
+
+
+def test_a_finished_run_holds_at_most_320_bytes_per_record():
+    """What a run's trace holds in memory, over its records: each record is a
+    slotted TraceEvent and the tuple of its values, with no data dict. A
+    TraceEvent with a data dict per record held about 420 bytes a record here."""
+    doc = {"seed": 5, "topology": {"generator": {"kind": "generic", "nodes": 50, "seed": 0}},
+           "random_requests": {"count": 150, "spacing": 20}}
+    sc = scenario_from_dict(doc)
+    run(sc)  # warms caches and free lists outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run(sc)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.events) == 6552
+    assert held / len(trace.events) <= 320, held / len(trace.events)

@@ -31,6 +31,7 @@ from bottlenet.config import scenario_from_dict
 from bottlenet.engine import run
 from bottlenet.trace import RECORD_FIELDS, SHAPES, load_trace
 from bottlenet.metrics import summarize
+from conftest import jsonl
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
 
@@ -38,7 +39,7 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read
 @pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
 def test_trace_matches_pinned_hash(case):
     trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
-    digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+    digest = hashlib.sha256(jsonl(trace).encode()).hexdigest()
     assert (len(trace.events), digest) == (case["records"], case["sha256"])
     assert summarize(trace).to_dict() == case["summary"]
 
@@ -48,10 +49,10 @@ def test_trace_file_round_trip(case, tmp_path):
     trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
     path = tmp_path / "trace.jsonl"
     trace.write(str(path))
-    assert path.read_bytes() == trace.to_jsonl().encode()
+    assert path.read_bytes() == jsonl(trace).encode()
     loaded = load_trace(str(path))
     assert loaded.events == trace.events
-    digest = hashlib.sha256(loaded.to_jsonl().encode()).hexdigest()
+    digest = hashlib.sha256(jsonl(loaded).encode()).hexdigest()
     assert digest == case["sha256"]
 
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig
 from bottlenet import trace as codec
 from bottlenet.engine import run
-from bottlenet.trace import TraceEvent, iter_trace, load_trace
+from bottlenet.trace import iter_trace, load_trace, record
 from bottlenet.errors import MalformedRecord, UnknownNode
 from bottlenet.metrics import (
     IncompleteTrace,
@@ -119,9 +119,9 @@ def test_close_with_nothing_open_is_malformed(kind):
     # discovery was closed by the RouteFound before it
     data = {"src": 0, "dest": 1, "path": [0, 1]} if kind == "RouteFound" \
         else {"src": 0, "dest": 1}
-    records = [TraceEvent(1, 0, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}),
-               TraceEvent(3, 1, 0, "RouteFound", {"src": 0, "dest": 1, "path": [0, 1]}),
-               TraceEvent(5, 2, 0, kind, data)]
+    records = [record(1, 0, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}),
+               record(3, 1, 0, "RouteFound", {"src": 0, "dest": 1, "path": [0, 1]}),
+               record(5, 2, 0, kind, data)]
     with pytest.raises(MalformedRecord, match=rf"^record seq 2 \(kind '{kind}'\): "
                                               "src 0 has no discovery of dest 1 open"):
         episodes(records)
