@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, NamedTuple
 
-from .domain import is_node_id
 from .errors import BottlenetError, MalformedRecord, UnknownNode
 from .network import Topology
 from .oracle import Distances
@@ -72,9 +71,10 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
     an episode still open at the end is "unresolved". Tables (per node,
     dest -> (next_hop, hops)) follow TableUpdated and RouteRemoved. The
     topology starts from t's nodes and edges with nothing down and applies
-    each TopologyChanged in record order; t itself is left as it is. A field
-    whose JSON type does not fit its use, a node or link t lacks, or a close
-    with no discovery open raises MalformedRecord.
+    each TopologyChanged in record order; t itself is left as it is. Times
+    and ids are as trace.record judged them. Any other field whose JSON type
+    does not fit its use, a node or link t lacks, or a close with no
+    discovery open raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
     topo = None if t is None else t.copy_without_faults()
@@ -91,8 +91,8 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
     closes = {ROUTE_FOUND: "success", DISCOVERY_RESOLVED: "passive",
               INACCESSIBLE: "inaccessible"}
 
-    def known(n: object) -> bool:  # a bool or a float would key as the int it equals
-        return is_node_id(n) and (topo is None or n in topo.nodes)
+    def known(n: int) -> bool:
+        return topo is None or n in topo.nodes
 
     try:
         for ev in events:
@@ -104,11 +104,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
                 dest, next_hop, hops = ev.values
                 tables[ev.node][dest] = (next_hop, hops)
             elif shape is route_removed:
-                # a bool or a float pops the entry of the int it equals;
-                # only a removal is checked, so a miss costs nothing more
-                dest = ev.values[0]
-                if tables[ev.node].pop(dest, None) is not None and type(dest) is not int:
-                    raise MalformedRecord(_bad_record(ev, f"dest {dest!r} is not a node id"))
+                tables[ev.node].pop(ev.values[0], None)
             elif shape is eliminated_:
                 reason = ev.values[1]
                 eliminated[reason] = eliminated.get(reason, 0) + 1
@@ -122,9 +118,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
                 if ep is not None:
                     ep.bottles += 1
                 elif known(node) and known(dest):
-                    # + 0 here and at the close: a time that is not a number fails
-                    # here, which names its record, and not later in a latency
-                    eps.append(Episode(node, dest, ev.at + 0))
+                    eps.append(Episode(node, dest, ev.at))
                     open_eps[node, dest] = eps[-1]
                 else:
                     raise MalformedRecord(_bad_record(
@@ -135,7 +129,7 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
                 if ep is None:
                     raise MalformedRecord(_bad_record(
                         ev, f"src {src!r} has no discovery of dest {dest!r} open"))
-                ep.end_at, ep.outcome = ev.at + 0, closes[shape]
+                ep.end_at, ep.outcome = ev.at, closes[shape]
                 if shape is ROUTE_FOUND:
                     ep.path = list(ev.values[2])
             elif shape is topology_changed and topo is not None:

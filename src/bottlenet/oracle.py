@@ -1,7 +1,7 @@
 """Ground-truth shortest paths and connectivity, recomputed from scratch.
 
-Used only by tests and metrics as an independent check on what the
-protocol discovers; deliberately shares nothing with the FSM. A
+Used only by tests, metrics and topogen (``components``) as an independent
+check on what the protocol discovers, sharing nothing with the FSM. A
 ``Distances`` snapshot costs O(V + E) to build: a tuple of live neighbour
 indices per node (sorted order). The first distance asked of it runs one
 multi-source bit-parallel sweep (Then et al., PVLDB 2014; Beamer, Asanovic

@@ -2,7 +2,8 @@
 
 Each record shape the engine writes is declared once (``_shape``), one per
 kind and msg. A shape gives its records both their kind and the %-format
-that writes them, and the reader checks each record against its fields.
+that writes them. ``record`` judges every record made from outside data,
+whether read from a file or built in code, against its shape.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .config import ProtocolConfig
-from .domain import NodeState
+from .domain import MAX_NODE_ID, NodeState
 from .errors import MalformedTrace
 from .network import Topology, fault_error
 
@@ -28,9 +29,10 @@ _BOOL = {True: "true", False: "false"}.__getitem__
 
 # Value kind -> its conversion spec in a line's %-format and the converter
 # to JSON text that fills a %s, if it needs one. A name is a str that JSON
-# writes as it is: ASCII with no quote, backslash or control character.
+# writes as it is: ASCII with no quote, backslash or control character. An id
+# is an int that record checks is a node id.
 _VALUE_KINDS: dict[str, tuple[str, Any]] = {
-    "int": ("%d", None), "name": ('"%s"', None), "bool": ("%s", _BOOL),
+    "int": ("%d", None), "id": ("%d", None), "name": ('"%s"', None), "bool": ("%s", _BOOL),
     "json": ("%s", _encode),
 }
 
@@ -44,6 +46,7 @@ class Shape:
     fields: tuple[str, ...]  # data field names, in the order the engine fills them
     fmt: str  # the record's line as a %-format
     fixups: tuple[tuple[int, Callable[[Any], str]], ...]
+    ids: tuple[int, ...]  # the index in values of each field of kind id
     # a data dict -> its fields' values in order, a tuple as every shape has
     # two fields or more; KeyError names a missing one
     pick: Callable[[dict[str, Any]], tuple]
@@ -72,8 +75,9 @@ def _shape(kind: str, msg: str | None, fields: str) -> Shape:
             fixups.append((i, convert))
     fmt = '{%s,%s,%s,"kind":%s,"data":{%s}}' % (*specs[:3], _encode(kind),
                                                  ",".join(specs[3:]))
+    ids = tuple(i for i, item in enumerate(fields.split()) if item.endswith(":id"))
     shape = Shape(kind, msg, tuple(names[3:]), fmt,
-                  tuple((i - len(names), c) for i, c in fixups), itemgetter(*names[3:]))
+                  tuple((i - len(names), c) for i, c in fixups), ids, itemgetter(*names[3:]))
     SHAPES.append(shape)
     return shape
 
@@ -81,10 +85,10 @@ def _shape(kind: str, msg: str | None, fields: str) -> Shape:
 # Sent, Received and DeliveryFailed records name a bottle or a data packet
 # in "msg"; other kinds have no msg. Only a data packet has a Received record:
 # a bottle Sent at t lands at its "to" at t + per_hop_latency, unless a
-# DeliveryFailed names its xfer or that instant is past the horizon. Each
-# value must be of its declared kind, an int never a bool or a float: times,
-# node ids and counts are ints because ScenarioConfig rejects any other
-# scenario value.
+# DeliveryFailed names its xfer or that instant is past the horizon. The
+# engine writes each value as its declared kind: times, node ids and counts
+# are ints because ScenarioConfig rejects any other scenario value. An id
+# field is one the fold keys a table or an episode by.
 SENT_BOTTLE = _shape("Sent", "bottle", "msg:name to btl_id:name src dest "
                      "rf:bool failure:bool history_len bytes xfer")
 SENT_DATA = _shape("Sent", "data", "msg:name to src dest xfer")
@@ -94,21 +98,16 @@ BOUNCED_DATA = _shape("DeliveryFailed", "data", "msg:name to xfer")
 # a packet the fsm drops (hop_cap): after the Received that took it over the cap
 DROPPED = _shape("Dropped", None, "src dest reason:name")
 ELIMINATED = _shape("Eliminated", None, "btl_id:name reason:name")
-DISCOVERY_STARTED = _shape("DiscoveryStarted", None, "dest attempt")
-ROUTE_FOUND = _shape("RouteFound", None, "src dest path:json")
-INACCESSIBLE = _shape("Inaccessible", None, "src dest")
-DISCOVERY_RESOLVED = _shape("DiscoveryResolved", None, "src dest")
-TABLE_UPDATED = _shape("TableUpdated", None, "dest next_hop hops")
-ROUTE_REMOVED = _shape("RouteRemoved", None, "dest reason:name")
+DISCOVERY_STARTED = _shape("DiscoveryStarted", None, "dest:id attempt")
+ROUTE_FOUND = _shape("RouteFound", None, "src:id dest:id path:json")
+INACCESSIBLE = _shape("Inaccessible", None, "src:id dest:id")
+DISCOVERY_RESOLVED = _shape("DiscoveryResolved", None, "src:id dest:id")
+TABLE_UPDATED = _shape("TableUpdated", None, "dest:id next_hop hops")
+ROUTE_REMOVED = _shape("RouteRemoved", None, "dest:id reason:name")
 TOPOLOGY_CHANGED = _shape("TopologyChanged", None, "op:name target:json")
 
 # (kind, msg) -> its declared shape
 SHAPE_OF: dict[tuple[str, str | None], Shape] = {(s.kind, s.msg): s for s in SHAPES}
-# (kind, msg) -> the data fields of its shape, which every such record carries
-RECORD_FIELDS: dict[tuple[str, str | None], frozenset[str]] = {
-    key: frozenset(s.fields) for key, s in SHAPE_OF.items()}
-
-_NOT_IDS = (bool, float)  # no node id: each would key a table as the int it equals
 
 
 @dataclass(slots=True)
@@ -146,11 +145,40 @@ class TraceEvent:
 
 
 def record(at: int, seq: int, node: int, kind: str, data: dict[str, Any]) -> TraceEvent:
-    """The record of kind and data, loaded from a file or built in code. It
-    keeps the fields of its shape only; a kind and msg with no shape, or
-    data that lacks a field, raises KeyError."""
-    shape = SHAPE_OF[kind, data.get("msg")]
-    return TraceEvent(at, seq, node, shape, shape.pick(data), True)
+    """The record of kind and data, loaded from a file or built in code, with
+    the fields of its shape only. MalformedTrace says why for a kind and msg
+    with no shape, data that lacks a field, a time that is not an int, a node
+    or id field that is not a node id (a bool or a float would key a table as
+    the int it equals) and a fault that fault_error rejects."""
+    try:
+        shape = SHAPE_OF[kind, data.get("msg")]
+        values = shape.pick(data)
+    except (KeyError, TypeError):
+        raise MalformedTrace(_shape_error(kind, data)) from None
+    if type(at) is not int:
+        raise MalformedTrace(f"at {at!r} is not an int")
+    if type(node) is not int or not 0 <= node <= MAX_NODE_ID:
+        raise MalformedTrace(f"node {node!r} is not a node id")
+    for i in shape.ids:
+        if type(value := values[i]) is not int or not 0 <= value <= MAX_NODE_ID:
+            raise MalformedTrace(f"kind {kind!r}: {shape.fields[i]} {value!r} is not a node id")
+    if shape is TOPOLOGY_CHANGED and (error := fault_error(*values)):
+        raise MalformedTrace(f"kind {kind!r}: {error}")
+    return TraceEvent(at, seq, node, shape, values, True)
+
+
+def _shape_error(kind: Any, data: dict[str, Any]) -> str:
+    """Why kind and data have no shape, or lack a field of theirs."""
+    # compared, not hashed: kind or msg may be a list
+    key = (kind, data.get("msg"))
+    shape = next((s for k, s in SHAPE_OF.items() if k == key), None)
+    if shape is None:
+        if not any(k == kind for k, _ in SHAPE_OF):
+            return f"unknown kind {kind!r}"
+        if "msg" not in data:
+            return f"kind {kind!r}: missing field 'msg'"
+        return f"kind {kind!r} has no msg {data['msg']!r}"
+    return f"kind {kind!r}: missing field '{min(set(shape.fields) - data.keys())}'"
 
 
 @dataclass
@@ -163,7 +191,7 @@ class Trace:
     same bytes. ``write`` (one %-format per chunk) and ``iter_trace``,
     which streams it back, each hold one chunk of text at a time;
     ``iter_trace`` rejects all but exactly one such object per non-blank
-    line, and any record that ``_record_error`` finds fault with.
+    line, and any record that ``record`` finds fault with.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -245,29 +273,20 @@ _LIST_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
     """Every record of lines, decoded in one call with each line wrapped in a
     list of its own, or None unless that gives one list per line, each
-    holding one record that _record_error finds no fault with, or nothing for
-    a line of JSON whitespace. Several lines whose text holds a _LIST_BREAK give None."""
+    holding one record that record finds no fault with, or nothing for a
+    line of JSON whitespace. Several lines whose text holds a _LIST_BREAK give None."""
     if len(lines) > 1 and _LIST_BREAK.search("".join(lines)):
         return None
-    events: list[TraceEvent] = []
-    append = events.append
-    with suppress(ValueError, TypeError, KeyError, AttributeError):
+    with suppress(ValueError, TypeError, KeyError, AttributeError, MalformedTrace):
         if len(items := json.loads("[[" + "],[".join(lines) + "]]")) == len(lines):
-            for (rec,) in filter(None, items):
-                ev = record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
-                shape, values = ev.shape, ev.values
-                if (type(ev.node) in _NOT_IDS
-                        or shape is TABLE_UPDATED and type(values[0]) in _NOT_IDS
-                        or shape is TOPOLOGY_CHANGED and fault_error(*values)):
-                    break
-                append(ev)
-            else:
-                return events
+            return [record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
+                    for (rec,) in filter(None, items)]
     return None
 
 
 def _record_error(line: str) -> str | None:
-    """What keeps a non-blank trace line from being one valid record, if anything."""
+    """What keeps a non-blank trace line from being one valid record, if
+    anything: a fault found before there is a record to judge, or record's."""
     try:
         rec = json.loads(line)
     except ValueError as exc:
@@ -277,24 +296,10 @@ def _record_error(line: str) -> str | None:
     missing = [key for key in ("at", "seq", "node", "kind", "data") if key not in rec]
     if missing:
         return f"missing field '{missing[0]}'"
-    if type(rec["node"]) in _NOT_IDS:
-        return f"node {rec['node']!r} is not a node id"
-    kind, data = rec["kind"], rec["data"]
-    if not isinstance(data, dict):
+    if not isinstance(rec["data"], dict):
         return "field 'data' is not an object"
-    # compared, not hashed: kind or msg may be a list
-    key = (kind, data.get("msg"))
-    shape = next((s for k, s in SHAPE_OF.items() if k == key), None)
-    if shape is None:
-        if not any(k == kind for k, _ in SHAPE_OF):
-            return f"unknown kind {kind!r}"
-        if "msg" not in data:
-            return f"kind {kind!r}: missing field 'msg'"
-        return f"kind {kind!r} has no msg {data['msg']!r}"
-    missing = sorted(set(shape.fields) - data.keys())
-    if missing:
-        return f"kind {kind!r}: missing field '{missing[0]}'"
-    if shape is TABLE_UPDATED and type(data["dest"]) in _NOT_IDS:
-        return f"kind {kind!r}: dest {data['dest']!r} is not a node id"
-    error = shape is TOPOLOGY_CHANGED and fault_error(data["op"], data["target"])
-    return f"kind {kind!r}: {error}" if error else None
+    try:
+        record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
+    except MalformedTrace as exc:
+        return str(exc)
+    return None

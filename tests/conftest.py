@@ -14,7 +14,7 @@ from bottlenet.config import ProtocolConfig, ScenarioConfig, scenario_from_dict
 from bottlenet.domain import NodeState
 from bottlenet.network import Topology, save_topology
 from bottlenet.topogen import generate_topology
-from bottlenet.trace import Trace, TraceEvent
+from bottlenet.trace import SHAPES, Trace, TraceEvent
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -31,6 +31,12 @@ def jsonl(records: Trace | list[TraceEvent]) -> str:
     a trace's events: the writer's own chunk encoder, without a file."""
     events = records.events if isinstance(records, Trace) else records
     return "".join(Trace(events=events)._jsonl_chunks())
+
+
+def record_fields() -> dict[tuple[str, str | None], frozenset[str]]:
+    """(kind, msg) -> the data fields of its declared shape, which every
+    such record carries."""
+    return {(s.kind, s.msg): frozenset(s.fields) for s in SHAPES}
 
 
 def make_topology(*edges: tuple[int, int], extra_nodes: tuple[int, ...] = ()) -> Topology:

@@ -66,20 +66,42 @@ MUTANTS = [
             "tests/test_fsm_handlers.py::TestPurgeRoutes::"
             "test_route_to_dest_dropped_whatever_its_next_hop")),
     Mutant("trace.py",
-           "type(ev.node) in _NOT_IDS\n"
-           "                        or shape is TABLE_UPDATED and type(values[0]) in _NOT_IDS\n"
-           "                        or ",
+           "    if type(node) is not int or not 0 <= node <= MAX_NODE_ID:\n"
+           "        raise MalformedTrace(f\"node {node!r} is not a node id\")\n",
            "",
-           "a chunk of lines decoded in one call takes a bool or a float node id",
+           "the judge of every record takes a bool, a float or a string node",
            ("tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line",
+            "tests/test_trace.py::test_a_record_built_in_code_is_judged_as_its_line_is",
             "tests/test_cli.py::TestSummarize::"
             "test_node_or_hop_count_that_does_not_fit_is_a_clean_error")),
     Mutant("trace.py",
-           '    if type(rec["node"]) in _NOT_IDS:\n'
-           '        return f"node {rec[\'node\']!r} is not a node id"\n',
+           "    for i in shape.ids:\n"
+           "        if type(value := values[i]) is not int or not 0 <= value <= MAX_NODE_ID:\n"
+           "            raise MalformedTrace(f\"kind {kind!r}: {shape.fields[i]} {value!r} "
+           "is not a node id\")\n",
            "",
-           "the line path, which names a rejected line, finds nothing wrong with a bool node",
-           ("tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line",)),
+           "the judge takes a bool, a float or a list as a src or dest the fold keys by",
+           ("tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line",
+            "tests/test_trace.py::test_a_record_built_in_code_is_judged_as_its_line_is",
+            "tests/test_cli.py::TestSummarize::"
+            "test_node_or_hop_count_that_does_not_fit_is_a_clean_error")),
+    Mutant("trace.py",
+           "    if type(at) is not int:\n"
+           "        raise MalformedTrace(f\"at {at!r} is not an int\")\n",
+           "",
+           "the judge takes a bool, a float or a string as a record's time",
+           ("tests/test_trace.py::test_a_record_built_in_code_is_judged_as_its_line_is",
+            "tests/test_cli.py::TestSummarize::test_field_of_the_wrong_type_is_a_clean_error")),
+    Mutant("trace.py",
+           "    try:\n"
+           '        record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])\n'
+           "    except MalformedTrace as exc:\n"
+           "        return str(exc)\n",
+           "",
+           "the line path, which names a rejected line, finds nothing wrong with a record "
+           "the judge refuses",
+           ("tests/test_engine.py::test_the_line_path_names_every_line_it_rejects",
+            "tests/test_trace.py::test_a_bool_or_float_node_id_is_named_by_its_line")),
     Mutant("metrics.py", 'SENT_BOTTLE.fields.index("bytes")',
            'SENT_BOTTLE.fields.index("history_len")',
            "the fold reads a bottle's byte count from its history_len value",

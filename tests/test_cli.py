@@ -293,19 +293,25 @@ class TestSummarize:
               "--topology", str(DATA / "two_node_topology.json")])
         return capsys.readouterr().out
 
-    # The golden trace's records: 0 DiscoveryStarted, 1 Sent (bottle),
-    # 2 TableUpdated, 3 Sent (bottle), 4 TableUpdated, 5 RouteFound,
-    # 6 Sent (data), 7 Received.
+    # The golden trace's records, seq n on line n + 1: 0 DiscoveryStarted,
+    # 1 Sent (bottle), 2 TableUpdated, 3 Sent (bottle), 4 TableUpdated,
+    # 5 RouteFound, 6 Sent (data), 7 Received. The reader names a time or a
+    # node id that is not one by its line, the fold any other value by its record.
     @pytest.mark.parametrize("seq, edit, named", [
-        (1, lambda rec: rec["data"].update(bytes="x"), "seq 1 (kind 'Sent')"),
+        (1, lambda rec: rec["data"].update(bytes="x"), "record seq 1 (kind 'Sent'): "),
         # no number reads a bottle id, so a list there changes nothing
         (1, lambda rec: rec["data"].update(btl_id=["zz"]), None),
-        (2, lambda rec: rec["data"].update(dest=[0]), "seq 2 (kind 'TableUpdated')"),
-        (0, lambda rec: rec.update(at="1"), "seq 0 (kind 'DiscoveryStarted')"),
-        (5, lambda rec: rec.update(at="3"), "seq 5 (kind 'RouteFound')"),
-        (0, lambda rec: rec["data"].update(attempt="0"), "seq 0 (kind 'DiscoveryStarted')"),
+        (2, lambda rec: rec["data"].update(dest=[0]),
+         "line 3: kind 'TableUpdated': dest [0] is not a node id\n"),
+        (0, lambda rec: rec.update(at="1"), "line 1: at '1' is not an int\n"),
+        (5, lambda rec: rec.update(at="3"), "line 6: at '3' is not an int\n"),
+        (0, lambda rec: rec["data"].update(attempt="0"),
+         "record seq 0 (kind 'DiscoveryStarted'): "),
+        # each was read as a time of 1.5 or 1, and summarized with exit 0
+        (0, lambda rec: rec.update(at=1.5), "line 1: at 1.5 is not an int\n"),
+        (0, lambda rec: rec.update(at=True), "line 1: at True is not an int\n"),
     ], ids=["bytes-str", "btl_id-list", "dest-list", "opening-at-str", "closing-at-str",
-            "attempt-str"])
+            "attempt-str", "at-float", "at-bool"])
     def test_field_of_the_wrong_type_is_a_clean_error(self, tmp_path, capsys,
                                                       seq, edit, named):
         status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
@@ -313,17 +319,15 @@ class TestSummarize:
             assert (status, err, out) == (0, "", self.unedited_summary(capsys))
             return
         assert (status, out) == (1, "")
-        assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: record {named}: ")
+        assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: {named}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("seq, edit, named", [
-        (0, lambda rec: rec.update(node="0"),
-         "record seq 0 (kind 'DiscoveryStarted'): node '0' "),
+        (0, lambda rec: rec.update(node="0"), "line 1: node '0' is not a node id\n"),
         (5, lambda rec: rec["data"].update(src="0"),
-         "record seq 5 (kind 'RouteFound'): src '0' "),
+         "line 6: kind 'RouteFound': src '0' is not a node id\n"),
         (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
-        (2, lambda rec: rec.update(node="1"),
-         "kind 'TableUpdated' at node '1': node '1' not in topology"),
+        (2, lambda rec: rec.update(node="1"), "line 3: node '1' is not a node id\n"),
         (2, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
         (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
                                          "data": {"op": "fail_node", "target": [7]}}),
@@ -335,16 +339,16 @@ class TestSummarize:
         (2, lambda rec: rec["data"].update(hops=1.0),
          "kind 'TableUpdated' at node 1: hops 1.0 is not a hop count"),
         (5, lambda rec: rec["data"].update(src=False),
-         "record seq 5 (kind 'RouteFound'): src False "),
+         "line 6: kind 'RouteFound': src False is not a node id\n"),
         (5, lambda rec: rec["data"].update(src=0.0),
-         "record seq 5 (kind 'RouteFound'): src 0.0 "),
+         "line 6: kind 'RouteFound': src 0.0 is not a node id\n"),
         # each removes node 0's entry for dest 1, seq 4's
         (None, lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteRemoved",
                                          "data": {"dest": True, "reason": "neighbor_lost"}}),
-         "record seq 8 (kind 'RouteRemoved'): dest True is not a node id"),
+         "line 9: kind 'RouteRemoved': dest True is not a node id\n"),
         (None, lambda recs: recs.append({"at": 5, "seq": 8, "node": 0, "kind": "RouteRemoved",
                                          "data": {"dest": 1.0, "reason": "neighbor_lost"}}),
-         "record seq 8 (kind 'RouteRemoved'): dest 1.0 is not a node id"),
+         "line 9: kind 'RouteRemoved': dest 1.0 is not a node id\n"),
         # a retry counts a bottle of an open discovery, and none is open
         (0, lambda rec: rec["data"].update(attempt=1),
          "record seq 0 (kind 'DiscoveryStarted'): attempt 1 is neither 0 "),

@@ -29,7 +29,7 @@ from bottlenet.errors import ConfigError, MalformedTrace
 from bottlenet.domain import MAX_NODE_ID
 from bottlenet.network import FAULT_OPS, save_topology
 from bottlenet.topogen import generate_topology
-from conftest import fault_scenarios, jsonl, make_topology, scenario_on_file
+from conftest import fault_scenarios, jsonl, make_topology, record_fields, scenario_on_file
 
 
 GENERIC10 = {"kind": "generic", "nodes": 10, "seed": 0}
@@ -429,7 +429,7 @@ def test_a_down_node_writes_only_its_fault_and_the_bounces_of_its_sends(case):
 
 
 def test_record_fields_derived_from_the_declared_shapes():
-    assert codec.RECORD_FIELDS == {
+    assert record_fields() == {
         key: frozenset(fields.split()) for key, fields in {
             ("Sent", "bottle"): "msg to btl_id src dest rf failure history_len bytes xfer",
             ("Sent", "data"): "msg to src dest xfer",
@@ -482,6 +482,7 @@ FIELD_KINDS = {"msg": "name", "btl_id": "name", "reason": "name", "op": "name",
                "rf": "bool", "failure": "bool", "path": "json", "target": "json"}
 KIND_VALUES = {"int": st.integers(), "name": st.text(alphabet="%ab_0-", max_size=6),
                "bool": st.booleans(), "json": values}
+node_ids = st.integers(0, MAX_NODE_ID)
 
 
 def of_declared_kinds(data):
@@ -493,10 +494,16 @@ def of_declared_kinds(data):
 @st.composite
 def shaped_data(draw, declared):
     """A declared shape and a data dict of its fields, msg the shape's own:
-    each value of its field's declared kind, or of any kind."""
+    each value of its field's declared kind, or of any kind but where record
+    judges it, a node id in each id field and a fault op and target."""
     shape = draw(st.sampled_from(codec.SHAPES))
     data = {name: draw(KIND_VALUES[FIELD_KINDS.get(name, "int")] if declared else values)
             for name in shape.fields}
+    if not declared:
+        data.update((shape.fields[i], draw(node_ids)) for i in shape.ids)
+        if shape is codec.TOPOLOGY_CHANGED:
+            data.update(op="fail_link", target=draw(st.lists(node_ids, min_size=2,
+                                                             max_size=2)))
     if shape.msg is not None:
         data["msg"] = shape.msg
     return shape, data
@@ -517,10 +524,11 @@ def made_and_loaded(kind, datas):
 class TestTraceWriter:
     """Every record is written as the compact encoder writes its kind and
     data view: one the engine made from its shape's format, one loaded or
-    built in code by the encoder itself, whatever its values' JSON types."""
+    built in code by the encoder itself, whatever the JSON types of the
+    values record does not judge."""
 
     @settings(max_examples=100, deadline=None)
-    @given(envelope_ints, envelope_ints, envelope_ints, shaped_data(declared=False),
+    @given(st.integers(), envelope_ints, node_ids, shaped_data(declared=False),
            st.integers(), shaped_data(declared=True))
     def test_same_text_as_the_compact_encoder(self, at, seq, node, built, n, made):
         (shape, data), (made_shape, made_data) = built, made
@@ -550,10 +558,12 @@ class TestTraceWriter:
 
     def test_percent_signs_in_values_and_names(self):
         events = (made_and_loaded("Eliminated", [{"btl_id": "%d%s", "reason": "100%"}])
-                  + made_and_loaded("TopologyChanged",
-                                    [{"op": "%%", "target": ["%", "a%%b%", {"%(x)s": "%"}]}])
-                  + made_and_loaded("RouteRemoved", [{"dest": "%d", "reason": "%s%%"}]))
-        assert len(events) == 5
+                  + made_and_loaded("Received", [{"msg": "data", "from": 1, "src": 0, "dest": 1,
+                                                  "path": ["%", "a%%b%", {"%(x)s": "%"}],
+                                                  "xfer": 3}])
+                  + made_and_loaded("Dropped", [{"src": 0, "dest": 1, "reason": "%%"},
+                                                {"src": "%d", "dest": 1, "reason": "%s%%"}]))
+        assert len(events) == 7
         assert jsonl(events) == "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
                                         for ev in events)
 
@@ -1041,10 +1051,12 @@ class TestChunkedTrace:
         shaped = run(two_node_scenario(tmp_path)).events
         loaded = load_trace(self.write(tmp_path, self.records(3, start=50))).events
         events = [loaded[0], *shaped[:2],
-                  record(3, 60, 1, "TopologyChanged", {"op": "%d", "target": ["%", "a%%b%"]}),
+                  record(3, 60, 1, "Received", {"msg": "data", "from": "%d", "src": 0,
+                                                "dest": 1, "path": ["%", "a%%b%"],
+                                                "xfer": True}),
                   TraceEvent(4, 61, 2, codec.ELIMINATED, ("%d%s", "100%")),
                   loaded[1], *shaped[2:], loaded[2],
-                  record(5, 62, 0, "TableUpdated", {"dest": "%s%%", "next_hop": True,
+                  record(5, 62, 0, "TableUpdated", {"dest": 1, "next_hop": "%s%%",
                                                     "hops": 1.5})]
         assert {ev.loaded for ev in events} == {True, False}
         assert len(events) % 3 != 0
@@ -1105,13 +1117,17 @@ def engine_record_lines():
     return tuple(sorted(lines.values()))
 
 
-# replacement values for a record's kind, node and data, and its data's msg,
-# dest, op and target
+# replacement values for a record's kind, at, node and data, and its data's
+# msg, src, dest, op and target: a time or a node id is replaced by a bool,
+# a float, a string or an int out of the node id range, among others
+NOT_IDS = [True, False, 1.0, 0.0, "1", [0], -1, MAX_NODE_ID + 1]
 RECORD_EDITS = {
-    "kind": sorted({kind for kind, _ in codec.RECORD_FIELDS}) + ["Lost", ["Sent"], 1],
-    "node": [True, 1.0, "1"],
+    "kind": sorted({kind for kind, _ in record_fields()}) + ["Lost", ["Sent"], 1],
+    "at": [True, 1.5, 2.0, "1", 0, -1],
+    "node": NOT_IDS,
     "data": [[], "data", None],
-    "dest": [False, 0.0, [0]],
+    "src": NOT_IDS,
+    "dest": NOT_IDS,
     "msg": ["bottle", "data", None, ["data"], {"m": 1}],
     "op": [*FAULT_OPS, "explode", ["fail_node"], None],
     "target": [[1], [1, 2], [], [1, 2, 3], ["a"], 1, [MAX_NODE_ID + 1], None],
@@ -1122,8 +1138,8 @@ LINE_TOKENS = ["],[", ",", "[", "]", "{", "}", '"', ":", '"msg":"data",', '"at":
 
 @st.composite
 def mutated_record_lines(draw):
-    """An engine record line with its kind, node, data, msg, dest, op or target replaced
-    or a key deleted, then ],[, commas, brackets, quotes, keys or another
+    """An engine record line with its kind, at, node, data, msg, src, dest, op or target
+    replaced or a key deleted, then ],[, commas, brackets, quotes, keys or another
     record inserted into its text or cut out of it, or the line wrapped in a
     list."""
     rec = json.loads(draw(st.sampled_from(engine_record_lines())))
@@ -1134,7 +1150,7 @@ def mutated_record_lines(draw):
             key = draw(st.sampled_from([*rec, *data]))
             (rec if key in rec else data).pop(key, None)
         else:
-            owner = rec if field in ("kind", "node", "data") else data
+            owner = rec if field in ("kind", "at", "node", "data") else data
             owner[field] = draw(st.sampled_from(RECORD_EDITS[field]))
     line = json.dumps(rec, separators=(",", ":"))
     for _ in range(draw(st.integers(0, 3))):

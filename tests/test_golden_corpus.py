@@ -15,7 +15,7 @@ on purpose re-pins the values and says why in CHANGES.md; any other
 change must leave them as they are. Each case also goes through the
 trace file: the bytes written, the records loaded back and their encoding
 must match the live run and the pinned hash, and every record must carry
-the data fields trace.RECORD_FIELDS requires of its kind. The corpus holds
+the data fields its kind's declared shape requires. The corpus holds
 a record of every shape trace declares, so the hashes pin the bytes
 of each declared format.
 """
@@ -29,9 +29,9 @@ import pytest
 
 from bottlenet.config import scenario_from_dict
 from bottlenet.engine import run
-from bottlenet.trace import RECORD_FIELDS, SHAPES, load_trace
+from bottlenet.trace import SHAPES, load_trace
 from bottlenet.metrics import summarize
-from conftest import jsonl
+from conftest import jsonl, record_fields
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "golden_corpus.json").read_text())
 
@@ -60,7 +60,7 @@ def test_trace_file_round_trip(case, tmp_path):
 def test_every_record_conforms_to_the_field_table(case):
     trace = run(scenario_from_dict(case["scenario"], source=case["name"]))
     for ev in trace.events:
-        fields = RECORD_FIELDS.get((ev.kind, ev.data.get("msg")))
+        fields = record_fields().get((ev.kind, ev.data.get("msg")))
         assert fields is not None and ev.data.keys() >= fields, ev
 
 
@@ -76,4 +76,4 @@ def test_readme_trace_format_lists_the_field_table():
     section = readme.split("## Trace format", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| (?:`(\w+)`)? *\| `([\w ]+)`", section, re.M)
     assert {(kind, msg or None): frozenset(fields.split())
-            for kind, msg, fields in rows} == RECORD_FIELDS
+            for kind, msg, fields in rows} == record_fields()

@@ -158,3 +158,31 @@ def test_a_bool_or_float_node_id_is_named_by_its_line(tmp_path, monkeypatch, rec
     with pytest.raises(MalformedTrace) as exc:
         codec.load_trace(str(path))
     assert str(exc.value) == f"{path}: line 5: {error}"
+
+
+@pytest.mark.parametrize("at, node, kind, data, error", [
+    (5, True, "TableUpdated", {"dest": 0, "next_hop": 1, "hops": 2},
+     "node True is not a node id"),
+    (5, 0, "TableUpdated", {"dest": True, "next_hop": 1, "hops": 2},
+     "kind 'TableUpdated': dest True is not a node id"),
+    (5, 0, "RouteRemoved", {"dest": 1.0, "reason": "neighbor_lost"},
+     "kind 'RouteRemoved': dest 1.0 is not a node id"),
+    (1.5, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}, "at 1.5 is not an int"),
+    (True, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}, "at True is not an int"),
+], ids=["node-bool", "table-dest-bool", "removed-dest-float", "at-float", "at-bool"])
+def test_a_record_built_in_code_is_judged_as_its_line_is(tmp_path, at, node, kind, data,
+                                                         error):
+    """record refuses a record built in code for what would refuse its line,
+    with the text the reader gives after the line: a bool or a float node
+    or dest would key a table as the int it equals, and a time of 1.5 or
+    True would open a discovery at a time no run has."""
+    with pytest.raises(MalformedTrace) as exc:
+        codec.record(at, 8, node, kind, data)
+    assert str(exc.value) == error
+    path = tmp_path / "trace.jsonl"
+    lines = GOLDEN_TWO_NODE.read_text().splitlines()
+    line = json.dumps({"at": at, "seq": 8, "node": node, "kind": kind, "data": data})
+    path.write_text("\n".join(lines + [line]) + "\n")
+    with pytest.raises(MalformedTrace) as exc:
+        codec.load_trace(str(path))
+    assert str(exc.value) == f"{path}: line {len(lines) + 1}: {error}"
