@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidRequest, MalformedBottle, WireOverflow
@@ -42,12 +43,13 @@ class NodePhase(Enum):
 
 @dataclass(frozen=True)
 class BottleId:
-    """Globally unique bottle identifier: originating node plus its counter."""
+    """Globally unique bottle id: origin node and its counter; its text is made once."""
 
     origin: NodeId
     seq: int
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
         return f"{self.origin}-{self.seq}"
 
 
@@ -133,15 +135,15 @@ def make_bottle(src: NodeId, dest: NodeId, seq: int) -> Bottle:
 def check_bottle(b: Bottle) -> None:
     """Raise MalformedBottle unless all structural invariants hold."""
     if not b.history:
-        raise MalformedBottle(f"bottle {b.btl_id}: empty history")
+        raise MalformedBottle(f"bottle {b.btl_id.text}: empty history")
     if b.history[0] != b.src:
-        raise MalformedBottle(f"bottle {b.btl_id}: history does not start at src")
+        raise MalformedBottle(f"bottle {b.btl_id.text}: history does not start at src")
     if len(set(b.history)) != len(b.history):
-        raise MalformedBottle(f"bottle {b.btl_id}: revisited node in history")
+        raise MalformedBottle(f"bottle {b.btl_id.text}: revisited node in history")
     if b.failure and b.rf:
-        raise MalformedBottle(f"bottle {b.btl_id}: rf and failure are exclusive")
+        raise MalformedBottle(f"bottle {b.btl_id.text}: rf and failure are exclusive")
     if b.rf and b.history[-1] != b.dest:
-        raise MalformedBottle(f"bottle {b.btl_id}: rf set but history does not end at dest")
+        raise MalformedBottle(f"bottle {b.btl_id.text}: rf set but history does not end at dest")
 
 
 def wire_size(b: Bottle) -> int:

@@ -78,10 +78,8 @@ class Engine:
     # -- trace -------------------------------------------------------------
 
     def _record(self, node: int, shape: trace.Shape, values: tuple) -> None:
-        """Append one record of shape; values are its fields' values, in
-        their declared order (see trace._shape)."""
-        records = self.trace
-        records.append(TraceEvent(self.now, len(records), node, shape, values))
+        """Append a record of shape; values in its fields' order (see trace._shape)."""
+        self.trace.append(TraceEvent(self.now, node, shape, values))
 
     # -- main loop ---------------------------------------------------------
 
@@ -177,7 +175,7 @@ class Engine:
             self._record(nid, trace.TABLE_UPDATED, (dest, next_hop, hops))
 
     def _on_eliminate(self, nid: int, action: fsm.Eliminate) -> None:
-        self._record(nid, trace.ELIMINATED, (str(action.btl_id), action.reason))
+        self._record(nid, trace.ELIMINATED, (action.btl_id.text, action.reason))
 
     def _on_drop_data(self, nid: int, action: fsm.DropData) -> None:
         pkt = action.packet
@@ -192,7 +190,7 @@ class Engine:
         xfer = self._xfer
         self._xfer += 1
         self._record(frm, trace.SENT_BOTTLE, (
-            "bottle", to, str(bottle.btl_id), bottle.src, bottle.dest, bottle.rf,
+            "bottle", to, bottle.btl_id.text, bottle.src, bottle.dest, bottle.rf,
             bottle.failure, len(bottle.history), size, xfer))
         if self.topology.link_live(frm, to):
             self.schedule(self.now + self.cfg.per_hop_latency,

@@ -273,14 +273,14 @@ def handle_bottle(node: NodeState, b: Bottle, now: int,
     if forward:
         if node.nid in b.history:
             raise MalformedBottle(
-                f"bottle {b.btl_id} revisited node {node.nid}")
+                f"bottle {b.btl_id.text} revisited node {node.nid}")
         b.history.append(node.nid)
         i = len(b.history) - 1  # the bottle's hop count
     else:
         try:
             i = b.history.index(node.nid)
         except ValueError:
-            raise MalformedBottle(f"returning bottle {b.btl_id} at node "
+            raise MalformedBottle(f"returning bottle {b.btl_id.text} at node "
                                   f"{node.nid} off its history") from None
 
     learned = update_table_from_history(node.rtab, b.history, i, node.nbors)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from statistics import fmean
 from typing import Iterable, NamedTuple
 
@@ -77,6 +79,15 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
     discovery open raises MalformedRecord.
     """
     events = trace.events if isinstance(trace, Trace) else trace
+    if not isinstance(events, list):  # a stream: zip counts the records it reads
+        events = map(itemgetter(1), zip(read := count(), events))
+
+    def bad(ev: TraceEvent, what: object) -> MalformedRecord:
+        """The error naming ev by its seq, its place, looked up only on this path."""
+        seq = (next(i for i, other in enumerate(events) if other is ev)
+               if isinstance(events, list) else next(read) - 1)
+        return MalformedRecord(f"record seq {seq} (kind {ev.kind!r}): {what}")
+
     topo = None if t is None else t.copy_without_faults()
     eps: list[Episode] = []  # in the order they open
     open_eps: dict[tuple[int, int], Episode] = {}
@@ -112,23 +123,20 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
                 node, (dest, attempt) = ev.node, ev.values
                 ep = open_eps.get((node, dest))
                 if type(attempt) is not int or attempt < 0 or (ep is None) != (attempt == 0):
-                    raise MalformedRecord(_bad_record(ev, f"attempt {attempt!r} is neither 0 "
-                                                      f"with no discovery of {dest!r} open nor "
-                                                      "a retry of an open one"))
+                    raise bad(ev, f"attempt {attempt!r} is neither 0 with no discovery "
+                                  f"of {dest!r} open nor a retry of an open one")
                 if ep is not None:
                     ep.bottles += 1
                 elif known(node) and known(dest):
                     eps.append(Episode(node, dest, ev.at))
                     open_eps[node, dest] = eps[-1]
                 else:
-                    raise MalformedRecord(_bad_record(
-                        ev, f"node {node!r} or dest {dest!r} is not a known node id"))
+                    raise bad(ev, f"node {node!r} or dest {dest!r} is not a known node id")
             elif shape in closes:
                 src, dest = ev.values[:2]
                 ep = open_eps.pop((src, dest), None) if known(src) and known(dest) else None
                 if ep is None:
-                    raise MalformedRecord(_bad_record(
-                        ev, f"src {src!r} has no discovery of dest {dest!r} open"))
+                    raise bad(ev, f"src {src!r} has no discovery of dest {dest!r} open")
                 ep.end_at, ep.outcome = ev.at, closes[shape]
                 if shape is ROUTE_FOUND:
                     ep.path = list(ev.values[2])
@@ -136,16 +144,12 @@ def _fold(trace: Trace | Iterable[TraceEvent], t: Topology | None = None) -> _Fo
                 try:
                     topo.apply_fault(*ev.values)
                 except BottlenetError as exc:  # a node or link t lacks
-                    raise MalformedRecord(_bad_record(ev, exc)) from None
+                    raise bad(ev, exc) from None
             # Sent data, Received, DeliveryFailed and Dropped: nothing here reads them
     except (TypeError, ValueError) as exc:
-        raise MalformedRecord(_bad_record(ev, f"a field of the wrong type: {exc}")) from None
+        raise bad(ev, f"a field of the wrong type: {exc}") from None
 
     return _Fold(eps, dict(tables), topo, sent, nbytes, eliminated)
-
-
-def _bad_record(ev: TraceEvent, what: object) -> str:
-    return f"record seq {ev.seq!r} (kind {ev.kind!r}): {what}"
 
 
 def episodes(trace: Trace | Iterable[TraceEvent]) -> list[Episode]:

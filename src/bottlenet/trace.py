@@ -14,7 +14,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator
 
 from .config import ProtocolConfig
@@ -113,15 +113,12 @@ SHAPE_OF: dict[tuple[str, str | None], Shape] = {(s.kind, s.msg): s for s in SHA
 @dataclass(slots=True)
 class TraceEvent:
     """One record: its declared shape and its data values, in the shape's
-    field order. ``kind`` and ``data`` are views of the two."""
+    field order; ``kind`` and ``data`` are views of the two. Its seq is its place."""
 
     at: int
-    seq: int
     node: int
     shape: Shape
     values: tuple
-    # a record loaded or built in code (see record): _fill encodes its data view
-    loaded: bool = field(default=False, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -132,19 +129,8 @@ class TraceEvent:
         """The data fields by name, in a new dict on each access."""
         return dict(zip(self.shape.fields, self.values))
 
-    def _fill(self, values: list) -> str:
-        """The record's %-format, after adding the values that fill it to values."""
-        shape = self.shape
-        if self.loaded:
-            return _encode({"at": self.at, "seq": self.seq, "node": self.node,
-                            "kind": shape.kind, "data": self.data}).replace("%", "%%")
-        values += (self.at, self.seq, self.node, *self.values)
-        for i, convert in shape.fixups:
-            values[i] = convert(values[i])
-        return shape.fmt
 
-
-def record(at: int, seq: int, node: int, kind: str, data: dict[str, Any]) -> TraceEvent:
+def record(at: int, node: int, kind: str, data: dict[str, Any]) -> TraceEvent:
     """The record of kind and data, loaded from a file or built in code, with
     the fields of its shape only. MalformedTrace says why for a kind and msg
     with no shape, data that lacks a field, a time that is not an int, a node
@@ -164,7 +150,7 @@ def record(at: int, seq: int, node: int, kind: str, data: dict[str, Any]) -> Tra
             raise MalformedTrace(f"kind {kind!r}: {shape.fields[i]} {value!r} is not a node id")
     if shape is TOPOLOGY_CHANGED and (error := fault_error(*values)):
         raise MalformedTrace(f"kind {kind!r}: {error}")
-    return TraceEvent(at, seq, node, shape, values, True)
+    return TraceEvent(at, node, shape, values)
 
 
 def _shape_error(kind: Any, data: dict[str, Any]) -> str:
@@ -185,13 +171,12 @@ def _shape_error(kind: Any, data: dict[str, Any]) -> str:
 class Trace:
     """Everything a finished run produced, trace records first among equals.
 
-    The JSONL form (``write``) holds one record per line: a compact JSON
-    object (no spaces, ASCII only) with the keys ``at``, ``seq``, ``node``,
-    ``kind`` and ``data`` in that order, so a given run always gives the
-    same bytes. ``write`` (one %-format per chunk) and ``iter_trace``,
-    which streams it back, each hold one chunk of text at a time;
-    ``iter_trace`` rejects all but exactly one such object per non-blank
-    line, and any record that ``record`` finds fault with.
+    The JSONL form (``write``) holds one record per line: a compact ASCII JSON
+    object with the keys ``at``, ``seq`` (its place from 0), ``node``, ``kind``
+    and ``data`` in that order, so a given run always gives the same bytes.
+    ``write`` (one %-format per chunk) and ``iter_trace``, which streams it
+    back, each hold one chunk of text at a time; ``iter_trace`` takes exactly
+    one such object per non-blank line, in order, that ``record`` finds no fault with.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
@@ -204,9 +189,17 @@ class Trace:
         return [ev for ev in self.events if ev.shape.kind == kind]
 
     def _jsonl_chunks(self) -> Iterator[str]:
-        for i in range(0, len(self.events), _CHUNK_LINES):
+        for seq in range(0, len(self.events), _CHUNK_LINES):  # seq: each record's place
             values: list = []
-            fmts = [ev._fill(values) for ev in self.events[i:i + _CHUNK_LINES]]
+            fmts = []
+            for ev in self.events[seq:seq + _CHUNK_LINES]:
+                shape = ev.shape
+                values += (ev.at, seq, ev.node)
+                values += ev.values
+                for i, convert in shape.fixups:
+                    values[i] = convert(values[i])
+                fmts.append(shape.fmt)
+                seq += 1
             yield ("\n".join(fmts) + "\n") % tuple(values)
 
     def write(self, path: str) -> None:
@@ -248,17 +241,20 @@ def _trace_chunks(path: str) -> Iterator[list[TraceEvent]]:
     line, each line stripped, to name its first bad line (``_record_error``)."""
     with open(path, encoding="utf-8") as fh:
         first = 1  # the number of the chunk's first line
+        seq, at = 0, float("-inf")  # the next record's seq, and the time of the one before it
         try:
             while lines := list(islice(fh, _CHUNK_LINES)):
-                events = _decode_chunk(lines)
+                events = _decode_chunk(lines, seq, at)
                 if events is None:
                     events = []
                     for n, line in enumerate(map(str.strip, lines), first):
-                        if (line_events := _decode_chunk([line])) is None:
-                            raise MalformedTrace(f"{path}: line {n}: {_record_error(line)}")
+                        here = seq + len(events), events[-1].at if events else at
+                        if (line_events := _decode_chunk([line], *here)) is None:
+                            raise MalformedTrace(f"{path}: line {n}: {_record_error(line, *here)}")
                         events += line_events
                 yield events
-                first += len(lines)
+                first, seq = first + len(lines), seq + len(events)
+                at = events[-1].at if events else at
         except UnicodeDecodeError as exc:
             raise MalformedTrace(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -270,36 +266,45 @@ _LIST_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 
 
 @collector_paused()
-def _decode_chunk(lines: list[str]) -> list[TraceEvent] | None:
+def _decode_chunk(lines: list[str], seq: int, at: float) -> list[TraceEvent] | None:
     """Every record of lines, decoded in one call with each line wrapped in a
     list of its own, or None unless that gives one list per line, each
-    holding one record that record finds no fault with, or nothing for a
-    line of JSON whitespace. Several lines whose text holds a _LIST_BREAK give None."""
+    holding one record that record finds no fault with, or nothing for a line
+    of JSON whitespace, their seqs ints from seq on and no time before the one
+    before it (at). Several lines whose text holds a _LIST_BREAK give None."""
     if len(lines) > 1 and _LIST_BREAK.search("".join(lines)):
         return None
     with suppress(ValueError, TypeError, KeyError, AttributeError, MalformedTrace):
         if len(items := json.loads("[[" + "],[".join(lines) + "]]")) == len(lines):
-            return [record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
-                    for (rec,) in filter(None, items)]
+            recs = [rec for (rec,) in filter(None, items)]
+            events = [record(rec["at"], rec["node"], rec["kind"], rec["data"]) for rec in recs]
+            seqs, ats = list(map(itemgetter("seq"), recs)), [at, *map(attrgetter("at"), events)]
+            if (seqs == list(range(seq, seq + len(seqs))) and {*map(type, seqs)} <= {int}
+                    and sorted(ats) == ats):
+                return events
     return None
 
 
-def _record_error(line: str) -> str | None:
-    """What keeps a non-blank trace line from being one valid record, if
-    anything: a fault found before there is a record to judge, or record's."""
+def _record_error(line: str, seq: int, at: float) -> str | None:
+    """What keeps a non-blank trace line from being one valid record, with
+    seq its place and at the previous record's time, if anything: a fault
+    found before there is a record to judge, record's, or its order."""
     try:
         rec = json.loads(line)
     except ValueError as exc:
         return f"not one JSON record: {exc}"
     if not isinstance(rec, dict):
         return f"expected a JSON object, got {type(rec).__name__}"
-    missing = [key for key in ("at", "seq", "node", "kind", "data") if key not in rec]
-    if missing:
+    if missing := [key for key in ("at", "seq", "node", "kind", "data") if key not in rec]:
         return f"missing field '{missing[0]}'"
     if not isinstance(rec["data"], dict):
         return "field 'data' is not an object"
     try:
-        record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])
+        record(rec["at"], rec["node"], rec["kind"], rec["data"])
     except MalformedTrace as exc:
         return str(exc)
+    if type(rec["seq"]) is not int or rec["seq"] != seq:
+        return f"seq {rec['seq']!r} is not the record's index {seq}"
+    if rec["at"] < at:
+        return f"at {rec['at']} is before the previous record's {at}"
     return None

@@ -94,7 +94,7 @@ MUTANTS = [
             "tests/test_cli.py::TestSummarize::test_field_of_the_wrong_type_is_a_clean_error")),
     Mutant("trace.py",
            "    try:\n"
-           '        record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])\n'
+           '        record(rec["at"], rec["node"], rec["kind"], rec["data"])\n'
            "    except MalformedTrace as exc:\n"
            "        return str(exc)\n",
            "",
@@ -109,14 +109,19 @@ MUTANTS = [
     Mutant("trace.py", "itemgetter(*names[3:])", "itemgetter(*names[3:-1])",
            "the reader's getter skips a shape's last field, so the chunk path takes a "
            "record that lacks it",
-           ("tests/test_engine.py::TestMalformedTrace::test_missing_data_field",
-            "tests/test_engine.py::TestChunkedTrace::"
-            "test_loaded_values_keep_their_json_text_and_extra_keys_go")),
-    Mutant("trace.py", "        if self.loaded:\n", "        if False:\n",
-           "the writer fills a loaded record's shape format, which rewrites a value of "
-           "another JSON type",
-           ("tests/test_engine.py::TestChunkedTrace::"
-            "test_loaded_values_keep_their_json_text_and_extra_keys_go",)),
+           ("tests/test_engine.py::TestMalformedTrace::test_missing_data_field",)),
+    Mutant("trace.py", "seqs == list(range(seq, seq + len(seqs)))", "True",
+           "the reader takes a seq that is not the record's place: skipped, repeated or a string",
+           ("tests/test_trace.py::test_records_out_of_order_are_named_by_their_line",
+            "tests/test_cli.py::TestSummarize::test_records_out_of_order_are_a_clean_error")),
+    Mutant("trace.py", "{*map(type, seqs)} <= {int}", "True",
+           "the reader takes a bool or a float seq that equals the record's place",
+           ("tests/test_trace.py::test_records_out_of_order_are_named_by_their_line",)),
+    Mutant("trace.py", "sorted(ats) == ats", "True",
+           "the reader takes a record whose at is before the previous record's, within a "
+           "chunk or across a boundary",
+           ("tests/test_trace.py::test_records_out_of_order_are_named_by_their_line",
+            "tests/test_cli.py::TestSummarize::test_records_out_of_order_are_a_clean_error")),
 ]
 
 

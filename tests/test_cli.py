@@ -329,9 +329,9 @@ class TestSummarize:
         (2, lambda rec: rec["data"].update(hops="1"), "kind 'TableUpdated' at node 1: hops '1' "),
         (2, lambda rec: rec.update(node="1"), "line 3: node '1' is not a node id\n"),
         (2, lambda rec: rec["data"].update(dest=5), "kind 'TableUpdated' at node 1: dest 5 "),
-        (None, lambda recs: recs.append({"at": 4, "seq": 9, "node": 7, "kind": "TopologyChanged",
+        (None, lambda recs: recs.append({"at": 4, "seq": 8, "node": 7, "kind": "TopologyChanged",
                                          "data": {"op": "fail_node", "target": [7]}}),
-         "record seq 9 (kind 'TopologyChanged'): node 7 "),
+         "record seq 8 (kind 'TopologyChanged'): node 7 "),
         # a bool or a float hashes and compares equal to the int it stands for
         (0, lambda rec: rec.update(node=False), "line 1: node False is not a node id"),
         (2, lambda rec: rec["data"].update(hops=True),
@@ -364,6 +364,18 @@ class TestSummarize:
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {tmp_path / 'trace.jsonl'}: {named}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seq, edit, named", [
+        (5, lambda rec: rec.update(at=0), "line 6: at 0 is before the previous record's 3"),
+        (3, lambda rec: rec.update(seq="x"), "line 4: seq 'x' is not the record's index 3"),
+        (None, lambda recs: recs.__setitem__(slice(3, None), recs[:2:-1]),
+         "line 4: seq 7 is not the record's index 3"),
+    ], ids=["found-at-0", "seq-str", "last-five-reversed"])
+    def test_records_out_of_order_are_a_clean_error(self, tmp_path, capsys, seq, edit, named):
+        # each summarized with exit 0, the first with a latency of -1
+        status, out, err = self.summarize_edited(capsys, tmp_path, seq, edit)
+        assert (status, out) == (1, "")
+        assert err == f"error: {tmp_path / 'trace.jsonl'}: {named}\n"
 
     def test_close_with_nothing_open_is_a_clean_error(self, tmp_path, capsys):
         # a second RouteFound for the discovery seq 5 closed

@@ -19,13 +19,13 @@ from conftest import make_topology
 class TestMakeBottle:
     def test_fresh_bottle(self):
         b = make_bottle(0, 8, 0)
-        assert str(b.btl_id) == "0-0"
+        assert b.btl_id.text == "0-0"
         assert not b.rf and not b.failure
         assert b.history == [0]
 
     def test_seq_in_id(self):
         b = make_bottle(3, 19, 7)
-        assert str(b.btl_id) == "3-7"
+        assert b.btl_id.text == "3-7"
         assert b.history == [3]
 
     def test_route_to_self_rejected(self):

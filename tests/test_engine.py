@@ -1,6 +1,9 @@
 import functools
 import gc
+import itertools
 import json
+import math
+import re
 import tracemalloc
 import typing
 import weakref
@@ -302,7 +305,7 @@ def copying_send_bottle(self, frm, send):
     xfer = self._xfer
     self._xfer += 1
     self._record(frm, codec.SENT_BOTTLE, (
-        "bottle", to, str(sent.btl_id), sent.src, sent.dest, sent.rf,
+        "bottle", to, sent.btl_id.text, sent.src, sent.dest, sent.rf,
         sent.failure, len(sent.history), size, xfer))
     if self.topology.link_live(frm, to):
         self.schedule(self.now + self.cfg.per_hop_latency,
@@ -328,15 +331,13 @@ def test_handed_over_bottles_give_the_copying_engines_bytes(case):
 @given(fault_scenarios())
 def test_declared_shapes_write_the_bytes_of_the_generic_path(case):
     """Every record the engine writes is written from its shape's format, and
-    its line is the compact encoder's text of the same record, which is what
-    the same record built in code gets."""
+    its line is the compact encoder's text of the same record, its seq its
+    place in the trace; the same record built in code is equal to it."""
     with scenario_on_file(case) as (sc, _):
         trace = run(sc)
-    for ev in trace.events:
-        built = record(ev.at, ev.seq, ev.node, ev.kind, ev.data)
-        assert built == ev and built.loaded and not ev.loaded
-        line = dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
-        assert jsonl([ev]) == jsonl([built]) == line
+    built = [record(ev.at, ev.node, ev.kind, ev.data) for ev in trace.events]
+    assert built == trace.events
+    assert jsonl(trace) == jsonl(built) == compact_lines(built)
 
 
 @settings(max_examples=20, deadline=None,
@@ -350,7 +351,7 @@ def test_each_bottle_is_handled_once_where_and_when_it_lands(case):
     handle_bottle = fsm.handle_bottle
 
     def recording(node, b, now, *args):
-        handled.append((now, node.nid, str(b.btl_id)))
+        handled.append((now, node.nid, b.btl_id.text))
         return handle_bottle(node, b, now, *args)
 
     with scenario_on_file(case) as (sc, _):
@@ -469,103 +470,68 @@ values = st.recursive(
                    | st.dictionaries(st.text(max_size=3) | awkward_text, inner,
                                      max_size=3)),
     max_leaves=4)
-keys = (st.text(max_size=6) | awkward_text | st.integers() | st.booleans()
-        | st.none() | st.floats())
-kinds = st.sampled_from(["Sent", "Received", "TableUpdated"]) | awkward_text | (
-    st.integers() | st.booleans() | st.none() | st.floats())
-envelope_ints = st.integers() | st.booleans() | st.sampled_from(Level)
 
 
 # the value kind of each data field the shapes declare, where it is not an
 # int (see trace._shape), and a strategy for each value kind
 FIELD_KINDS = {"msg": "name", "btl_id": "name", "reason": "name", "op": "name",
                "rf": "bool", "failure": "bool", "path": "json", "target": "json"}
-KIND_VALUES = {"int": st.integers(), "name": st.text(alphabet="%ab_0-", max_size=6),
+KIND_VALUES = {"int": st.integers() | st.sampled_from(Level),
+               "name": st.text(alphabet="%ab_0-", max_size=6),
                "bool": st.booleans(), "json": values}
 node_ids = st.integers(0, MAX_NODE_ID)
 
 
-def of_declared_kinds(data):
-    """Whether each value of data is of the JSON type its field declares."""
-    types = {"int": int, "name": str, "bool": bool, "json": list}
-    return all(type(v) is types[FIELD_KINDS.get(k, "int")] for k, v in data.items())
-
-
 @st.composite
-def shaped_data(draw, declared):
+def shaped_data(draw):
     """A declared shape and a data dict of its fields, msg the shape's own:
-    each value of its field's declared kind, or of any kind but where record
-    judges it, a node id in each id field and a fault op and target."""
+    each value of its field's declared kind, a node id in each id field and
+    a fault op and target that fit."""
     shape = draw(st.sampled_from(codec.SHAPES))
-    data = {name: draw(KIND_VALUES[FIELD_KINDS.get(name, "int")] if declared else values)
-            for name in shape.fields}
-    if not declared:
-        data.update((shape.fields[i], draw(node_ids)) for i in shape.ids)
-        if shape is codec.TOPOLOGY_CHANGED:
-            data.update(op="fail_link", target=draw(st.lists(node_ids, min_size=2,
-                                                             max_size=2)))
+    data = {name: draw(KIND_VALUES[FIELD_KINDS.get(name, "int")]) for name in shape.fields}
+    data.update((shape.fields[i], draw(node_ids)) for i in shape.ids)
+    if shape is codec.TOPOLOGY_CHANGED:
+        data.update(op="fail_link", target=draw(st.lists(node_ids, min_size=2, max_size=2)))
     if shape.msg is not None:
         data["msg"] = shape.msg
     return shape, data
 
 
-def made_and_loaded(kind, datas):
-    """A record of kind built in code for each data, and before it one the
-    engine made of the same values, where they are of their declared kinds."""
-    events = []
-    for seq, data in enumerate(datas):
-        if of_declared_kinds(data):
-            events.append(TraceEvent(5, seq, 2, codec.SHAPE_OF[kind, data.get("msg")],
-                                     tuple(data.values())))
-        events.append(record(5, seq, 2, kind, data))
-    return events
+def made_and_built(at, node, shape, data):
+    """The record the engine makes of shape and data's values, and the same
+    record built in code."""
+    return [TraceEvent(at, node, shape, tuple(data.values())),
+            record(at, node, shape.kind, data)]
+
+
+def compact_lines(events):
+    """The compact encoder's text of records, each seq its place among them."""
+    return "".join(dumps(ev.at, seq, ev.node, ev.kind, ev.data) + "\n"
+                   for seq, ev in enumerate(events))
 
 
 class TestTraceWriter:
     """Every record is written as the compact encoder writes its kind and
-    data view: one the engine made from its shape's format, one loaded or
-    built in code by the encoder itself, whatever the JSON types of the
-    values record does not judge."""
+    data view, its seq its place in the trace: one the engine made from its
+    shape's format and one built in code alike, each value of the JSON type
+    its field declares."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(), envelope_ints, node_ids, shaped_data(declared=False),
-           st.integers(), shaped_data(declared=True))
-    def test_same_text_as_the_compact_encoder(self, at, seq, node, built, n, made):
-        (shape, data), (made_shape, made_data) = built, made
-        events = [record(at, seq, node, shape.kind, data),
-                  TraceEvent(n, n, n, made_shape, tuple(made_data.values()))]
-        assert jsonl(events) == (dumps(at, seq, node, shape.kind, data) + "\n"
-                                 + dumps(n, n, n, made_shape.kind, made_data) + "\n")
-
-    @pytest.mark.parametrize("datas", [
-        # 0, 0.0 and False compare and hash equal
-        ("TableUpdated", [{"dest": 1, "next_hop": 2, "hops": hops}
-                          for hops in (0, 0.0, False, 0)]),
-        # a bool is an int, and "%d" % True is "1"
-        ("Sent", [{"msg": "bottle", "to": 1, "btl_id": "0:1", "src": 0, "dest": 3,
-                   "rf": rf, "failure": False, "history_len": 1, "bytes": 12, "xfer": 0}
-                  for rf in (True, 1, False, 0)]),
-        ("DeliveryFailed", [{"msg": "data", "to": 1, "xfer": xfer} for xfer in (3, None, 4)]),
-    ])
-    def test_shapes_that_compare_equal_keep_their_own_format(self, datas):
-        """Values that compare equal but are of other JSON types keep their
-        own text, in records made by the engine or built in code."""
-        kind, datas = datas
-        events = made_and_loaded(kind, datas)
-        assert {ev.loaded for ev in events} == {True, False}
-        assert jsonl(events) == "".join(dumps(ev.at, ev.seq, ev.node, kind, ev.data) + "\n"
-                                        for ev in events)
+    @given(st.lists(st.tuples(st.integers(), node_ids, shaped_data()), max_size=6))
+    def test_same_text_as_the_compact_encoder(self, drawn):
+        events = [ev for at, node, (shape, data) in drawn
+                  for ev in made_and_built(at, node, shape, data)]
+        assert jsonl(events) == compact_lines(events)
 
     def test_percent_signs_in_values_and_names(self):
-        events = (made_and_loaded("Eliminated", [{"btl_id": "%d%s", "reason": "100%"}])
-                  + made_and_loaded("Received", [{"msg": "data", "from": 1, "src": 0, "dest": 1,
-                                                  "path": ["%", "a%%b%", {"%(x)s": "%"}],
-                                                  "xfer": 3}])
-                  + made_and_loaded("Dropped", [{"src": 0, "dest": 1, "reason": "%%"},
-                                                {"src": "%d", "dest": 1, "reason": "%s%%"}]))
-        assert len(events) == 7
-        assert jsonl(events) == "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
-                                        for ev in events)
+        events = []
+        for kind, data in [("Eliminated", {"btl_id": "%d%s", "reason": "100%"}),
+                           ("Received", {"msg": "data", "from": 1, "src": 0, "dest": 1,
+                                         "path": ["%", "a%%b%", {"%(x)s": "%"}], "xfer": 3}),
+                           ("Dropped", {"src": 0, "dest": 1, "reason": "%%"})]:
+            events += made_and_built(5, 2, codec.SHAPE_OF[kind, data.get("msg")], data)
+        assert len(events) == 6
+        assert jsonl(events) == compact_lines(events)
 
 
 def terminal_marks(trace):
@@ -606,6 +572,17 @@ class TestTraceInvariants:
             marks = terminal_marks(trace)
             for btl_id in ids:
                 assert marks[btl_id] == 1, btl_id
+
+    def test_every_record_of_a_bottle_holds_its_one_id_string(self, tmp_path):
+        """A bottle's id text is made once: its Sent and Eliminated records
+        all hold that one string object, not equal copies."""
+        trace = self.exercise(tmp_path, 1)
+        first: dict[str, str] = {}
+        for ev in trace.events:
+            if ev.kind in ("Sent", "Eliminated") and "btl_id" in ev.data:
+                btl_id = ev.data["btl_id"]
+                assert first.setdefault(btl_id, btl_id) is btl_id, btl_id
+        assert len(first) < len(trace.records("Sent"))
 
     def test_hop_cap_never_exceeded(self, tmp_path):
         for seed in range(8):
@@ -849,8 +826,12 @@ class TestNeighborRefresh:
         assert trace.meta["events_processed"] < 1000
 
 
+ROUTE_FOUND = {"src": 0, "dest": 2, "path": [0, 1, 2]}
+
+
 def record_line(seq):
-    return jsonl([record(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})])[:-1]
+    """The line of a RouteFound at 1 whose seq is seq."""
+    return dumps(1, seq, 0, "RouteFound", ROUTE_FOUND)
 
 
 def split_record(inside, seq=0):
@@ -1004,14 +985,14 @@ class TestChunkedTrace:
             load_trace(path)
         # the two chunks before it stream out before the error
         stream = iter_trace(path)
-        assert [next(stream).seq for _ in range(6)] == list(range(6))
+        assert len([next(stream) for _ in range(6)]) == 6
         with pytest.raises(MalformedTrace, match="line 8:"):
             list(stream)
 
     def test_chunk_of_blank_lines_only(self, tmp_path):
         path = self.write(tmp_path, self.records(3) + ["", " ", "\t"]
                           + self.records(2, start=3) + [""])
-        assert [ev.seq for ev in load_trace(path).events] == list(range(5))
+        assert len(load_trace(path).events) == 5
         bad = self.write(tmp_path, self.records(3) + ["", "", ""] + ['{"at": 1}'])
         with pytest.raises(MalformedTrace, match="line 7: missing field 'seq'"):
             load_trace(bad)
@@ -1024,9 +1005,7 @@ class TestChunkedTrace:
                                (form_feed, "\n"), (form_feed, "\r\n")]:
             path = tmp_path / "spaced.jsonl"
             path.write_bytes("".join(line + newline for line in lines).encode())
-            assert load_trace(str(path)).events == [
-                record(1, seq, 0, "RouteFound", {"src": 0, "dest": 2, "path": [0, 1, 2]})
-                for seq in range(7)]
+            assert load_trace(str(path)).events == [record(1, 0, "RouteFound", ROUTE_FOUND)] * 7
             path.write_bytes("".join(line + newline for line in lines + ['{"at": 1}'])
                              .encode())
             with pytest.raises(MalformedTrace,
@@ -1041,35 +1020,29 @@ class TestChunkedTrace:
         path.write_bytes("".join(line + "\r\n" for line in lines).encode())
         with mock.patch.object(codec.json, "loads", wraps=json.loads) as loads:
             events = load_trace(str(path)).events
-        assert [ev.seq for ev in events] == list(range(6))
+        assert len(events) == 6
         assert loads.call_count == 3
 
     def test_writer_fills_one_format_per_chunk_to_each_records_bytes(self, tmp_path):
         """Engine records and records loaded or built in code, mixed within
         and across chunks: a % in a value of either is written as it is, and
-        a value built in code keeps the text of its JSON type."""
+        each seq is the record's place in the trace."""
         shaped = run(two_node_scenario(tmp_path)).events
-        loaded = load_trace(self.write(tmp_path, self.records(3, start=50))).events
+        loaded = load_trace(self.write(tmp_path, self.records(3))).events
         events = [loaded[0], *shaped[:2],
-                  record(3, 60, 1, "Received", {"msg": "data", "from": "%d", "src": 0,
-                                                "dest": 1, "path": ["%", "a%%b%"],
-                                                "xfer": True}),
-                  TraceEvent(4, 61, 2, codec.ELIMINATED, ("%d%s", "100%")),
+                  record(3, 1, "Received", {"msg": "data", "from": 0, "src": 0, "dest": 1,
+                                            "path": ["%", "a%%b%"], "xfer": 7}),
+                  TraceEvent(4, 2, codec.ELIMINATED, ("%d%s", "100%")),
                   loaded[1], *shaped[2:], loaded[2],
-                  record(5, 62, 0, "TableUpdated", {"dest": 1, "next_hop": "%s%%",
-                                                    "hops": 1.5})]
-        assert {ev.loaded for ev in events} == {True, False}
+                  record(5, 0, "RouteRemoved", {"dest": 1, "reason": "%s%%"})]
         assert len(events) % 3 != 0
-        trace = Trace(events=events)
         path = tmp_path / "mixed.jsonl"
-        trace.write(str(path))
-        expected = "".join(dumps(ev.at, ev.seq, ev.node, ev.kind, ev.data) + "\n"
-                           for ev in events)
-        assert path.read_text() == expected == "".join(jsonl([ev]) for ev in events)
+        Trace(events=events).write(str(path))
+        assert path.read_text() == compact_lines(events)
 
-    def test_loaded_values_keep_their_json_text_and_extra_keys_go(self, tmp_path):
-        """A loaded value of a JSON type its field does not declare is written
-        back as it was read; a data key no field declares is not kept."""
+    def test_loaded_values_keep_their_json_type_and_extra_keys_go(self, tmp_path):
+        """A loaded value of a JSON type its field does not declare is kept as
+        it was read; a data key no field declares is not kept."""
         lines = ['{"at":1,"seq":0,"node":0,"kind":"TableUpdated",'
                  '"data":{"dest":2,"next_hop":1,"hops":true}}',
                  '{"at":1,"seq":1,"node":0,"kind":"RouteRemoved","data":{"dest":2,"reason":5}}',
@@ -1079,10 +1052,7 @@ class TestChunkedTrace:
         assert [ev.data for ev in trace.events] == [
             {"dest": 2, "next_hop": 1, "hops": True}, {"dest": 2, "reason": 5},
             {"dest": 3, "attempt": 0}]
-        path = tmp_path / "back.jsonl"
-        trace.write(str(path))
-        lines[2] = lines[2].replace('"extra":[1],', "")
-        assert path.read_text() == "".join(line + "\n" for line in lines)
+        assert type(trace.events[0].values[2]) is bool
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, [])
@@ -1090,40 +1060,42 @@ class TestChunkedTrace:
 
     def test_file_of_exactly_one_chunk(self, tmp_path):
         path = self.write(tmp_path, self.records(3))
-        assert [ev.seq for ev in iter_trace(path)] == [0, 1, 2]
+        assert len(list(iter_trace(path))) == 3
 
     def test_round_trip_over_many_chunks(self, tmp_path):
         trace = run(generic_scenario(tmp_path, 3, [RequestSpec(at=1, src=0, dest=8)])[1])
         assert len(trace.events) > 3 * 3
         path = tmp_path / "trace.jsonl"
         trace.write(str(path))
-        assert path.read_text() == jsonl(trace)
-        assert jsonl(trace) == "".join(jsonl([ev]) for ev in trace.events)
+        assert path.read_text() == jsonl(trace) == compact_lines(trace.events)
         assert load_trace(str(path)).events == trace.events
         assert list(iter_trace(str(path))) == trace.events
 
 
 @functools.cache
 def engine_record_lines():
-    """One line of each record shape a faulty 12-node run writes."""
+    """One line of each record shape a faulty 12-node run writes, each at 1
+    with seq 0."""
     doc = {"seed": 1, "topology": {"generator": {"kind": "generic", "nodes": 12, "seed": 0}},
            "protocol": {"retry_limit": 1},
            "random_requests": {"count": 20, "spacing": 2},
            "faults": [{"at": 3, "op": "fail_node", "node": 2},
                       {"at": 4, "op": "fail_link", "link": [0, 3]},
                       {"at": 30, "op": "restore_node", "node": 2}]}
-    lines = {ev.shape: jsonl([ev])[:-1] for ev in run(scenario_from_dict(doc)).events}
+    lines = {ev.shape: jsonl([TraceEvent(1, ev.node, ev.shape, ev.values)])[:-1]
+             for ev in run(scenario_from_dict(doc)).events}
     assert len(lines) >= 8
     return tuple(sorted(lines.values()))
 
 
-# replacement values for a record's kind, at, node and data, and its data's
-# msg, src, dest, op and target: a time or a node id is replaced by a bool,
-# a float, a string or an int out of the node id range, among others
+# replacement values for a record's kind, at, seq, node and data, and its
+# data's msg, src, dest, op and target: a time, a seq or a node id is replaced
+# by a bool, a float, a string or an int out of the node id range, among others
 NOT_IDS = [True, False, 1.0, 0.0, "1", [0], -1, MAX_NODE_ID + 1]
 RECORD_EDITS = {
     "kind": sorted({kind for kind, _ in record_fields()}) + ["Lost", ["Sent"], 1],
     "at": [True, 1.5, 2.0, "1", 0, -1],
+    "seq": ["x", True, False, 0.0, 1, -1, None],
     "node": NOT_IDS,
     "data": [[], "data", None],
     "src": NOT_IDS,
@@ -1138,7 +1110,7 @@ LINE_TOKENS = ["],[", ",", "[", "]", "{", "}", '"', ":", '"msg":"data",', '"at":
 
 @st.composite
 def mutated_record_lines(draw):
-    """An engine record line with its kind, at, node, data, msg, src, dest, op or target
+    """An engine record line with its kind, at, seq, node, data, msg, src, dest, op or target
     replaced or a key deleted, then ],[, commas, brackets, quotes, keys or another
     record inserted into its text or cut out of it, or the line wrapped in a
     list."""
@@ -1150,7 +1122,7 @@ def mutated_record_lines(draw):
             key = draw(st.sampled_from([*rec, *data]))
             (rec if key in rec else data).pop(key, None)
         else:
-            owner = rec if field in ("kind", "at", "node", "data") else data
+            owner = rec if field in ("kind", "at", "seq", "node", "data") else data
             owner[field] = draw(st.sampled_from(RECORD_EDITS[field]))
     line = json.dumps(rec, separators=(",", ":"))
     for _ in range(draw(st.integers(0, 3))):
@@ -1171,24 +1143,26 @@ def mutated_record_lines(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(mutated_record_lines())
-def test_the_line_path_names_every_line_it_rejects(line):
+@given(mutated_record_lines(), st.sampled_from([-math.inf, 0, 1, 2]))
+def test_the_line_path_names_every_line_it_rejects(line, at):
     """The trace reader's line-by-line path raises with _record_error's
-    message for a line _decode_chunk rejects: that message is never None,
-    and a line it accepts is exactly one record, the line's own."""
+    message for a line _decode_chunk rejects as the first record, after a
+    record at at: that message is never None, and a line it accepts is
+    exactly one record, the line's own."""
     assume(line.strip())
-    decoded, error = codec._decode_chunk([line]), codec._record_error(line)
+    decoded, error = codec._decode_chunk([line], 0, at), codec._record_error(line, 0, at)
     assert (decoded is None) == (error is not None), (line, error)
     if decoded is not None:
         rec = json.loads(line)
-        assert decoded == [record(rec["at"], rec["seq"], rec["node"], rec["kind"], rec["data"])]
+        assert decoded == [record(rec["at"], rec["node"], rec["kind"], rec["data"])]
 
 
 @st.composite
 def chunk_lines(draw):
     """Two to six lines of a trace chunk: engine record lines, mutated or
     not, two records on one line, a record cut in two (at any point, or
-    where "],[" is cut out of an extra field [[0],[1]]), and blank lines."""
+    where "],[" is cut out of an extra field [[0],[1]]), and blank lines.
+    Each seq 0 of an engine line is renumbered to count records in order."""
     records = st.sampled_from(engine_record_lines())
     lines = []
     while len(lines) < draw(st.integers(2, 6)):
@@ -1210,19 +1184,25 @@ def chunk_lines(draw):
             lines += [head, tail]
         else:
             lines.append(draw(st.sampled_from(["", " ", "\t"])))
-    return lines
+    seqs = itertools.count()
+    return [re.sub('"seq":0,', lambda _: f'"seq":{next(seqs)},', line) for line in lines]
 
 
 @settings(max_examples=400, deadline=None)
 @given(chunk_lines())
 def test_a_chunk_is_accepted_only_as_its_lines_alone(lines):
     """_decode_chunk accepts a chunk of several lines only if each line
-    alone is accepted, and then gives the records the lines give alone."""
-    decoded = codec._decode_chunk(lines)
+    alone is accepted, in order after the records of the lines before it,
+    and then gives the records the lines give alone."""
+    decoded = codec._decode_chunk(lines, 0, -math.inf)
     if decoded is not None:
-        alone = [codec._decode_chunk([line]) for line in lines]
-        assert None not in alone, lines
-        assert decoded == [ev for events in alone for ev in events]
+        alone = []
+        for line in lines:
+            events = codec._decode_chunk([line], len(alone),
+                                         alone[-1].at if alone else -math.inf)
+            assert events is not None, lines
+            alone += events
+        assert decoded == alone
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
@@ -1285,7 +1265,7 @@ class TestCollectorPause:
 
     def test_iter_trace_dropped_after_its_first_chunk(self, tmp_path, collector):
         stream = iter_trace(self.trace_file(tmp_path))
-        assert next(stream).seq == 0
+        assert next(stream).kind == "RouteFound"
         assert gc.isenabled() is collector
         del stream
         assert gc.isenabled() is collector
@@ -1300,7 +1280,7 @@ def transient(step):
     """The bytes tracemalloc saw in use while step ran, beyond those still in
     use when it returned, and its result. For Trace.write, which returns
     nothing, what is still in use is interpreter free lists (of the tuples
-    TraceEvent._fill builds per record), which grow with the records written
+    Trace._jsonl_chunks builds per record), which grow with the records written
     up to a fixed cap and would otherwise blur a peak that does not."""
     gc.collect()
     tracemalloc.start()
@@ -1334,10 +1314,13 @@ def test_trace_round_trip_memory_does_not_grow_with_the_trace(tmp_path, monkeypa
     assert writes[16] < 1.5 * writes[4], writes
 
 
-def test_a_finished_run_holds_at_most_320_bytes_per_record():
+def test_a_finished_run_holds_at_most_250_bytes_per_record():
     """What a run's trace holds in memory, over its records: each record is a
-    slotted TraceEvent and the tuple of its values, with no data dict. A
-    TraceEvent with a data dict per record held about 420 bytes a record here."""
+    slotted TraceEvent of four slots and the tuple of its values, with no
+    data dict, and a bottle's Sent records share its id's one string. A
+    TraceEvent with a data dict per record held about 420 bytes a record
+    here, and one with a seq, a loaded flag and an id string per record
+    about 290."""
     doc = {"seed": 5, "topology": {"generator": {"kind": "generic", "nodes": 50, "seed": 0}},
            "random_requests": {"count": 150, "spacing": 20}}
     sc = scenario_from_dict(doc)
@@ -1350,4 +1333,4 @@ def test_a_finished_run_holds_at_most_320_bytes_per_record():
     finally:
         tracemalloc.stop()
     assert len(trace.events) == 6552
-    assert held / len(trace.events) <= 320, held / len(trace.events)
+    assert held / len(trace.events) <= 250, held / len(trace.events)

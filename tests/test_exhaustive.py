@@ -32,6 +32,7 @@ import functools
 import os
 import sys
 import tempfile
+from itertools import islice
 from typing import Collection
 
 import networkx as nx
@@ -40,7 +41,7 @@ import pytest
 from bottlenet import engine, fsm
 from bottlenet.config import FaultSpec, RequestSpec, ScenarioConfig
 from bottlenet.engine import run
-from bottlenet.trace import Trace, iter_trace
+from bottlenet.trace import Trace, TraceEvent, iter_trace
 from bottlenet.metrics import episodes, summarize
 from bottlenet.network import Topology, load_topology, save_topology
 from conftest import make_topology
@@ -158,18 +159,6 @@ def check_records(trace, request, faulty, edges, dist) -> None:
                 if node.pending and nid not in trace.topology.down_nodes]
 
 
-def runs_of(records):
-    """Consecutive traces in one stream of records, split where seq restarts."""
-    run_records: list = []
-    for ev in records:
-        if ev.seq == 0 and run_records:
-            yield run_records
-            run_records = []
-        run_records.append(ev)
-    if run_records:
-        yield run_records
-
-
 def check_every_walk(g: nx.Graph, beacon_period: int, chooser: ScriptedChooser,
                      directory: str) -> int:
     """Run each of g's scenarios under every walk and check every run;
@@ -189,8 +178,11 @@ def check_every_walk(g: nx.Graph, beacon_period: int, chooser: ScriptedChooser,
                                                            for ep in episodes(trace))
             assert summary.discoveries_attempted == (summary.discoveries_succeeded
                                                      + summary.discoveries_failed)
-            live.append(summary)
-            records += trace.events
+            # one file's times never go down, so each run follows the one before
+            offset = records[-1].at if records else 0
+            live.append((summary, len(trace.events)))
+            records += [TraceEvent(ev.at + offset, ev.node, ev.shape, ev.values)
+                        for ev in trace.events]
         if len(records) >= REPLAY_BATCH:
             runs += check_replay(live, records, topology, directory)
             live, records = [], []
@@ -199,13 +191,15 @@ def check_every_walk(g: nx.Graph, beacon_period: int, chooser: ScriptedChooser,
 
 def check_replay(live: list, records: list, topology: Topology, directory: str) -> int:
     """Write the records of len(live) runs as one JSONL file, read it back
-    run by run, and check that each run's summary is its live one."""
+    run by run, and check that each run's summary is its live one; live
+    holds each run's summary and record count, and a summary does not
+    change when a run's times are shifted."""
     path = os.path.join(directory, "traces.jsonl")
     Trace(events=records).write(path)
-    replayed = [summarize(run_records, topology) for run_records in runs_of(iter_trace(path))]
-    assert len(replayed) == len(live)
-    for i, (a, b) in enumerate(zip(live, replayed)):
-        assert a == b, i
+    stream = iter_trace(path)
+    for i, (summary, length) in enumerate(live):
+        assert summarize(islice(stream, length), topology) == summary, i
+    assert next(stream, None) is None
     return len(live)
 
 

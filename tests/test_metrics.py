@@ -119,12 +119,14 @@ def test_close_with_nothing_open_is_malformed(kind):
     # discovery was closed by the RouteFound before it
     data = {"src": 0, "dest": 1, "path": [0, 1]} if kind == "RouteFound" \
         else {"src": 0, "dest": 1}
-    records = [record(1, 0, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}),
-               record(3, 1, 0, "RouteFound", {"src": 0, "dest": 1, "path": [0, 1]}),
-               record(5, 2, 0, kind, data)]
-    with pytest.raises(MalformedRecord, match=rf"^record seq 2 \(kind '{kind}'\): "
-                                              "src 0 has no discovery of dest 1 open"):
-        episodes(records)
+    records = [record(1, 0, "DiscoveryStarted", {"dest": 1, "attempt": 0}),
+               record(3, 0, "RouteFound", {"src": 0, "dest": 1, "path": [0, 1]}),
+               record(5, 0, kind, data)]
+    # the record is named by its place, in a list or in a stream
+    for given in (records, iter(records)):
+        with pytest.raises(MalformedRecord, match=rf"^record seq 2 \(kind '{kind}'\): "
+                                                  "src 0 has no discovery of dest 1 open"):
+            episodes(given)
 
 
 def final_tables(trace):
@@ -164,10 +166,11 @@ class TestTables:
     def test_cutoff_limits_view(self, tmp_path):
         trace = run_on(tmp_path, make_topology((0, 1)), 3,
                        [RequestSpec(at=1, src=0, dest=1)])
-        first = next(ev for ev in trace.events if ev.kind == "TableUpdated")
-        assert reconstruct_tables(ev for ev in trace.events if ev.seq < first.seq) == {}
+        seq, first = next((seq, ev) for seq, ev in enumerate(trace.events)
+                          if ev.kind == "TableUpdated")
+        assert reconstruct_tables(ev for ev in trace.events[:seq]) == {}
         entry = (first.data["next_hop"], first.data["hops"])
-        assert reconstruct_tables(trace.events[:first.seq + 1]) == {
+        assert reconstruct_tables(trace.events[:seq + 1]) == {
             first.node: {first.data["dest"]: entry}}
 
 

@@ -5,7 +5,8 @@ the protocol: ``trace`` and ``metrics`` import neither ``engine`` nor
 ``fsm``, directly or under another name. A trace file a run writes under
 faults summarizes to the live run's summary, also with other line ends and
 lines of whitespace between its chunks. Each kind and msg has one declared
-shape, and a record that lacks a field of its shape is refused.
+shape, and a record that lacks a field of its shape is refused, as is one
+out of order.
 """
 
 import ast
@@ -177,7 +178,7 @@ def test_a_record_built_in_code_is_judged_as_its_line_is(tmp_path, at, node, kin
     or dest would key a table as the int it equals, and a time of 1.5 or
     True would open a discovery at a time no run has."""
     with pytest.raises(MalformedTrace) as exc:
-        codec.record(at, 8, node, kind, data)
+        codec.record(at, node, kind, data)
     assert str(exc.value) == error
     path = tmp_path / "trace.jsonl"
     lines = GOLDEN_TWO_NODE.read_text().splitlines()
@@ -186,3 +187,48 @@ def test_a_record_built_in_code_is_judged_as_its_line_is(tmp_path, at, node, kin
     with pytest.raises(MalformedTrace) as exc:
         codec.load_trace(str(path))
     assert str(exc.value) == f"{path}: line {len(lines) + 1}: {error}"
+
+
+def reversed_from(n):
+    """An edit that reverses the order of the records from the n-th on."""
+    return lambda recs: recs.__setitem__(slice(n, None), recs[:n - 1:-1])
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda recs: recs[3].update(seq="x"), "line 4: seq 'x' is not the record's index 3"),
+    # a bool or a float equals the int it stands for
+    (lambda recs: recs[0].update(seq=False), "line 1: seq False is not the record's index 0"),
+    (lambda recs: recs[1].update(seq=True), "line 2: seq True is not the record's index 1"),
+    (lambda recs: recs[2].update(seq=2.0), "line 3: seq 2.0 is not the record's index 2"),
+    (lambda recs: [rec.update(seq=rec["seq"] + 1) for rec in recs[4:]],
+     "line 5: seq 5 is not the record's index 4"),
+    (lambda recs: recs[4].update(seq=3), "line 5: seq 3 is not the record's index 4"),
+    (lambda recs: recs[5].update(at=0), "line 6: at 0 is before the previous record's 3"),
+    (lambda recs: recs[3].update(at=1), "line 4: at 1 is before the previous record's 2"),
+    (reversed_from(3), "line 4: seq 7 is not the record's index 3"),
+], ids=["seq-str", "seq-false", "seq-true", "seq-float", "seq-skipped", "seq-repeated",
+        "at-down-in-chunk", "at-down-at-boundary", "reversed"])
+@pytest.mark.parametrize("chunk_lines", [2048, 3, 1], ids=["chunk", "chunk-of-3", "line"])
+def test_records_out_of_order_are_named_by_their_line(tmp_path, monkeypatch, edit, error,
+                                                      chunk_lines):
+    """A record's seq is its 0-based place in the file, an int, and its at is
+    never before the previous record's; the reader names the first line that
+    breaks either, with both values, within a chunk or across a boundary (in
+    chunks of 3, lines 4-6 make the second chunk). A blank line counts for
+    nothing."""
+    monkeypatch.setattr(codec, "_CHUNK_LINES", chunk_lines)
+    records = [json.loads(line) for line in GOLDEN_TWO_NODE.read_text().splitlines()]
+    edit(records)
+    path = tmp_path / "trace.jsonl"
+    lines = [json.dumps(rec) for rec in records]
+    n = int(error.split(":")[0].removeprefix("line "))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedTrace) as exc:
+        codec.load_trace(str(path))
+    assert str(exc.value) == f"{path}: {error}"
+    # a blank line before the bad one moves it down a line, and changes nothing else
+    path.write_text("\n".join(lines[:n - 1] + [""] + lines[n - 1:]) + "\n")
+    with pytest.raises(MalformedTrace) as exc:
+        codec.load_trace(str(path))
+    assert str(exc.value) == f"{path}: line {n + 1}:{error.split(':', 1)[1]}"
+
